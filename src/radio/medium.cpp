@@ -16,6 +16,7 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
       gains_(&gains),
       config_(config),
       nodes_(gains.node_count()),
+      link_mw_(gains.node_count() * gains.node_count(), 0.0),
       rng_(seed, /*stream=*/0x4D454449ULL) {
   noise_.reserve(gains.node_count());
   for (std::size_t i = 0; i < gains.node_count(); ++i) {
@@ -26,9 +27,7 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
     config_.max_loss_db = config_.tx_power_dbm - Cc2420Phy::kSensitivityDbm +
                           config_.cutoff_margin_db;
   }
-  // The table is shared between experiments; (re)build its neighbor lists
-  // for this medium's cutoff.
-  const_cast<LinkGainTable*>(gains_)->build_neighbor_lists(config_.max_loss_db);
+  candidates_ = gains.neighbor_lists(config_.max_loss_db);
 }
 
 void RadioMedium::attach(NodeId id, MediumListener& listener) {
@@ -52,6 +51,13 @@ double RadioMedium::rssi_dbm(NodeId tx, NodeId rx) const {
     if (it != link_offsets_.end()) rssi -= it->second;
   }
   return rssi;
+}
+
+double RadioMedium::link_mw(NodeId tx, NodeId rx) {
+  if (!link_offsets_.empty()) return dbm_to_mw(rssi_dbm(tx, rx));
+  double& mw = link_mw_[static_cast<std::size_t>(tx) * nodes_.size() + rx];
+  if (mw == 0.0) mw = dbm_to_mw(rssi_dbm(tx, rx));
+  return mw;
 }
 
 void RadioMedium::add_link_loss_db(NodeId a, NodeId b, double extra_db) {
@@ -113,7 +119,7 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
 
   // Lock every in-range idle listener to this transmission. Nodes already
   // locked to an earlier frame keep that lock; this frame only interferes.
-  for (NodeId nb : gains_->neighbors_within(src)) {
+  for (NodeId nb : candidates_[src]) {
     NodeState& rx = nodes_[nb];
     if (!rx.listening || rx.txing || rx.locked_tx != 0) continue;
     // An injected link fault can push a statically-in-range link below the
@@ -126,15 +132,10 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
     rx.lock_start = start;
   }
 
-  txs_.push_back(ActiveTx{id, src, std::move(frame), start, end, false});
+  max_airtime_ = std::max(max_airtime_, airtime);
+  history_.push_back(TxRecord{id, start, end, src});
+  in_flight_.push_back(InFlight{id, src, std::move(frame)});
   sim_->schedule_at(end, [this, id] { finish_tx(id); });
-}
-
-RadioMedium::ActiveTx* RadioMedium::find_tx(std::uint64_t id) {
-  for (auto& tx : txs_) {
-    if (tx.id == id) return &tx;
-  }
-  return nullptr;
 }
 
 double RadioMedium::interference_mw(NodeId rx, std::uint64_t tx_id,
@@ -142,24 +143,39 @@ double RadioMedium::interference_mw(NodeId rx, std::uint64_t tx_id,
   double mw = 0.0;
   const double duration = static_cast<double>(end - start);
   if (duration <= 0) return 0.0;
-  for (const auto& other : txs_) {
+  // Starts ascend and no frame lasts longer than max_airtime_, so every
+  // entry before `first` ended by `start`, and every entry from the first one
+  // starting at or after `end` on cannot overlap either.
+  const auto first = std::partition_point(
+      history_.begin(), history_.end(), [&](const TxRecord& other) {
+        return other.start + max_airtime_ <= start;
+      });
+  for (auto it = first; it != history_.end() && it->start < end; ++it) {
+    const TxRecord& other = *it;
     if (other.id == tx_id || other.src == rx) continue;
     const SimTime ov_start = std::max(start, other.start);
     const SimTime ov_end = std::min(end, other.end);
     if (ov_end <= ov_start) continue;
     const double frac =
         static_cast<double>(ov_end - ov_start) / duration;
-    mw += dbm_to_mw(rssi_dbm(other.src, rx)) * frac;
+    mw += link_mw(other.src, rx) * frac;
   }
   return mw;
 }
 
 void RadioMedium::finish_tx(std::uint64_t tx_id) {
-  ActiveTx* tx = find_tx(tx_id);
-  assert(tx != nullptr);
-  tx->done = true;
+  const auto flight = std::lower_bound(
+      in_flight_.begin(), in_flight_.end(), tx_id,
+      [](const InFlight& f, std::uint64_t id) { return f.id < id; });
+  assert(flight != in_flight_.end() && flight->id == tx_id);
+  const NodeId src = flight->src;
+  const Frame frame = std::move(flight->frame);
+  in_flight_.erase(flight);
+  const TxRecord& record = history_[tx_id - history_.front().id];
+  const SimTime start = record.start;
+  const SimTime end = record.end;
   const SimTime now = sim_->now();
-  const std::size_t mpdu = wire_size_bytes(tx->frame);
+  const std::size_t mpdu = wire_size_bytes(frame);
 
   // Resolve reception at every receiver locked to this transmission.
   struct Acker {
@@ -167,20 +183,20 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     double rssi_at_src_dbm;
   };
   std::vector<Acker> ackers;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    NodeState& rx = nodes_[i];
+  // Only candidates of `src` can have locked onto this transmission, and the
+  // list is in id order, so receivers draw from rng_ in node order.
+  for (const NodeId rx_id : candidates_[src]) {
+    NodeState& rx = nodes_[rx_id];
     if (rx.locked_tx != tx_id) continue;
     rx.locked_tx = 0;
-    const auto rx_id = static_cast<NodeId>(i);
 
-    const double signal_dbm = rssi_dbm(tx->src, rx_id);
-    double noise_mw = dbm_to_mw(noise_[i].noise_dbm(now)) +
+    const double signal_dbm = rssi_dbm(src, rx_id);
+    double noise_mw = dbm_to_mw(noise_[rx_id].noise_dbm(now)) +
                       extra_noise_mw(rx_id);
     if (interferer_ != nullptr) {
       noise_mw += dbm_to_mw(interferer_->power_at(rx_id, now));
     }
-    const double interf_mw =
-        interference_mw(rx_id, tx_id, tx->start, tx->end);
+    const double interf_mw = interference_mw(rx_id, tx_id, start, end);
     const double sinr = signal_dbm - mw_to_dbm(noise_mw + interf_mw);
     // Capture model: interference-limited receptions need to clear the
     // co-channel rejection threshold (see MediumConfig).
@@ -190,14 +206,13 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     if (!rng_.chance(prr)) continue;
 
     const AckDecision decision =
-        rx.listener->on_frame(tx->frame, signal_dbm);
+        rx.listener->on_frame(frame, signal_dbm);
     if (decision == AckDecision::kAcceptAndAck) {
-      ackers.push_back(Acker{rx_id, rssi_dbm(rx_id, tx->src)});
+      ackers.push_back(Acker{rx_id, rssi_dbm(rx_id, src)});
     }
   }
 
-  const NodeId src = tx->src;
-  if (!frame_wants_ack(tx->frame)) {
+  if (!frame_wants_ack(frame)) {
     nodes_[src].txing = false;
     nodes_[src].listener->on_tx_done(false, kInvalidNode);
     prune_history();
@@ -249,13 +264,13 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
 }
 
 void RadioMedium::prune_history() {
-  // Keep finished transmissions long enough that any overlapping reception
-  // still in flight can integrate their interference.
-  constexpr SimTime kGrace = 50 * kMillisecond;
+  // A reception still to finish started at or after now - max_airtime_, so
+  // a transmission that ended by then can no longer overlap one. Such an
+  // entry has also finished: its finish_tx ran at its end.
   const SimTime now = sim_->now();
-  std::erase_if(txs_, [now](const ActiveTx& tx) {
-    return tx.done && tx.end + kGrace < now;
-  });
+  while (!history_.empty() && history_.front().end + max_airtime_ <= now) {
+    history_.pop_front();
+  }
 }
 
 double RadioMedium::noise_dbm(NodeId id) {
@@ -269,9 +284,8 @@ double RadioMedium::noise_dbm(NodeId id) {
 
 double RadioMedium::channel_energy_dbm(NodeId id) {
   double mw = dbm_to_mw(noise_dbm(id));
-  for (const auto& tx : txs_) {
-    if (tx.done || tx.src == id) continue;
-    mw += dbm_to_mw(rssi_dbm(tx.src, id));
+  for (const InFlight& tx : in_flight_) {
+    if (tx.src != id) mw += link_mw(tx.src, id);
   }
   return mw_to_dbm(mw);
 }

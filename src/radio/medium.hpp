@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -156,13 +157,19 @@ class RadioMedium {
   }
 
  private:
-  struct ActiveTx {
+  /// One transmission in the overlap history: plain data, no frame.
+  struct TxRecord {
+    std::uint64_t id;
+    SimTime start;
+    SimTime end;
+    NodeId src;
+  };
+
+  /// A transmission whose frame has not finished yet.
+  struct InFlight {
     std::uint64_t id;
     NodeId src;
     Frame frame;
-    SimTime start;
-    SimTime end;
-    bool done;
   };
 
   struct NodeState {
@@ -174,11 +181,13 @@ class RadioMedium {
   };
 
   void finish_tx(std::uint64_t tx_id);
-  [[nodiscard]] ActiveTx* find_tx(std::uint64_t id);
   void prune_history();
 
   /// Received power tx->rx including injected link offsets.
   [[nodiscard]] double rssi_dbm(NodeId tx, NodeId rx) const;
+  /// rssi_dbm(tx, rx) in mW. Served from a per-link cache while no link
+  /// offset is active; with offsets every read recomputes.
+  [[nodiscard]] double link_mw(NodeId tx, NodeId rx);
   /// Static table loss plus injected offsets (the neighbor-cutoff test).
   [[nodiscard]] double effective_loss_db(NodeId tx, NodeId rx) const;
   [[nodiscard]] static std::uint64_t link_key(NodeId a, NodeId b) noexcept {
@@ -200,7 +209,16 @@ class RadioMedium {
   MediumConfig config_;
   std::vector<NodeState> nodes_;
   std::vector<CpmNoiseModel::Generator> noise_;
-  std::vector<ActiveTx> txs_;  // ongoing + recently finished (for overlap)
+  /// Candidate receivers per source, in id order: the only nodes a
+  /// transmission can lock. Fixed for the medium's lifetime.
+  std::vector<std::vector<NodeId>> candidates_;
+  /// Every transmission that may still overlap a reception, ids ascending
+  /// (ids are issued in start order, so starts ascend too).
+  std::deque<TxRecord> history_;
+  std::vector<InFlight> in_flight_;  // ids ascending
+  SimTime max_airtime_ = 0;          // longest frame transmitted so far
+  /// Lazily filled dbm_to_mw(rssi) per directed link [tx][rx]; 0 = unset.
+  std::vector<double> link_mw_;
   WifiInterferer* interferer_ = nullptr;
   Pcg32 rng_;
   std::uint64_t next_tx_id_ = 1;

@@ -44,15 +44,21 @@ LinkGainTable::LinkGainTable(const std::vector<Position>& positions,
 }
 
 void LinkGainTable::build_neighbor_lists(double max_loss_db) {
+  neighbors_ = neighbor_lists(max_loss_db);
+}
+
+std::vector<std::vector<NodeId>> LinkGainTable::neighbor_lists(
+    double max_loss_db) const {
+  std::vector<std::vector<NodeId>> lists(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    neighbors_[i].clear();
     for (std::size_t j = 0; j < n_; ++j) {
       if (i == j) continue;
       if (loss_[i * n_ + j] <= max_loss_db) {
-        neighbors_[i].push_back(static_cast<NodeId>(j));
+        lists[i].push_back(static_cast<NodeId>(j));
       }
     }
   }
+  return lists;
 }
 
 }  // namespace telea

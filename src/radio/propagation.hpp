@@ -57,9 +57,8 @@ class LinkGainTable {
     return tx_power_dbm - loss_db(tx, rx);
   }
 
-  /// Nodes whose loss from `tx` is below `max_loss_db` — the candidate
-  /// receiver set the medium iterates over (everything beyond is guaranteed
-  /// below sensitivity even at zero noise).
+  /// Nodes whose loss from `tx` is below the cutoff of the last
+  /// build_neighbor_lists() call (empty until one is made).
   [[nodiscard]] const std::vector<NodeId>& neighbors_within(
       NodeId tx) const noexcept {
     return neighbors_[tx];
@@ -67,6 +66,11 @@ class LinkGainTable {
 
   /// Recomputes the candidate-neighbor lists for a given loss cutoff.
   void build_neighbor_lists(double max_loss_db);
+
+  /// Per transmitter, the receivers whose loss is at most `max_loss_db`, in
+  /// id order. Leaves the table's own lists untouched.
+  [[nodiscard]] std::vector<std::vector<NodeId>> neighbor_lists(
+      double max_loss_db) const;
 
  private:
   std::size_t n_;

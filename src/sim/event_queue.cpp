@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -7,7 +8,8 @@ namespace telea {
 
 EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
   const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{when, seq, std::move(cb), tag});
+  heap_.push_back(Entry{when, seq, std::move(cb), tag});
+  std::push_heap(heap_.begin(), heap_.end());
   live_.insert(seq);
   return EventHandle{seq};
 }
@@ -21,30 +23,31 @@ void EventQueue::cancel(EventHandle& handle) {
 }
 
 void EventQueue::skim() {
-  while (!heap_.empty() && !live_.contains(heap_.top().seq)) {
-    heap_.pop();
+  while (!heap_.empty() && !live_.contains(heap_.front().seq)) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.pop_back();
   }
 }
 
 SimTime EventQueue::next_time() {
   skim();
   assert(!heap_.empty());
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
   skim();
   assert(!heap_.empty());
-  // priority_queue::top() is const, so the callback is copied out; a
-  // std::function copy is cheap relative to the event work it wraps.
-  Fired fired{heap_.top().time, heap_.top().callback, heap_.top().tag};
-  live_.erase(heap_.top().seq);
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end());
+  Entry& top = heap_.back();
+  Fired fired{top.time, std::move(top.callback), top.tag};
+  live_.erase(top.seq);
+  heap_.pop_back();
   return fired;
 }
 
 void EventQueue::clear() {
-  heap_ = {};
+  heap_.clear();
   live_.clear();
 }
 

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/time.hpp"
 
@@ -68,7 +68,7 @@ class EventQueue {
     Callback callback;
     const char* tag = nullptr;
 
-    // Min-heap: std::priority_queue is a max-heap, so invert.
+    // Min-heap: the std heap algorithms build a max-heap, so invert.
     friend bool operator<(const Entry& a, const Entry& b) noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
@@ -78,7 +78,7 @@ class EventQueue {
   // Drops cancelled entries from the top of the heap.
   void skim();
 
-  std::priority_queue<Entry> heap_;
+  std::vector<Entry> heap_;  // std::push_heap/pop_heap order
   std::unordered_set<std::uint64_t> live_;
   std::uint64_t next_seq_ = 1;
 };

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "radio/phy.hpp"
+#include "util/rng.hpp"
 
 namespace telea {
 namespace {
@@ -66,6 +67,20 @@ class MediumTest : public ::testing::Test {
     f.dst = kBroadcastNode;
     f.link_seq = next_seq_++;
     f.payload = msg::CtpBeacon{};
+    return f;
+  }
+
+  /// A broadcast whose MPDU is the 802.15.4 maximum: the longest airtime.
+  Frame max_frame(NodeId src) {
+    Frame f;
+    f.src = src;
+    f.dst = kBroadcastNode;
+    f.link_seq = next_seq_++;
+    msg::RplDao dao;
+    dao.non_storing = true;
+    // 1 byte seqno + 5 non-storing bytes + 2 per target.
+    dao.targets.assign((kMaxPayloadBytes - 6) / 2, 0);
+    f.payload = dao;
     return f;
   }
 
@@ -276,6 +291,210 @@ TEST_F(MediumTest, ReceivingStateIsVisible) {
   EXPECT_TRUE(medium_->receiving(1));
   sim_.run();
   EXPECT_FALSE(medium_->receiving(1));
+}
+
+TEST_F(MediumTest, LongFrameStartedBeforeReceptionInterferes) {
+  // 0 and 2 sit 5 m either side of 1, so each is as strong as the other
+  // there. Node 1 sleeps through the start of 0's long frame, then locks
+  // onto 2's short beacon during the long frame's last 600 us.
+  build(3, 5.0);
+  const Frame long_frame = max_frame(0);
+  ASSERT_EQ(wire_size_bytes(long_frame), kMaxMpduBytes);
+  const SimTime long_airtime = Cc2420Phy::airtime(kMaxMpduBytes);
+  const SimTime rx_start = long_airtime - 600;
+  ASSERT_GT(rx_start, Cc2420Phy::airtime(wire_size_bytes(beacon_frame(2))));
+  const auto beacon_at = [this](SimTime when) {
+    sim_.schedule_at(when, [this] {
+      medium_->set_listening(1, true);
+      medium_->transmit(2, beacon_frame(2));
+    });
+  };
+
+  // Alone, the beacon is received.
+  beacon_at(rx_start);
+  sim_.run();
+  ASSERT_EQ(listeners_[1]->received.size(), 1u);
+
+  // Overlapped for 600 us of its 800 us by the long frame, whose start lies
+  // more than a beacon airtime before the reception's, it is lost.
+  medium_->set_listening(1, false);
+  const SimTime t0 = sim_.now() + kMillisecond;
+  sim_.schedule_at(t0, [this, &long_frame] {
+    medium_->transmit(0, long_frame);
+  });
+  beacon_at(t0 + rx_start);
+  sim_.run();
+  EXPECT_EQ(listeners_[1]->received.size(), 1u);
+}
+
+TEST_F(MediumTest, FrameEndingAtReceptionStartDoesNotInterfere) {
+  build(3, 5.0);
+  medium_->transmit(0, max_frame(0));
+  const SimTime end = Cc2420Phy::airtime(kMaxMpduBytes);
+  // Scheduled after transmit(), so it runs after the frame's finish at `end`.
+  sim_.schedule_at(end, [this] {
+    medium_->set_listening(1, true);
+    medium_->transmit(2, beacon_frame(2));
+  });
+  sim_.run();
+  ASSERT_EQ(listeners_[1]->received.size(), 1u);
+  EXPECT_EQ(listeners_[1]->received[0].src, 2);
+}
+
+TEST_F(MediumTest, FinishedFrameLeavesChannelEnergy) {
+  build(2, 5.0);
+  const double idle = medium_->channel_energy_dbm(1);
+  medium_->transmit(0, beacon_frame(0));
+  const SimTime end = Cc2420Phy::airtime(wire_size_bytes(beacon_frame(0)));
+  double busy = 0.0;
+  double after = 0.0;
+  sim_.schedule_at(end - 1, [&] { busy = medium_->channel_energy_dbm(1); });
+  // Right after the finish the frame still sits in the overlap history.
+  sim_.schedule_at(end, [&] { after = medium_->channel_energy_dbm(1); });
+  sim_.run();
+  EXPECT_GT(busy, -70.0);
+  EXPECT_EQ(after, idle);
+}
+
+TEST_F(MediumTest, LinkLossDuringTrafficAndClearRestore) {
+  build(2, 5.0);
+  medium_->set_listening(1, true);
+  medium_->transmit(0, beacon_frame(0));
+  const double energy_clean = medium_->channel_energy_dbm(1);
+  sim_.run();
+
+  // Degrade the link mid-frame: CCA sees it at once, the reception at its end.
+  medium_->transmit(0, beacon_frame(0));
+  medium_->add_link_loss_db(0, 1, 6.0);
+  const double energy_faulted = medium_->channel_energy_dbm(1);
+  sim_.run();
+
+  medium_->clear_link_faults();
+  medium_->transmit(0, beacon_frame(0));
+  const double energy_restored = medium_->channel_energy_dbm(1);
+  sim_.run();
+
+  const auto& rssi = listeners_[1]->rssi;
+  ASSERT_EQ(rssi.size(), 3u);
+  EXPECT_NEAR(rssi[0] - rssi[1], 6.0, 1e-9);
+  EXPECT_EQ(rssi[2], rssi[0]);
+  EXPECT_NEAR(energy_clean - energy_faulted, 6.0, 0.05);  // plus noise
+  EXPECT_EQ(energy_restored, energy_clean);
+}
+
+/// Dense random traffic: every node but the last transmits broadcasts and
+/// acked unicasts at random, so frames collide constantly. Each node logs
+/// what it receives, its channel energy before each send, and each send's
+/// outcome. The last node is attached but never listens or transmits.
+class TrafficNode final : public MediumListener {
+ public:
+  enum class Kind : std::uint8_t { kFrame, kCca, kTxDone };
+  struct Event {
+    Kind kind;
+    NodeId node;
+    NodeId peer;  // frame source or acker
+    std::uint32_t link_seq;
+    double dbm;   // received power or channel energy
+    bool acked;
+    bool operator==(const Event&) const = default;
+  };
+
+  TrafficNode(Simulator& sim, RadioMedium& medium, NodeId id,
+              NodeId traffic_nodes, std::vector<Event>& log)
+      : sim_(sim),
+        medium_(medium),
+        id_(id),
+        traffic_nodes_(traffic_nodes),
+        log_(log),
+        rng_(0xD1FFULL, id) {}
+
+  void schedule_next() {
+    sim_.schedule_in(rng_.uniform(3000), [this] { send(); });
+  }
+
+  AckDecision on_frame(const Frame& frame, double rssi_dbm) override {
+    log_.push_back(
+        Event{Kind::kFrame, id_, frame.src, frame.link_seq, rssi_dbm, false});
+    return frame.dst == id_ ? AckDecision::kAcceptAndAck : AckDecision::kAccept;
+  }
+  void on_tx_done(bool acked, NodeId acker) override {
+    log_.push_back(Event{Kind::kTxDone, id_, acker, 0, 0.0, acked});
+    if (sim_.now() < 2 * kSecond) schedule_next();
+  }
+
+ private:
+  void send() {
+    // CCA reads sum cached link powers directly: log them too.
+    log_.push_back(Event{Kind::kCca, id_, kInvalidNode, next_seq_,
+                         medium_.channel_energy_dbm(id_), false});
+    Frame f;
+    f.src = id_;
+    f.link_seq = next_seq_++;
+    if (rng_.chance(0.5)) {
+      f.dst = kBroadcastNode;
+      f.payload = msg::CtpBeacon{};
+    } else {
+      f.dst = static_cast<NodeId>(rng_.uniform(traffic_nodes_));
+      f.payload = msg::CtpData{};
+    }
+    medium_.transmit(id_, f);
+  }
+
+  Simulator& sim_;
+  RadioMedium& medium_;
+  NodeId id_;
+  NodeId traffic_nodes_;
+  std::vector<Event>& log_;
+  Pcg32 rng_;
+  std::uint32_t next_seq_ = 1;
+};
+
+/// Runs the dense scenario; with `fault_on_idle_link`, a link offset on the
+/// idle node's link keeps every power read off the link-power cache.
+std::vector<TrafficNode::Event> run_dense(bool fault_on_idle_link) {
+  constexpr NodeId kTraffic = 10;
+  Pcg32 place(42, 1);
+  std::vector<Position> pos;
+  for (NodeId i = 0; i <= kTraffic; ++i) {
+    pos.push_back({place.uniform_real(0, 20), place.uniform_real(0, 20)});
+  }
+  PathLossConfig pl;
+  pl.loss_at_reference_db = 40.0;
+  const LinkGainTable gains(pos, pl, 9);
+  const CpmNoiseModel noise = quiet_noise();
+  Simulator sim;
+  MediumConfig cfg;
+  cfg.tx_power_dbm = 0.0;
+  RadioMedium medium(sim, gains, noise, cfg, 3);
+  std::vector<TrafficNode::Event> log;
+  std::vector<std::unique_ptr<TrafficNode>> nodes;
+  for (NodeId i = 0; i <= kTraffic; ++i) {
+    nodes.push_back(
+        std::make_unique<TrafficNode>(sim, medium, i, kTraffic, log));
+    medium.attach(i, *nodes.back());
+  }
+  for (NodeId i = 0; i < kTraffic; ++i) {
+    medium.set_listening(i, true);
+    nodes[i]->schedule_next();
+  }
+  if (fault_on_idle_link) medium.add_link_loss_db(kTraffic, 0, 1.0);
+  sim.run();
+  return log;
+}
+
+TEST(MediumCacheTest, CachedAndUncachedPowerGiveIdenticalRuns) {
+  const auto cached = run_dense(false);
+  const auto uncached = run_dense(true);
+  // The scenario must exercise collisions and acks to mean anything.
+  std::size_t acked = 0;
+  std::size_t unacked = 0;
+  for (const auto& e : cached) {
+    if (e.kind == TrafficNode::Kind::kTxDone) (e.acked ? acked : unacked) += 1;
+  }
+  EXPECT_GT(acked, 20u);
+  EXPECT_GT(unacked, 100u);
+  ASSERT_EQ(cached.size(), uncached.size());
+  EXPECT_TRUE(cached == uncached);
 }
 
 }  // namespace

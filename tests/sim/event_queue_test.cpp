@@ -114,6 +114,34 @@ TEST(EventQueue, PopReturnsTimeAndCallback) {
   EXPECT_EQ(value, 7);
 }
 
+/// Counts copies of itself; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies_out, int* calls_out)
+      : copies(copies_out), calls(calls_out) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(EventQueue, CallbackIsNotCopiedBetweenScheduleAndInvoke) {
+  EventQueue q;
+  int copies = 0;
+  int calls = 0;
+  // Enough neighbours that the heap reorders the entry on push and pop.
+  for (int i = 0; i < 16; ++i) q.schedule(static_cast<SimTime>(10 + i), [] {});
+  q.schedule(5, CopyCounter(&copies, &calls));
+  auto fired = q.pop();
+  EXPECT_EQ(fired.time, 5u);
+  fired.callback();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(EventQueue, ManyInterleavedScheduleCancel) {
   EventQueue q;
   std::vector<EventHandle> handles;
