@@ -86,11 +86,7 @@ build_lint() {
 static_stage() {
   echo "== static analysis (docs/STATIC_ANALYSIS.md) =="
   build_lint
-  # SARIF for code-scanning upload; the incremental cache keeps repeat runs
-  # (and CI runs restoring build/) warm. Both live in build/ — untracked.
-  "$repo/build/tools/telea_lint" --root "$repo" \
-    --sarif "$repo/build/telea_lint.sarif" \
-    --cache "$repo/build/telea_lint.cache"
+  "$repo/build/tools/telea_lint" --root "$repo"
 
   if command -v clang-tidy >/dev/null 2>&1; then
     # Changed files against the merge base when on a branch, else the full

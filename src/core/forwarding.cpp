@@ -178,10 +178,8 @@ AckDecision Forwarding::handle_control(NodeId from,
       ++stats_.suppressions;
       TELEA_TRACE_EVENT(tracer_, sim_->now(), me, TraceEvent::kSuppress,
                         packet.seqno, from);
-      if (flight_ != nullptr) {
-        flight_->record(sim_->now(), FlightEvent::kSuppress, packet.seqno,
-                        from);
-      }
+      TELEA_TRACE_EVENT(flight_, sim_->now(), me, TraceEvent::kSuppress,
+                        packet.seqno, from);
       if (st.mac_token.has_value()) {
         mac_->cancel_send(*st.mac_token);
         st.mac_token.reset();
@@ -232,11 +230,12 @@ AckDecision Forwarding::handle_control(NodeId from,
   if (auditor_ != nullptr) {
     auditor_->on_claim(me, packet, claim_reason, /*rescue=*/false);
   }
-  claim(from, packet);
+  claim(from, packet, claim_reason);
   return AckDecision::kAcceptAndAck;
 }
 
-void Forwarding::claim(NodeId from, const msg::ControlPacket& packet) {
+void Forwarding::claim(NodeId from, const msg::ControlPacket& packet,
+                       TraceReason reason) {
   PacketState& st = states_[packet.seqno];
   st.packet = packet;
   st.packet.hops_so_far = field::u8(packet.hops_so_far + 1);
@@ -259,10 +258,8 @@ void Forwarding::claim(NodeId from, const msg::ControlPacket& packet) {
   st.dup_acks = 0;
   st.defer_deadline = sim_->now() + config_.claim_defer;
   ++stats_.claims;
-  if (flight_ != nullptr) {
-    flight_->record(sim_->now(), FlightEvent::kForwardDecision, packet.seqno,
-                    from == kInvalidNode ? 0 : from);
-  }
+  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(),
+                    TraceEvent::kForwardDecision, packet.seqno, from, reason);
   if (on_claimed) on_claimed(st.packet);
   // Guard delay before forwarding: stay in receive so the upstream sender
   // (which may have missed our ack) hears a re-ack and stops, instead of
@@ -296,10 +293,8 @@ void Forwarding::defer_check(std::uint32_t seqno) {
     ++stats_.yields;
     TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kSuppress,
                       seqno, st.came_from, TraceReason::kRetryExhausted);
-    if (flight_ != nullptr) {
-      flight_->record(sim_->now(), FlightEvent::kSuppress, seqno,
-                      st.came_from == kInvalidNode ? 0 : st.came_from);
-    }
+    TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kSuppress,
+                      seqno, st.came_from, TraceReason::kRetryExhausted);
     return;
   }
   forward(seqno);
@@ -422,12 +417,8 @@ void Forwarding::on_forward_result(std::uint32_t seqno,
   }
 
   ++st.attempts;
-  if (flight_ != nullptr) {
-    flight_->record(sim_->now(), FlightEvent::kAckTimeout, seqno,
-                    st.packet.expected_relay == kInvalidNode
-                        ? 0
-                        : st.packet.expected_relay);
-  }
+  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kAckTimeout,
+                    seqno, st.packet.expected_relay);
   if (st.attempts < config_.forward_retries) {
     forward(seqno);
     return;
@@ -442,10 +433,8 @@ void Forwarding::backtrack(std::uint32_t seqno, TraceReason reason) {
                           << " backtracks to " << st.came_from;
   TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
                     seqno, st.came_from, reason);
-  if (flight_ != nullptr) {
-    flight_->record(sim_->now(), FlightEvent::kBacktrack, seqno,
-                    st.came_from == kInvalidNode ? 0 : st.came_from);
-  }
+  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
+                    seqno, st.came_from, reason);
 
   // Mark every on-path candidate we could not reach as unreachable until
   // their next routing beacon (Sec. III-C3).
@@ -483,10 +472,8 @@ void Forwarding::backtrack(std::uint32_t seqno, TraceReason reason) {
       return;
     }
     ++stats_.origin_failures;
-    if (flight_ != nullptr) {
-      flight_->record(sim_->now(), FlightEvent::kGiveUp, seqno,
-                      st.origin_retries);
-    }
+    TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kGiveUp,
+                      seqno, st.origin_retries);
     if (on_origin_stuck) on_origin_stuck(st.packet);
     return;
   }
@@ -609,7 +596,7 @@ AckDecision Forwarding::handle_feedback(NodeId from,
   if (auditor_ != nullptr) {
     auditor_->on_claim(mac_->id(), packet, rescue_reason, /*rescue=*/true);
   }
-  claim(from, packet);
+  claim(from, packet, rescue_reason);
   return AckDecision::kAcceptAndAck;
 }
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "core/addressing.hpp"
-#include "core/flight_recorder.hpp"
 #include "mac/lpl.hpp"
 #include "net/ctp.hpp"
 #include "sim/simulator.hpp"
@@ -167,11 +166,9 @@ class Forwarding {
   /// to detach; auditing is a null-check when unset.
   void set_auditor(ForwardingAuditor* auditor) noexcept { auditor_ = auditor; }
 
-  /// Attaches this node's flight recorder (claim / yield / backtrack /
-  /// ack-timeout / give-up events). Pass nullptr to detach.
-  void set_flight_recorder(FlightRecorder* recorder) noexcept {
-    flight_ = recorder;
-  }
+  /// Attaches this node's flight ring (claim / yield / backtrack /
+  /// ack-timeout / give-up records). Pass nullptr to detach.
+  void set_flight_recorder(Tracer* ring) noexcept { flight_ = ring; }
 
   struct Candidate {
     NodeId id = kInvalidNode;
@@ -235,7 +232,8 @@ class Forwarding {
   /// True when any known neighbor satisfies condition (3).
   [[nodiscard]] bool neighbor_can_progress(const msg::ControlPacket& p) const;
 
-  void claim(NodeId from, const msg::ControlPacket& packet);
+  void claim(NodeId from, const msg::ControlPacket& packet,
+             TraceReason reason);
   void deliver(NodeId from, const msg::ControlPacket& packet, bool direct);
   void forward(std::uint32_t seqno);
   void on_forward_result(std::uint32_t seqno, const SendResult& result);
@@ -256,7 +254,7 @@ class Forwarding {
   Stats stats_;
   Tracer* tracer_ = nullptr;
   ForwardingAuditor* auditor_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  Tracer* flight_ = nullptr;
 };
 
 }  // namespace telea

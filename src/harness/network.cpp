@@ -65,13 +65,9 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
 }
 
 void NodeStack::note_code_changed() {
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_->now(), id(), TraceEvent::kCodeChange,
-                    tele_->addressing().code().size());
-  }
-  if (flight_ != nullptr) {
-    flight_->record(sim_->now(), FlightEvent::kCodeChange,
-                    tele_->addressing().code().size());
+  for (Tracer* t : {tracer_, flight_.get()}) {
+    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kCodeChange,
+                      tele_->addressing().code().size());
   }
 }
 
@@ -137,14 +133,9 @@ void NodeStack::on_route_found() {
 }
 
 void NodeStack::on_parent_changed(NodeId old_parent, NodeId new_parent) {
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_->now(), id(), TraceEvent::kParentChange, old_parent,
-                    new_parent);
-  }
-  if (flight_ != nullptr) {
-    flight_->record(sim_->now(), FlightEvent::kParentChange,
-                    old_parent == kInvalidNode ? 0 : old_parent,
-                    new_parent == kInvalidNode ? 0 : new_parent);
+  for (Tracer* t : {tracer_, flight_.get()}) {
+    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kParentChange,
+                      old_parent, new_parent);
   }
   if (tele_) tele_->on_parent_changed(old_parent, new_parent);
   if (rpl_) rpl_->on_parent_changed();
@@ -172,15 +163,12 @@ void NodeStack::revive() {
 }
 
 void NodeStack::reboot_with_state_loss() {
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_->now(), id(), TraceEvent::kReboot);
+  for (Tracer* t : {tracer_, flight_.get()}) {
+    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kReboot);
   }
-  if (flight_ != nullptr) {
-    // The ring survives the reboot (noinit-RAM semantics): record the event,
-    // then hand the pre-reboot history out as a post-mortem.
-    flight_->record(sim_->now(), FlightEvent::kReboot);
-    if (flight_trigger_) flight_trigger_(id(), "reboot");
-  }
+  // The flight ring survives the reboot (noinit-RAM semantics): hand the
+  // pre-reboot history out as a post-mortem.
+  if (flight_trigger_) flight_trigger_(id(), "reboot");
   if (invariants_ != nullptr) invariants_->note_node_reset(id());
   data_timer_.stop();
   if (!mac_.stopped()) mac_.stop();  // flush queue + in-flight sends
@@ -235,7 +223,7 @@ HealthSample NodeStack::sample_health() {
 void NodeStack::enable_flight_recorder(
     std::size_t capacity, std::function<void(NodeId, const char*)> trigger_dump) {
   if (flight_ != nullptr) return;
-  flight_ = std::make_unique<FlightRecorder>(capacity);
+  flight_ = std::make_unique<Tracer>(capacity);
   flight_trigger_ = std::move(trigger_dump);
   if (tele_ != nullptr) tele_->forwarding().set_flight_recorder(flight_.get());
 }
@@ -596,8 +584,8 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
                       "Flight-recorder rings dumped on a trigger");
     std::uint64_t recorded = 0;
     for (const auto& n : nodes_) {
-      if (const FlightRecorder* r = n->flight_recorder()) {
-        recorded += r->total_recorded();
+      if (const Tracer* ring = n->flight_recorder()) {
+        recorded += ring->size() + ring->dropped();
       }
     }
     registry.counter("telea_flight_events_total", {{"sub", "flight"}})
@@ -684,10 +672,11 @@ TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
     // about it; network-wide rules dump the sink, the controller's vantage.
     const NodeId target =
         (node == kInvalidNode || node >= nodes_.size()) ? kSinkNode : node;
-    if (FlightRecorder* recorder = nodes_[target]->flight_recorder()) {
-      recorder->record(sim_.now(), FlightEvent::kAlert, alert.index,
-                       alert.fired);
-    }
+    // The same (node, a, b) as the timeline's own alert_fired trace record.
+    TELEA_TRACE_EVENT(nodes_[target]->flight_recorder(), sim_.now(),
+                      node == kInvalidNode ? kSinkNode : node,
+                      TraceEvent::kAlertFired, alert.index,
+                      node == kInvalidNode ? 0 : node);
     dump_flight(target, "alert:" + alert.rule.name);
   };
   timeline_->start();
@@ -716,14 +705,14 @@ void Network::wire_flight_triggers() {
 
 void Network::dump_flight(NodeId node, std::string trigger) {
   if (node >= nodes_.size()) return;
-  FlightRecorder* recorder = nodes_[node]->flight_recorder();
-  if (recorder == nullptr) return;
+  const Tracer* ring = nodes_[node]->flight_recorder();
+  if (ring == nullptr) return;
   FlightDump dump;
   dump.time = sim_.now();
   dump.node = node;
   dump.trigger = std::move(trigger);
-  dump.events = recorder->snapshot();
-  dump.dropped = recorder->total_recorded() - dump.events.size();
+  dump.events = ring->snapshot();
+  dump.dropped = ring->dropped();
   if (tracer_ != nullptr) {
     tracer_->record(sim_.now(), node, TraceEvent::kFlightDump,
                     dump.events.size(), flight_dumps_taken_);

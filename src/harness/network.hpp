@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "check/invariants.hpp"
-#include "core/flight_recorder.hpp"
 #include "core/teleadjusting.hpp"
 #include "mac/lpl.hpp"
 #include "net/ctp.hpp"
@@ -112,16 +111,16 @@ class NodeStack final : public FrameHandler, public CtpListener {
   /// quantize). Public for tests.
   [[nodiscard]] HealthSample sample_health();
 
-  /// Attaches a bounded flight recorder fed by the forwarding plane and the
-  /// CTP/addressing event fan-out. `trigger_dump` fires when this node's own
-  /// machinery decides a post-mortem is warranted (currently: a state-loss
-  /// reboot); external triggers go through Network::dump_flight.
+  /// Attaches a flight ring — a Tracer of `capacity` records only this node
+  /// writes — fed by the forwarding plane and the CTP/addressing event
+  /// fan-out. It survives reboot_with_state_loss (noinit-RAM semantics).
+  /// `trigger_dump` fires when this node's own machinery decides a
+  /// post-mortem is warranted (currently: a state-loss reboot); external
+  /// triggers go through Network::dump_flight.
   void enable_flight_recorder(
       std::size_t capacity,
       std::function<void(NodeId, const char*)> trigger_dump);
-  [[nodiscard]] FlightRecorder* flight_recorder() noexcept {
-    return flight_.get();
-  }
+  [[nodiscard]] Tracer* flight_recorder() noexcept { return flight_.get(); }
 
   /// Starts this node's periodic data-collection traffic (CTP upward).
   void start_data_collection(SimTime ipi, std::uint64_t seed);
@@ -167,7 +166,7 @@ class NodeStack final : public FrameHandler, public CtpListener {
   InvariantEngine* invariants_ = nullptr;
   std::unique_ptr<HealthReporter> health_reporter_;
   EnergyModelConfig health_energy_{};
-  std::unique_ptr<FlightRecorder> flight_;
+  std::unique_ptr<Tracer> flight_;
   std::function<void(NodeId, const char*)> flight_trigger_;
   // Remembered so a state-loss reboot restarts the application workload.
   SimTime data_ipi_ = 0;

@@ -31,6 +31,8 @@ const char* trace_event_name(TraceEvent e) noexcept {
     case TraceEvent::kFlightDump: return "flight_dump";
     case TraceEvent::kAlertFired: return "alert_fired";
     case TraceEvent::kAlertResolved: return "alert_resolved";
+    case TraceEvent::kAckTimeout: return "ack_timeout";
+    case TraceEvent::kGiveUp: return "give_up";
   }
   return "?";
 }
@@ -52,7 +54,7 @@ const char* trace_reason_name(TraceReason r) noexcept {
 
 std::optional<TraceEvent> trace_event_from_name(std::string_view name) noexcept {
   for (std::uint8_t i = 0;
-       i <= static_cast<std::uint8_t>(TraceEvent::kAlertResolved); ++i) {
+       i <= static_cast<std::uint8_t>(TraceEvent::kGiveUp); ++i) {
     const auto e = static_cast<TraceEvent>(i);
     if (name == trace_event_name(e)) return e;
   }
@@ -147,16 +149,9 @@ bool Tracer::write_csv(const std::string& path) const {
 
 std::string Tracer::render_jsonl() const {
   std::string out;
-  char buf[224];
   for (const auto& r : snapshot()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"t\":%.6f,\"node\":%u,\"event\":\"%s\",\"a\":%llu,"
-                  "\"b\":%llu,\"reason\":\"%s\"}\n",
-                  to_seconds(r.time), r.node, trace_event_name(r.event),
-                  static_cast<unsigned long long>(r.a),
-                  static_cast<unsigned long long>(r.b),
-                  trace_reason_name(r.reason));
-    out += buf;
+    append_trace_record_json(out, r);
+    out += '\n';
   }
   return out;
 }
@@ -175,6 +170,36 @@ void Tracer::clear() {
   dropped_ = 0;
 }
 
+void append_trace_record_json(std::string& out, const TraceRecord& r) {
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "{\"t\":%.6f,\"node\":%u,\"event\":\"%s\",\"a\":%llu,"
+                "\"b\":%llu,\"reason\":\"%s\"}",
+                to_seconds(r.time), r.node, trace_event_name(r.event),
+                static_cast<unsigned long long>(r.a),
+                static_cast<unsigned long long>(r.b),
+                trace_reason_name(r.reason));
+  out += buf;
+}
+
+std::optional<TraceRecord> trace_record_from_json(const JsonValue& doc) {
+  if (doc.type() != JsonValue::Type::kObject) return std::nullopt;
+  const auto event = trace_event_from_name(doc.string_or("event", ""));
+  if (!event.has_value()) return std::nullopt;
+  TraceRecord r;
+  // from_seconds truncates; round so "%.6f"-printed microsecond stamps
+  // survive the text round trip exactly.
+  r.time = static_cast<SimTime>(
+      doc.number_or("t", 0.0) * static_cast<double>(kSecond) + 0.5);
+  r.node = static_cast<NodeId>(doc.number_or("node", kInvalidNode));
+  r.event = *event;
+  r.reason = trace_reason_from_name(doc.string_or("reason", "none"))
+                 .value_or(TraceReason::kNone);
+  r.a = static_cast<std::uint64_t>(doc.number_or("a", 0.0));
+  r.b = static_cast<std::uint64_t>(doc.number_or("b", 0.0));
+  return r;
+}
+
 std::vector<TraceRecord> parse_trace_jsonl(std::string_view text,
                                            std::size_t* skipped) {
   std::vector<TraceRecord> out;
@@ -187,27 +212,13 @@ std::vector<TraceRecord> parse_trace_jsonl(std::string_view text,
     pos = eol + 1;
     if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     const auto doc = JsonValue::parse(line);
-    if (!doc.has_value() || doc->type() != JsonValue::Type::kObject) {
+    const auto record =
+        doc.has_value() ? trace_record_from_json(*doc) : std::nullopt;
+    if (!record.has_value()) {
       ++bad;
       continue;
     }
-    const auto event = trace_event_from_name(doc->string_or("event", ""));
-    if (!event.has_value()) {
-      ++bad;
-      continue;
-    }
-    TraceRecord r;
-    // from_seconds truncates; round so "%.6f"-printed microsecond stamps
-    // survive the text round trip exactly.
-    r.time = static_cast<SimTime>(
-        doc->number_or("t", 0.0) * static_cast<double>(kSecond) + 0.5);
-    r.node = static_cast<NodeId>(doc->number_or("node", kInvalidNode));
-    r.event = *event;
-    r.reason = trace_reason_from_name(doc->string_or("reason", "none"))
-                   .value_or(TraceReason::kNone);
-    r.a = static_cast<std::uint64_t>(doc->number_or("a", 0.0));
-    r.b = static_cast<std::uint64_t>(doc->number_or("b", 0.0));
-    out.push_back(r);
+    out.push_back(*record);
   }
   if (skipped != nullptr) *skipped = bad;
   return out;
@@ -225,6 +236,20 @@ std::optional<std::vector<TraceRecord>> load_trace_jsonl(
   }
   std::fclose(f);
   return parse_trace_jsonl(text, skipped);
+}
+
+std::string render_flight_dump_json(const FlightDump& dump) {
+  std::string out = "{\"t\":" + std::to_string(to_seconds(dump.time)) +
+                    ",\"node\":" + std::to_string(dump.node) +
+                    ",\"trigger\":\"" + JsonValue::escape(dump.trigger) +
+                    "\",\"dropped\":" + std::to_string(dump.dropped) +
+                    ",\"events\":[";
+  for (std::size_t i = 0; i < dump.events.size(); ++i) {
+    if (i > 0) out += ',';
+    append_trace_record_json(out, dump.events[i]);
+  }
+  out += "]}";
+  return out;
 }
 
 std::string explain_control(const std::vector<TraceRecord>& records,

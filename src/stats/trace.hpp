@@ -11,6 +11,8 @@
 
 namespace telea {
 
+class JsonValue;
+
 /// Structured event kinds a deployment would log over serial — the
 /// simulator-side equivalent of the paper's testbed instrumentation
 /// (Sec. IV-B1: "each node records ... and periodically sends these
@@ -58,6 +60,11 @@ enum class TraceEvent : std::uint8_t {
                      // b = the node the rule's series labels (0 = network-wide)
   kAlertResolved,    // a previously fired alert's condition went false;
                      // a = rule index, b = same node convention as kAlertFired
+  // Flight-ring only (never in the network trace):
+  kAckTimeout,       // a forwarding send sweep drew no ack; a = seqno,
+                     // b = the intended next hop
+  kGiveUp,           // the origin spent its retry budget on a control packet;
+                     // a = seqno, b = origin retries taken
 };
 
 /// Why a decision event fired. kNone for events that carry no reason.
@@ -88,11 +95,16 @@ struct TraceRecord {
   TraceReason reason = TraceReason::kNone;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
+
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
 /// Bounded in-memory event trace with CSV/JSONL export and simple analysis.
 /// Recording is cheap (append to a preallocated ring); when the capacity is
 /// exceeded the oldest records are dropped and `dropped()` counts them.
+///
+/// The same class is each node's flight-recorder ring (Network::
+/// enable_flight_recorders): a small Tracer that only that node records into.
 class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 1 << 16);
@@ -147,6 +159,16 @@ class Tracer {
   bool enabled_ = true;
 };
 
+/// Appends one record as a {"t","node","event","a","b","reason"} JSON
+/// object (no newline): the line format of render_jsonl and the element
+/// format of a flight dump's "events" array.
+void append_trace_record_json(std::string& out, const TraceRecord& r);
+
+/// Reads one record back from a JSON object written by
+/// append_trace_record_json; nullopt when it is not a trace object.
+[[nodiscard]] std::optional<TraceRecord> trace_record_from_json(
+    const JsonValue& doc);
+
 /// Parses records back from JSONL text (as produced by render_jsonl). Lines
 /// that are not valid trace objects are skipped; the count of skipped lines
 /// is reported through `skipped` when non-null.
@@ -156,6 +178,22 @@ class Tracer {
 /// Loads a JSONL trace file; nullopt when the file cannot be read.
 [[nodiscard]] std::optional<std::vector<TraceRecord>> load_trace_jsonl(
     const std::string& path, std::size_t* skipped = nullptr);
+
+/// One dumped flight ring with its trigger context — produced when an
+/// invariant fires, a command is given up on, a node reboots, or a timeline
+/// alert rule fires against a series this node labels.
+struct FlightDump {
+  SimTime time = 0;           // when the dump was taken
+  NodeId node = kInvalidNode;
+  std::string trigger;        // "invariant:<rule>" | "command_give_up" |
+                              // "reboot" | "alert:<rule>"
+  std::uint64_t dropped = 0;  // records the ring had already evicted
+  std::vector<TraceRecord> events;
+};
+
+/// One JSONL line per dump: {"t","node","trigger","dropped","events"}, each
+/// event written by append_trace_record_json (tools/telea_top flightrec=).
+[[nodiscard]] std::string render_flight_dump_json(const FlightDump& dump);
 
 /// Rendering filters for explain_control (telea_explain's node=/path-only=/
 /// deltas= options map straight onto these fields).
@@ -176,22 +214,8 @@ struct ExplainOptions {
 
 }  // namespace telea
 
-/// Zero-overhead-when-off trace emission. Compile out entirely with
-/// -DTELEA_TRACING_DISABLED; otherwise a null check plus a runtime-enable
-/// check guard argument evaluation, so hot paths pay one predictable branch.
-#ifdef TELEA_TRACING_DISABLED
-// Dead branch: arguments stay type-checked and "used" (no -Wunused fallout
-// at call sites) but the optimizer removes the whole statement.
-#define TELEA_TRACE_EVENT(tracer, ...)                             \
-  do {                                                             \
-    if (false) {                                                   \
-      auto* telea_trace_tracer_ = (tracer);                        \
-      if (telea_trace_tracer_ != nullptr) {                        \
-        telea_trace_tracer_->record(__VA_ARGS__);                  \
-      }                                                            \
-    }                                                              \
-  } while (0)
-#else
+/// Trace emission: a null check plus a runtime-enable check guard argument
+/// evaluation, so hot paths pay one predictable branch when tracing is off.
 #define TELEA_TRACE_EVENT(tracer, ...)                             \
   do {                                                             \
     auto* telea_trace_tracer_ = (tracer);                          \
@@ -200,4 +224,3 @@ struct ExplainOptions {
       telea_trace_tracer_->record(__VA_ARGS__);                    \
     }                                                              \
   } while (0)
-#endif

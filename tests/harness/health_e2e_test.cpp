@@ -4,10 +4,14 @@
 //     staleness under two telemetry periods at steady state,
 //   - telemetry adds bytes but zero extra packets (same-seed A/B run),
 //   - flight dumps fire on state-loss reboot, on command give-up, and on a
-//     fault-injected invariant violation.
+//     fault-injected invariant violation,
+//   - a dump is a slice of the trace (ring-only kinds aside) and the ring
+//     outlives a state-loss reboot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "harness/controller.hpp"
 #include "harness/faults.hpp"
@@ -163,6 +167,84 @@ TEST(HealthE2E, FlightDumpOnInvariantViolation) {
         return d.node == 4 && d.trigger.rfind("invariant:", 0) == 0;
       });
   EXPECT_TRUE(invariant_dump) << dumps.size() << " dumps, none invariant";
+}
+
+// A flight dump is a slice of the trace: with tracing and rings both on,
+// every dumped record — bar the ring-only ack_timeout/give_up — is a record
+// the network tracer holds too, field for field, across a reboot, a command
+// give-up and an invariant violation. The ring outlives the reboot.
+TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
+  Network net(line_cfg(5, 32));
+  const Tracer& trace = net.enable_tracing(1 << 18);
+  InvariantConfig icfg;
+  icfg.checkpoint_interval = 15_s;
+  net.enable_invariants(icfg);
+  net.enable_flight_recorders();
+  ControllerRetryConfig retry;
+  retry.ack_timeout = 10_s;
+  retry.max_backoff = 20_s;
+  retry.max_retries = 2;
+  retry.escalate_after = 1;
+  Controller controller(net, retry);
+  net.start();
+  net.run_for(6_min);
+  net.start_data_collection(30_s);
+  net.run_for(2_min);
+
+  const SimTime reboot_at = net.sim().now();
+  net.node(2).reboot_with_state_loss();
+  net.run_for(2_min);
+  ASSERT_TRUE(net.node(4).tele()->addressing().has_code());
+  FaultPlan plan;
+  plan.corrupt_path_code(net.sim().now() + 1_s, 4, /*bit=*/0);
+  plan.apply(net);
+  net.run_for(2 * icfg.checkpoint_interval);
+  net.node(3).kill();
+  ASSERT_TRUE(controller.send_command(3, 0x44).has_value());
+  net.run_for(4_min);
+  net.dump_flight(2, "after_reboot");
+  net.dump_flight(kSinkNode, "origin");
+
+  ASSERT_EQ(trace.dropped(), 0u) << "the trace must hold the whole run";
+  EXPECT_EQ(trace.count(TraceEvent::kAckTimeout), 0u);
+  EXPECT_EQ(trace.count(TraceEvent::kGiveUp), 0u);
+  const std::vector<TraceRecord> all = trace.snapshot();
+  std::set<std::string> triggers;
+  std::size_t ring_only = 0;
+  for (const FlightDump& dump : net.flight_dumps()) {
+    triggers.insert(dump.trigger.substr(0, dump.trigger.find(':')));
+    for (const TraceRecord& r : dump.events) {
+      EXPECT_EQ(r.node, dump.node);
+      if (r.event == TraceEvent::kAckTimeout ||
+          r.event == TraceEvent::kGiveUp) {
+        ++ring_only;
+        continue;
+      }
+      EXPECT_NE(std::find(all.begin(), all.end(), r), all.end())
+          << dump.trigger << ": " << trace_event_name(r.event) << " at node "
+          << r.node << " t=" << r.time << " is not in the trace";
+    }
+  }
+  for (const char* t : {"reboot", "invariant", "command_give_up"}) {
+    EXPECT_TRUE(triggers.contains(t)) << "no " << t << " dump";
+  }
+  EXPECT_GT(ring_only, 0u) << "the origin's ring must hold its ack timeouts";
+
+  // Both node 2 dumps keep pre-reboot history: the reboot dump ends with the
+  // reboot record, and the later one shows the ring survived the reset.
+  std::size_t node2_dumps = 0;
+  for (const FlightDump& dump : net.flight_dumps()) {
+    if (dump.node != 2 || (dump.trigger != "reboot" &&
+                           dump.trigger != "after_reboot")) {
+      continue;
+    }
+    ++node2_dumps;
+    EXPECT_TRUE(std::any_of(
+        dump.events.begin(), dump.events.end(),
+        [&](const TraceRecord& r) { return r.time < reboot_at; }))
+        << dump.trigger << " lost the pre-reboot records";
+  }
+  EXPECT_EQ(node2_dumps, 2u);
 }
 
 // Re-Tele detour selection consults the health model when one is live: a

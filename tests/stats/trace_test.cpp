@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/network.hpp"
+#include "util/json.hpp"
 #include "topo/topology.hpp"
 
 namespace telea {
@@ -70,7 +71,7 @@ TEST(Tracer, CsvRendering) {
 
 TEST(Tracer, NamesRoundTripThroughLookups) {
   for (std::uint8_t i = 0;
-       i <= static_cast<std::uint8_t>(TraceEvent::kAlertResolved); ++i) {
+       i <= static_cast<std::uint8_t>(TraceEvent::kGiveUp); ++i) {
     const auto e = static_cast<TraceEvent>(i);
     const auto back = trace_event_from_name(trace_event_name(e));
     ASSERT_TRUE(back.has_value());
@@ -83,6 +84,9 @@ TEST(Tracer, NamesRoundTripThroughLookups) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, r);
   }
+  // Flight dumps of earlier builds used these names for the ring-only kinds.
+  EXPECT_STREQ(trace_event_name(TraceEvent::kAckTimeout), "ack_timeout");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kGiveUp), "give_up");
   EXPECT_FALSE(trace_event_from_name("bogus").has_value());
   EXPECT_FALSE(trace_reason_from_name("bogus").has_value());
 }
@@ -112,6 +116,16 @@ TEST(TracerRing, ExactlyAtCapacityKeepsEverything) {
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(snap[i].a, i);
+}
+
+TEST(TracerRing, CapacityFloorsAtOne) {
+  Tracer t(0);
+  EXPECT_EQ(t.capacity(), 1u);
+  t.record(1, 0, TraceEvent::kReboot);
+  t.record(2, 0, TraceEvent::kBacktrack, 7, 3);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.dropped(), 1u);
+  EXPECT_EQ(t.snapshot().front().event, TraceEvent::kBacktrack);
 }
 
 TEST(TracerRing, CapacityPlusOneDropsExactlyTheOldest) {
@@ -417,6 +431,88 @@ TEST(TracerIntegration, RevivedNodeRejoinsAndIsControllable) {
   net.sink().tele()->send_control(2, code, 1);
   net.run_for(1_min);
   EXPECT_TRUE(delivered);
+}
+
+// A trigger is free text (alert rule names may hold backslashes and have any
+// length), so the dump writer must escape it and never truncate the line.
+TEST(FlightDump, TriggerIsEscapedAndDumpRoundTrips) {
+  Tracer ring(2);
+  ring.record(1'000'000, 17, TraceEvent::kAckTimeout, 42, 9);
+  ring.record(2'000'000, 17, TraceEvent::kBacktrack, 42, 3,
+              TraceReason::kRetryExhausted);
+  ring.record(2'500'000, 17, TraceEvent::kGiveUp, 42, 1);
+
+  FlightDump dump;
+  dump.time = 3'000'000;
+  dump.node = 17;
+  dump.events = ring.snapshot();
+  dump.dropped = ring.dropped();
+  const std::string long_trigger = "alert:" + std::string(150, 'q');
+  ASSERT_EQ(long_trigger.size(), 156u);
+  for (const std::string& trigger :
+       {std::string("alert:queue\\spike"), long_trigger}) {
+    dump.trigger = trigger;
+    const std::string line = render_flight_dump_json(dump);
+    const auto doc = JsonValue::parse(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    EXPECT_EQ(doc->string_or("trigger", ""), trigger);
+    EXPECT_DOUBLE_EQ(doc->number_or("t", 0), 3.0);
+    EXPECT_DOUBLE_EQ(doc->number_or("node", 0), 17.0);
+    EXPECT_DOUBLE_EQ(doc->number_or("dropped", 0), 1.0);
+    const JsonValue* events = doc->find("events");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->as_array().size(), dump.events.size());
+    for (std::size_t i = 0; i < dump.events.size(); ++i) {
+      EXPECT_EQ(trace_record_from_json(events->as_array()[i]), dump.events[i]);
+    }
+  }
+}
+
+// A node's flight ring keeps its newest `capacity` records, oldest first, and
+// a dump carries the ring's eviction count.
+TEST(FlightRecorder, RingKeepsNewestAndCountsDrops) {
+  NetworkConfig cfg;
+  cfg.topology = make_line(3, 22.0);
+  cfg.seed = 7;
+  Network net(cfg);
+  net.enable_flight_recorders(3);
+  Tracer* ring = net.node(1).flight_recorder();
+  ASSERT_NE(ring, nullptr);
+  EXPECT_EQ(ring->capacity(), 3u);
+  const std::size_t before = ring->size() + ring->dropped();
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    TELEA_TRACE_EVENT(ring, i, 1, TraceEvent::kForwardDecision, i, 0,
+                      TraceReason::kExpectedRelay);
+  }
+  EXPECT_EQ(ring->size(), 3u);
+  EXPECT_EQ(ring->size() + ring->dropped(), before + 5);
+  const auto events = ring->snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events.front().a, 2u);
+  EXPECT_EQ(events.back().a, 4u);
+
+  net.dump_flight(1, "test");
+  ASSERT_EQ(net.flight_dumps().size(), 1u);
+  const FlightDump& dump = net.flight_dumps().back();
+  EXPECT_EQ(dump.node, 1);
+  EXPECT_EQ(dump.trigger, "test");
+  EXPECT_EQ(dump.events, events);
+  EXPECT_EQ(dump.dropped, ring->dropped());
+}
+
+// Dump consumers key on these event names; the ring-only kinds kept the
+// names they had before the ring became a Tracer.
+TEST(FlightRecorder, EventNamesAreStable) {
+  EXPECT_STREQ(trace_event_name(TraceEvent::kForwardDecision),
+               "forward_decision");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kSuppress), "suppress");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kBacktrack), "backtrack");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kAckTimeout), "ack_timeout");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kGiveUp), "give_up");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kParentChange), "parent_change");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kCodeChange), "code_change");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kReboot), "reboot");
+  EXPECT_STREQ(trace_event_name(TraceEvent::kAlertFired), "alert_fired");
 }
 
 }  // namespace

@@ -1,6 +1,4 @@
-// Tests for telea_lint's production infrastructure: fingerprint stability,
-// the baseline accept/diff workflow, SARIF rendering, the incremental cache
-// and the mechanical --fix insertions.
+// Tests for telea_lint's mechanical --fix insertions.
 #include "telea_lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -44,141 +42,6 @@ class LintInfraTest : public ::testing::Test {
   fs::path root_;
   Options opts_;
 };
-
-// --- fingerprints -----------------------------------------------------------
-
-TEST_F(LintInfraTest, FingerprintSurvivesWhitespaceOnlyEdits) {
-  write("src/net/use.cpp",
-        "void f() {\n"
-        "  BitString code;\n"
-        "  code.append_bits(3u, 2u);\n"
-        "}\n");
-  auto before = check_code_arith(opts_);
-  annotate_fingerprints(opts_.root, before);
-  ASSERT_EQ(before.size(), 1u);
-
-  // Reindent the offending line and push it down two lines: the finding
-  // moves but its identity must not.
-  write("src/net/use.cpp",
-        "\n\n"
-        "void f() {\n"
-        "  BitString code;\n"
-        "      code.append_bits(3u,   2u);\n"
-        "}\n");
-  auto after = check_code_arith(opts_);
-  annotate_fingerprints(opts_.root, after);
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_NE(before[0].line, after[0].line);
-  EXPECT_EQ(before[0].fingerprint, after[0].fingerprint);
-}
-
-TEST_F(LintInfraTest, FingerprintDistinguishesRuleFileAndContent) {
-  Finding a{"src/a.cpp", 0, "layering", "msg"};
-  Finding b{"src/b.cpp", 0, "layering", "msg"};
-  Finding c{"src/a.cpp", 0, "wire-format", "msg"};
-  std::vector<Finding> v{a, b, c};
-  annotate_fingerprints(root_, v);
-  EXPECT_NE(v[0].fingerprint, v[1].fingerprint);
-  EXPECT_NE(v[0].fingerprint, v[2].fingerprint);
-  EXPECT_EQ(v[0].fingerprint.size(), 16u);
-}
-
-// --- baseline ---------------------------------------------------------------
-
-TEST_F(LintInfraTest, BaselineRoundTripSuppressesAndReportsStale) {
-  std::vector<Finding> findings{
-      {"src/a.cpp", 1, "layering", "edge one"},
-      {"src/b.cpp", 2, "wire-format", "mismatch two"},
-  };
-  annotate_fingerprints(root_, findings);
-  const fs::path baseline = root_ / "lint_baseline.txt";
-  ASSERT_TRUE(write_baseline(baseline, findings));
-
-  const auto loaded = load_baseline(baseline);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 2u);
-
-  // Same findings: all suppressed, nothing active, nothing stale.
-  BaselineDiff same = apply_baseline(findings, *loaded);
-  EXPECT_TRUE(same.active.empty());
-  EXPECT_EQ(same.suppressed, 2u);
-  EXPECT_TRUE(same.stale.empty());
-
-  // One fixed, one new: the fixed entry goes stale, the new one is active.
-  std::vector<Finding> next{findings[0],
-                            {"src/c.cpp", 3, "code-arith", "fresh"}};
-  annotate_fingerprints(root_, next);
-  BaselineDiff diff = apply_baseline(next, *loaded);
-  ASSERT_EQ(diff.active.size(), 1u);
-  EXPECT_EQ(diff.active[0].file, "src/c.cpp");
-  EXPECT_EQ(diff.suppressed, 1u);
-  ASSERT_EQ(diff.stale.size(), 1u);
-  EXPECT_EQ(diff.stale[0], findings[1].fingerprint);
-}
-
-TEST_F(LintInfraTest, BaselineLoaderSkipsCommentsAndMissingFileIsError) {
-  write("b.txt", "# comment\n\nabc123 layering src/a.cpp msg\n");
-  const auto loaded = load_baseline(root_ / "b.txt");
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ((*loaded)[0], "abc123");
-  EXPECT_FALSE(load_baseline(root_ / "missing.txt").has_value());
-}
-
-// --- SARIF ------------------------------------------------------------------
-
-TEST_F(LintInfraTest, SarifCarriesRuleIdLocationAndFingerprint) {
-  std::vector<Finding> findings{
-      {"src/a.cpp", 7, "layering", "a \"quoted\" message"}};
-  annotate_fingerprints(root_, findings);
-  const std::string sarif = render_sarif(findings);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"layering\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
-  EXPECT_NE(sarif.find("a \\\"quoted\\\" message"), std::string::npos);
-  EXPECT_NE(sarif.find(findings[0].fingerprint), std::string::npos);
-  // Every registered rule is described in the driver block.
-  for (const RuleInfo& r : rule_registry()) {
-    EXPECT_NE(sarif.find("\"id\": \"" + std::string(r.name) + "\""),
-              std::string::npos);
-  }
-}
-
-// --- incremental cache ------------------------------------------------------
-
-TEST_F(LintInfraTest, CacheHitsOnUnchangedTreeAndInvalidatesOnEdit) {
-  write("src/net/use.cpp",
-        "void f() {\n"
-        "  BitString code;\n"
-        "  code.append_bits(3u, 2u);\n"
-        "}\n");
-  const fs::path cache = root_ / "lint_cache.txt";
-
-  CacheResult first = run_all_cached(opts_, cache);
-  EXPECT_FALSE(first.hit);
-
-  CacheResult second = run_all_cached(opts_, cache);
-  EXPECT_TRUE(second.hit);
-  ASSERT_EQ(second.findings.size(), first.findings.size());
-  for (std::size_t i = 0; i < first.findings.size(); ++i) {
-    EXPECT_EQ(second.findings[i].rule, first.findings[i].rule);
-    EXPECT_EQ(second.findings[i].file, first.findings[i].file);
-    EXPECT_EQ(second.findings[i].message, first.findings[i].message);
-    EXPECT_EQ(second.findings[i].fingerprint, first.findings[i].fingerprint);
-  }
-
-  // A content edit (different size, so no mtime-granularity dependence)
-  // must invalidate the cached run.
-  write("src/net/use.cpp",
-        "void f() {\n"
-        "  BitString code;\n"
-        "  bool ok = code.append_bits(3u, 2u);\n"
-        "  (void)ok;\n"
-        "}\n");
-  CacheResult third = run_all_cached(opts_, cache);
-  EXPECT_FALSE(third.hit);
-  EXPECT_LT(third.findings.size(), first.findings.size());
-}
 
 // --- mechanical fixes -------------------------------------------------------
 

@@ -89,8 +89,6 @@ std::vector<EnumSpec> default_enum_specs() {
        "invariant_rule_name", "invariant_rule_from_name"},
       {"CommandOutcome", "src/harness/controller.hpp",
        "src/harness/controller.cpp", "command_outcome_name", ""},
-      {"FlightEvent", "src/core/flight_recorder.hpp",
-       "src/core/flight_recorder.cpp", "flight_event_name", ""},
   };
 }
 
@@ -122,14 +120,14 @@ std::vector<SerdeSpec> default_serde_specs() {
   return {
       // The trace stream is a full round-trip codec: telea_report and the
       // span engine reload exactly what the tracer wrote.
-      {"trace-jsonl", "src/stats/trace.cpp", "render_jsonl",
-       "src/stats/trace.cpp", "parse_trace_jsonl", /*strict=*/true},
+      {"trace-jsonl", "src/stats/trace.cpp", "append_trace_record_json",
+       "src/stats/trace.cpp", "trace_record_from_json", /*strict=*/true},
       // Snapshot/report renderers feed readers that may ignore informational
       // keys, but must never read a key the writer does not emit.
       {"health-snapshot", "src/stats/health.cpp", "render_snapshot_json",
        "tools/telea_top.cpp", "render_snapshot", /*strict=*/false},
-      {"flight-dump", "src/core/flight_recorder.cpp",
-       "render_flight_dump_json", "tools/telea_top.cpp", "render_flight_file",
+      {"flight-dump", "src/stats/trace.cpp", "render_flight_dump_json",
+       "tools/telea_top.cpp", "render_flight_file",
        /*strict=*/false},
       {"bench-table", "src/stats/table.cpp", "render_json",
        "tools/bench_compare/compare.cpp", "parse_table_json",
@@ -584,7 +582,6 @@ std::vector<Finding> run_all(const Options& opts) {
   for (auto&& f : check_layering(opts, index)) all.push_back(std::move(f));
   for (auto&& f : check_wire_format(opts, index)) all.push_back(std::move(f));
   for (auto&& f : check_code_arith(opts, index)) all.push_back(std::move(f));
-  annotate_fingerprints(opts.root, all);
   return all;
 }
 

@@ -47,11 +47,6 @@ struct Finding {
   std::size_t line = 0;
   std::string rule;
   std::string message;
-  /// Stable identity: fnv64 over rule + path + normalized content of the
-  /// finding's line + message. Line-number and whitespace changes do not
-  /// move it, so baselines survive unrelated edits. Filled by
-  /// annotate_fingerprints() (or run_all / the CLI, which call it).
-  std::string fingerprint = {};
   /// Mechanical-fix payload ("" = not auto-fixable). Kinds:
   ///   insert-enum-case   args: source file, enum, enumerator, name_fn
   ///   insert-doc-row     args: doc file, event name   (trace-docs table)
@@ -174,46 +169,8 @@ struct RuleInfo {
 [[nodiscard]] std::optional<std::vector<Finding>> run_rule(
     std::string_view rule, const Options& opts);
 
-/// All rules in registry order, fingerprints annotated.
+/// All rules in registry order.
 [[nodiscard]] std::vector<Finding> run_all(const Options& opts);
-
-// --- finding identity, baselines, SARIF (report.cpp) ---
-
-/// Fills each finding's fingerprint (reads the finding's line from disk).
-void annotate_fingerprints(const std::filesystem::path& root,
-                           std::vector<Finding>& findings);
-
-/// Baseline file: one `<fingerprint> <rule> <file> <message>` per line;
-/// '#' comments and blank lines ignored.
-[[nodiscard]] std::optional<std::vector<std::string>> load_baseline(
-    const std::filesystem::path& path);
-[[nodiscard]] bool write_baseline(const std::filesystem::path& path,
-                                  const std::vector<Finding>& findings);
-
-struct BaselineDiff {
-  std::vector<Finding> active;     // not in the baseline — fail the run
-  std::size_t suppressed = 0;      // matched baseline entries
-  std::vector<std::string> stale;  // baseline fingerprints no longer seen
-};
-[[nodiscard]] BaselineDiff apply_baseline(
-    const std::vector<Finding>& findings,
-    const std::vector<std::string>& baseline);
-
-/// SARIF 2.1.0 document for GitHub code scanning.
-[[nodiscard]] std::string render_sarif(const std::vector<Finding>& findings);
-
-// --- incremental cache (report.cpp) ---
-
-/// mtime+hash warm cache: per-file (mtime, size) matches reuse the cached
-/// content hash; when the resulting tree digest matches the cached run, the
-/// cached findings are returned without re-analysis. Any change falls back
-/// to a full run (and rewrites the cache).
-struct CacheResult {
-  bool hit = false;
-  std::vector<Finding> findings;
-};
-[[nodiscard]] CacheResult run_all_cached(const Options& opts,
-                                         const std::filesystem::path& cache);
 
 // --- mechanical fixes (fix.cpp) ---
 

@@ -1,7 +1,6 @@
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "telea_lint/lint.hpp"
@@ -10,23 +9,14 @@ namespace {
 
 void usage() {
   std::cerr
-      << "usage: telea_lint [--root DIR] [--rule NAME] [--list-rules]\n"
-      << "                  [--baseline FILE] [--write-baseline FILE]\n"
-      << "                  [--sarif FILE] [--cache FILE] [--fix]\n"
-      << "  --root DIR            repository root to analyze (default: .)\n"
-      << "  --rule NAME           run one rule family only (see --list-rules)\n"
-      << "  --list-rules          print the rule table and exit\n"
-      << "  --baseline FILE       suppress findings whose fingerprint is in\n"
-      << "                        FILE; report stale entries\n"
-      << "  --write-baseline FILE accept the current findings into FILE and\n"
-      << "                        exit 0\n"
-      << "  --sarif FILE          also write findings as SARIF 2.1.0\n"
-      << "  --cache FILE          mtime+hash incremental cache; unchanged\n"
-      << "                        trees reuse the previous run's findings\n"
-      << "  --fix                 apply mechanical fixes (enum cases, doc\n"
-      << "                        rows), then re-run and report what remains\n"
-      << "Exits 0 when the tree is clean (or fully baselined), 1 when any\n"
-      << "rule fires, 2 on bad invocation. Catalog: docs/STATIC_ANALYSIS.md\n";
+      << "usage: telea_lint [--root DIR] [--rule NAME] [--list-rules] [--fix]\n"
+      << "  --root DIR    repository root to analyze (default: .)\n"
+      << "  --rule NAME   run one rule family only (see --list-rules)\n"
+      << "  --list-rules  print the rule table and exit\n"
+      << "  --fix         apply mechanical fixes (enum cases, doc rows), then\n"
+      << "                re-run and report what remains\n"
+      << "Exits 0 when the tree is clean, 1 when any rule fires, 2 on bad\n"
+      << "invocation. Catalog: docs/STATIC_ANALYSIS.md\n";
 }
 
 }  // namespace
@@ -34,10 +24,6 @@ void usage() {
 int main(int argc, char** argv) {
   telea::lint::Options opts;
   std::string rule;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string sarif_path;
-  std::string cache_path;
   bool fix = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -45,14 +31,6 @@ int main(int argc, char** argv) {
       opts.root = argv[++i];
     } else if (arg == "--rule" && i + 1 < argc) {
       rule = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      write_baseline_path = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--fix") {
       fix = true;
     } else if (arg == "--list-rules") {
@@ -73,96 +51,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<telea::lint::Finding> findings;
-  bool cache_hit = false;
-  if (!rule.empty()) {
-    auto result = telea::lint::run_rule(rule, opts);
-    if (!result.has_value()) {
-      std::cerr << "telea_lint: unknown rule '" << rule << "'\n";
-      usage();
-      return 2;
-    }
-    findings = std::move(*result);
-    telea::lint::annotate_fingerprints(opts.root, findings);
-  } else if (!cache_path.empty() && !fix) {
-    auto cached = telea::lint::run_all_cached(opts, cache_path);
-    cache_hit = cached.hit;
-    findings = std::move(cached.findings);
-  } else {
-    findings = telea::lint::run_all(opts);
+  const auto run = [&] {
+    return rule.empty() ? std::optional(telea::lint::run_all(opts))
+                        : telea::lint::run_rule(rule, opts);
+  };
+  auto findings = run();
+  if (!findings.has_value()) {
+    std::cerr << "telea_lint: unknown rule '" << rule << "'\n";
+    usage();
+    return 2;
   }
 
   if (fix) {
-    const std::size_t applied = telea::lint::apply_fixes(opts.root, findings);
+    const std::size_t applied = telea::lint::apply_fixes(opts.root, *findings);
     if (applied > 0) {
       std::cout << "telea_lint: applied " << applied << " fix"
                 << (applied == 1 ? "" : "es") << ", re-checking\n";
-      findings = rule.empty()
-                     ? telea::lint::run_all(opts)
-                     : std::move(*telea::lint::run_rule(rule, opts));
-      telea::lint::annotate_fingerprints(opts.root, findings);
+      findings = run();
     }
   }
 
-  if (!write_baseline_path.empty()) {
-    if (!telea::lint::write_baseline(write_baseline_path, findings)) {
-      std::cerr << "telea_lint: cannot write baseline '" << write_baseline_path
-                << "'\n";
-      return 2;
-    }
-    std::cout << "telea_lint: accepted " << findings.size() << " finding"
-              << (findings.size() == 1 ? "" : "s") << " into "
-              << write_baseline_path << "\n";
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  std::vector<std::string> stale;
-  if (!baseline_path.empty()) {
-    auto accepted = telea::lint::load_baseline(baseline_path);
-    if (!accepted.has_value()) {
-      std::cerr << "telea_lint: cannot read baseline '" << baseline_path
-                << "'\n";
-      return 2;
-    }
-    auto diff = telea::lint::apply_baseline(findings, *accepted);
-    findings = std::move(diff.active);
-    suppressed = diff.suppressed;
-    stale = std::move(diff.stale);
-  }
-
-  if (!sarif_path.empty()) {
-    std::ofstream out(sarif_path);
-    out << telea::lint::render_sarif(findings);
-    if (!out) {
-      std::cerr << "telea_lint: cannot write SARIF '" << sarif_path << "'\n";
-      return 2;
-    }
-  }
-
-  for (const auto& f : findings) {
+  for (const auto& f : *findings) {
     std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
               << f.message << "\n";
   }
-  for (const auto& fp : stale) {
-    std::cout << "telea_lint: stale baseline entry " << fp
-              << " — the finding is gone; prune it from " << baseline_path
-              << "\n";
-  }
-  if (findings.empty()) {
+  if (findings->empty()) {
     std::cout << "telea_lint: clean"
-              << (rule.empty() ? "" : (" (" + rule + ")"))
-              << (suppressed > 0
-                      ? " (" + std::to_string(suppressed) + " baselined)"
-                      : "")
-              << (cache_hit ? " [cached]" : "") << "\n";
+              << (rule.empty() ? "" : (" (" + rule + ")")) << "\n";
     return 0;
   }
-  std::cout << "telea_lint: " << findings.size() << " finding"
-            << (findings.size() == 1 ? "" : "s")
-            << (suppressed > 0
-                    ? " (" + std::to_string(suppressed) + " baselined)"
-                    : "")
-            << "\n";
+  std::cout << "telea_lint: " << findings->size() << " finding"
+            << (findings->size() == 1 ? "" : "s") << "\n";
   return 1;
 }

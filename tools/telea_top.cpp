@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "stats/table.hpp"
+#include "stats/trace.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
 
@@ -202,10 +203,16 @@ int render_flight_file(const std::string& text) {
       continue;
     }
     for (const JsonValue& e : events->as_array()) {
-      std::printf("  %10.3fs  %-16s a=%-6.0f b=%.0f\n",
-                  e.number_or("t", 0.0),
-                  e.string_or("event", "?").c_str(), e.number_or("a", 0.0),
-                  e.number_or("b", 0.0));
+      const auto r = telea::trace_record_from_json(e);
+      if (!r.has_value()) continue;
+      std::printf("  %10.3fs  %-16s a=%-6llu b=%llu",
+                  telea::to_seconds(r->time), telea::trace_event_name(r->event),
+                  static_cast<unsigned long long>(r->a),
+                  static_cast<unsigned long long>(r->b));
+      if (r->reason != telea::TraceReason::kNone) {
+        std::printf("  [%s]", telea::trace_reason_name(r->reason));
+      }
+      std::printf("\n");
     }
   }
   if (dumps == 0) {
