@@ -491,10 +491,13 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
     const MetricLabels ctp{{"node", node}, {"sub", "ctp"}};
     const CtpNode::Stats& cs = n.ctp().stats();
     registry.counter("telea_beacons_total", ctp).set_total(cs.beacons_sent);
+    // Label sets are built in key order ("kind" < "node" < "sub"), so the
+    // registry's lookup need not copy and sort them on every scrape.
     auto data_kind = [&](const char* kind, std::uint64_t v) {
-      MetricLabels labels = ctp;
-      labels.emplace_back("kind", kind);
-      registry.counter("telea_data_total", labels).set_total(v);
+      registry
+          .counter("telea_data_total",
+                   {{"kind", kind}, {"node", node}, {"sub", "ctp"}})
+          .set_total(v);
     };
     data_kind("originated", cs.data_originated);
     data_kind("forwarded", cs.data_forwarded);
@@ -508,7 +511,7 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
       auto control_kind = [&](const char* kind, std::uint64_t v) {
         registry
             .counter("telea_control_total",
-                     {{"node", node}, {"sub", "forwarding"}, {"kind", kind}})
+                     {{"kind", kind}, {"node", node}, {"sub", "forwarding"}})
             .set_total(v);
       };
       control_kind("claims", fs.claims);
@@ -540,7 +543,7 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
       const auto rule = static_cast<InvariantRule>(i);
       registry
           .counter("telea_invariant_violations_total",
-                   {{"sub", "check"}, {"rule", invariant_rule_name(rule)}})
+                   {{"rule", invariant_rule_name(rule)}, {"sub", "check"}})
           .set_total(invariants_->violation_count(rule));
     }
     registry.counter("telea_invariant_checkpoints_total", {{"sub", "check"}})

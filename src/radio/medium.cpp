@@ -191,8 +191,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     rx.locked_tx = 0;
 
     const double signal_dbm = rssi_dbm(src, rx_id);
-    double noise_mw = dbm_to_mw(noise_[rx_id].noise_dbm(now)) +
-                      extra_noise_mw(rx_id);
+    double noise_mw = noise_[rx_id].noise_mw(now) + extra_noise_mw(rx_id);
     if (interferer_ != nullptr) {
       noise_mw += dbm_to_mw(interferer_->power_at(rx_id, now));
     }
@@ -233,8 +232,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     for (const auto& a : ackers) {
       if (a.id != strongest->id) others_mw += dbm_to_mw(a.rssi_at_src_dbm);
     }
-    double floor_mw = dbm_to_mw(noise_[src].noise_dbm(now)) +
-                      extra_noise_mw(src);
+    double floor_mw = noise_[src].noise_mw(now) + extra_noise_mw(src);
     if (interferer_ != nullptr) {
       floor_mw += dbm_to_mw(interferer_->power_at(src, now));
     }
@@ -274,8 +272,7 @@ void RadioMedium::prune_history() {
 }
 
 double RadioMedium::noise_dbm(NodeId id) {
-  double mw = dbm_to_mw(noise_[id].noise_dbm(sim_->now())) +
-              extra_noise_mw(id);
+  double mw = noise_[id].noise_mw(sim_->now()) + extra_noise_mw(id);
   if (interferer_ != nullptr) {
     mw += dbm_to_mw(interferer_->power_at(id, sim_->now()));
   }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -14,23 +13,28 @@ namespace telea {
 class EventHandle {
  public:
   constexpr EventHandle() = default;
-  [[nodiscard]] constexpr bool valid() const noexcept { return id_ != 0; }
-  constexpr void reset() noexcept { id_ = 0; }
+  [[nodiscard]] constexpr bool valid() const noexcept { return seq_ != 0; }
+  constexpr void reset() noexcept { seq_ = 0; }
 
  private:
   friend class EventQueue;
-  explicit constexpr EventHandle(std::uint64_t id) noexcept : id_(id) {}
-  std::uint64_t id_ = 0;
+  constexpr EventHandle(std::uint64_t seq, std::uint32_t slot) noexcept
+      : seq_(seq), slot_(slot) {}
+  std::uint64_t seq_ = 0;
+  std::uint32_t slot_ = 0;
 };
 
 /// Deterministic discrete-event queue. Events at equal times fire in
 /// scheduling order (FIFO tie-break via a monotone sequence number), which
 /// makes runs bit-reproducible regardless of heap internals.
 ///
-/// Cancellation is lazy: a live-set of pending event ids is kept alongside
-/// the heap; cancel is an O(1) erase and stale heap entries are skipped on
-/// pop. Important because the LPL MAC cancels a pending retransmission on
-/// every acknowledgement.
+/// Callbacks and tags live in a slot vector recycled through a free list;
+/// the heap holds only `{time, seq, slot}` entries. A slot records the seq
+/// of its current occupant, and cancellation is by that seq: cancel frees
+/// the slot only if the handle's seq still matches, and a heap entry whose
+/// slot no longer carries its seq is stale and is skipped on pop. Cancel is
+/// O(1) and allocation-free, which matters because the LPL MAC cancels a
+/// pending retransmission on every acknowledgement.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -42,11 +46,12 @@ class EventQueue {
   EventHandle schedule(SimTime when, Callback cb, const char* tag = nullptr);
 
   /// Cancels a previously scheduled event. Safe to call with an invalid or
-  /// already-fired handle (no-op). Invalidates `handle`.
+  /// already-fired handle, or one issued before clear() (no-op).
+  /// Invalidates `handle`.
   void cancel(EventHandle& handle);
 
-  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Time of the next live event. Precondition: !empty().
   [[nodiscard]] SimTime next_time();
@@ -59,14 +64,21 @@ class EventQueue {
   };
   Fired pop();
 
+  /// Drops every pending event. Sequence numbers keep increasing, so
+  /// handles issued before the clear stay inert.
   void clear();
 
  private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;  // scheduling order, also the handle id
+  struct Slot {
+    std::uint64_t seq = 0;  // occupant's seq; 0 while the slot is free
     Callback callback;
     const char* tag = nullptr;
+  };
+
+  struct Entry {
+    SimTime time;
+    std::uint64_t seq;  // scheduling order
+    std::uint32_t slot;
 
     // Min-heap: the std heap algorithms build a max-heap, so invert.
     friend bool operator<(const Entry& a, const Entry& b) noexcept {
@@ -75,11 +87,19 @@ class EventQueue {
     }
   };
 
+  [[nodiscard]] bool stale(const Entry& e) const noexcept {
+    return slots_[e.slot].seq != e.seq;
+  }
+
+  void release(std::uint32_t slot);
+
   // Drops cancelled entries from the top of the heap.
   void skim();
 
   std::vector<Entry> heap_;  // std::push_heap/pop_heap order
-  std::unordered_set<std::uint64_t> live_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // indices of free slots
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 

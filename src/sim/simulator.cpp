@@ -42,10 +42,19 @@ bool Simulator::step_profiled(SimTime until) {
   const double elapsed = std::chrono::duration<double>(t1 - t0).count();
   ++profile_.events_dispatched;
   profile_.wall_seconds += elapsed;
-  auto& kind = profile_.by_kind[fired.tag != nullptr ? fired.tag : "(untagged)"];
+  auto& kind = kind_stats(fired.tag);
   ++kind.count;
   kind.wall_seconds += elapsed;
   return true;
+}
+
+SimProfile::KindStats& Simulator::kind_stats(const char* tag) {
+  for (const auto& [cached, stats] : kind_cache_) {
+    if (cached == tag) return *stats;
+  }
+  auto& stats = profile_.by_kind[tag != nullptr ? tag : "(untagged)"];
+  kind_cache_.emplace_back(tag, &stats);
+  return stats;
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
@@ -66,7 +75,7 @@ std::uint64_t Simulator::run() {
 void Simulator::reset() {
   queue_.clear();
   now_ = 0;
-  profile_ = SimProfile{};
+  clear_profile();
 }
 
 }  // namespace telea

@@ -4,6 +4,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -91,15 +93,25 @@ class Simulator {
   void set_profiling(bool enabled) noexcept { profiling_ = enabled; }
   [[nodiscard]] bool profiling() const noexcept { return profiling_; }
   [[nodiscard]] const SimProfile& profile() const noexcept { return profile_; }
-  void clear_profile() { profile_ = SimProfile{}; }
+  void clear_profile() {
+    profile_ = SimProfile{};
+    kind_cache_.clear();
+  }
 
  private:
   bool step_profiled(SimTime until);
+
+  /// `profile_.by_kind` entry for `tag`, found by pointer in `kind_cache_`
+  /// so a dispatch builds no string and walks no map once a tag is seen.
+  SimProfile::KindStats& kind_stats(const char* tag);
 
   EventQueue queue_;
   SimTime now_ = 0;
   bool profiling_ = false;
   SimProfile profile_;
+  // Tag pointer -> its by_kind entry (map nodes are stable). A handful of
+  // tags exist, so a linear scan beats hashing.
+  std::vector<std::pair<const char*, SimProfile::KindStats*>> kind_cache_;
 };
 
 }  // namespace telea

@@ -114,7 +114,10 @@ MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
     key_buf_ += v;
     key_buf_.push_back('\x1f');
   }
-  auto it = metrics_.find(std::string_view(key_buf_));
+  auto it = replay_pos_ < replay_.size() &&
+                    replay_[replay_pos_]->first == key_buf_
+                ? replay_[replay_pos_]
+                : metrics_.find(std::string_view(key_buf_));
   if (it == metrics_.end()) {
     Metric m;
     m.name = name;
@@ -122,7 +125,13 @@ MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
     m.kind = kind;
     m.touched = epoch_;
     ++live_;
-    return metrics_.emplace(key_buf_, std::move(m)).first->second;
+    it = metrics_.emplace(key_buf_, std::move(m)).first;
+  }
+  if (replay_pos_ < replay_.size()) {
+    replay_[replay_pos_++] = it;
+  } else if (replay_.size() < metrics_.size()) {
+    replay_.push_back(it);
+    ++replay_pos_;
   }
   Metric& m = it->second;
   if (!live(m)) {
@@ -160,8 +169,14 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *m.histogram;
 }
 
-void MetricsRegistry::describe(const std::string& name, std::string help) {
-  help_[name] = std::move(help);
+void MetricsRegistry::describe(std::string_view name, std::string_view help) {
+  // Collectors re-describe every scrape; leave an unchanged entry alone.
+  const auto it = help_.find(name);
+  if (it == help_.end()) {
+    help_.emplace(name, help);
+  } else if (it->second != help) {
+    it->second.assign(help);
+  }
 }
 
 std::string MetricsRegistry::sample_name(const Metric& m,

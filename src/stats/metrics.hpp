@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -102,7 +103,7 @@ class MetricsRegistry {
                        const MetricLabels& labels = {});
 
   /// Optional one-line help text rendered as "# HELP" in Prometheus output.
-  void describe(const std::string& name, std::string help);
+  void describe(std::string_view name, std::string_view help);
 
   /// Live (visible) instrument count — see clear().
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
@@ -115,6 +116,7 @@ class MetricsRegistry {
   void clear() noexcept {
     ++epoch_;
     live_ = 0;
+    replay_pos_ = 0;
   }
 
   /// Prometheus text exposition format (deterministic ordering).
@@ -136,7 +138,10 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& older) const;
 
   /// Visits every flattened sample with its kind — snapshot() plus the
-  /// counter/gauge distinction snapshot's plain map erases.
+  /// counter/gauge distinction snapshot's plain map erases. Each name
+  /// string is owned by the registry and keeps its address for the
+  /// registry's lifetime (clear() included), so scrape loops may key a
+  /// per-sample cache by address.
   void visit_samples(
       const std::function<void(const std::string&, double, SampleKind)>& fn)
       const;
@@ -172,10 +177,16 @@ class MetricsRegistry {
       const std::function<void(const std::string&, double, Kind)>& emit) const;
 
   std::map<std::string, Metric, std::less<>> metrics_;  // key -> instance
-  std::map<std::string, std::string> help_;
+  std::map<std::string, std::string, std::less<>> help_;
   std::string key_buf_;       // reused instance-key scratch (hot-path lookups)
   std::uint64_t epoch_ = 0;   // bumped by clear()
   std::size_t live_ = 0;      // instruments touched in the current epoch
+  // Lookup order of the previous scrape pass. A collector re-resolves the
+  // same instruments in the same order every pass, so upsert first checks
+  // the entry at replay_pos_ and walks the map only on a mismatch. Never
+  // longer than metrics_ (map iterators stay valid: nothing is erased).
+  std::vector<std::map<std::string, Metric, std::less<>>::iterator> replay_;
+  std::size_t replay_pos_ = 0;
 };
 
 }  // namespace telea

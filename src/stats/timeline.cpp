@@ -16,11 +16,20 @@ namespace {
 // Shortest representation that parses back to the same double — to_chars
 // gives exactly that, without the snprintf/round-trip dance, and it is on
 // the per-sample JSONL hot path (one call per live series).
-std::string fmt_double(double v) {
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";  // JSON has no Inf
+void append_double(std::string& out, double v) {
+  if (std::isinf(v)) {
+    out += v > 0 ? "1e308" : "-1e308";  // JSON has no Inf
+    return;
+  }
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return {buf, res.ptr};
+  out.append(buf, res.ptr);
+}
+
+std::string fmt_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 void accumulate(TimelineBucket& b, SimTime t, double v) {
@@ -524,15 +533,31 @@ void TimelineEngine::sample_now() {
   if (collector_) collector_(scratch_);
 
   ++samples_;
-  scratch_.visit_samples([this, now](const std::string& name, double value,
-                                     SampleKind kind) {
-    if (!cfg_.include_histogram_detail && is_bucket_sample(name)) return;
-    const bool cumulative = kind != SampleKind::kGauge;
-    auto sit = series_.find(name);
-    if (sit == series_.end()) {
-      sit = series_.emplace(name, SeriesEntry(cfg_, cumulative, name)).first;
+  std::size_t pos = 0;
+  scratch_.visit_samples([this, now, &pos](const std::string& name,
+                                           double value, SampleKind kind) {
+    // Sample names keep their address for the registry's lifetime, so a
+    // matching address at the same position is the same series as last
+    // pass: no string is read and no map is walked.
+    if (pos == visit_order_.size()) visit_order_.push_back({});
+    VisitSlot& slot = visit_order_[pos++];
+    if (slot.name != &name) {
+      slot.name = &name;
+      slot.entry = nullptr;
+      if (cfg_.include_histogram_detail || !is_bucket_sample(name)) {
+        auto sit = series_.find(name);
+        if (sit == series_.end()) {
+          sit = series_
+                    .emplace(name, SeriesEntry(cfg_, kind != SampleKind::kGauge,
+                                               name))
+                    .first;
+        }
+        slot.entry = &sit->second;
+      }
     }
-    SeriesEntry& entry = sit->second;
+    if (slot.entry == nullptr) return;  // histogram bucket detail, skipped
+    const bool cumulative = kind != SampleKind::kGauge;
+    SeriesEntry& entry = *slot.entry;
     double v = value;
     if (cumulative) {
       // Delta-encode against the previous absolute value; a shrinking
@@ -557,7 +582,8 @@ void TimelineEngine::sample_now() {
     std::string line;
     line.reserve(jsonl_line_hint_);
     line += "{\"t\":";
-    line += fmt_double(static_cast<double>(now) / static_cast<double>(kSecond));
+    append_double(line,
+                  static_cast<double>(now) / static_cast<double>(kSecond));
     line += ",\"v\":{";
     bool first = true;
     for (const auto& [name, entry] : series_) {
@@ -566,7 +592,7 @@ void TimelineEngine::sample_now() {
       if (!first) line.push_back(',');
       first = false;
       line += entry.json_key;
-      line += fmt_double(entry.series.last());
+      append_double(line, entry.series.last());
     }
     line += "}}";
     jsonl_line_hint_ = std::max(jsonl_line_hint_, line.size() + 64);

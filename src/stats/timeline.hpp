@@ -304,6 +304,15 @@ class TimelineEngine {
   Tracer* tracer_ = nullptr;
   MetricsRegistry scratch_;  // refreshed by the collector each sample
   std::map<std::string, SeriesEntry, std::less<>> series_;
+  // What each position of the previous sample's visit resolved to. The
+  // scratch registry emits the same samples in the same order every pass,
+  // so sample_now matches a position by name address before walking
+  // series_. `entry` is null for a skipped histogram bucket sample.
+  struct VisitSlot {
+    const std::string* name = nullptr;
+    SeriesEntry* entry = nullptr;
+  };
+  std::vector<VisitSlot> visit_order_;
   std::vector<AlertState> alerts_;
   std::FILE* jsonl_ = nullptr;
   std::string jsonl_path_;

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "util/dbm.hpp"
+#include "util/rng.hpp"
 
 namespace telea {
 namespace {
@@ -115,6 +122,142 @@ TEST(CpmNoiseModel, FarApartQueriesDecorrelate) {
   const double w = gen.noise_dbm(3600 * kSecond);
   EXPECT_TRUE(std::isfinite(v));
   EXPECT_TRUE(std::isfinite(w));
+}
+
+// First 256 readings of make_generator(7, 1) over generate_heavy_noise_trace's
+// seed-3 trace, for history 1, 2 and 3. Every 16th query jumps 50 steps, so
+// the marginal restart is pinned along with the chain walk.
+constexpr std::array<std::array<int, 256>, 3> kGoldenReadings = {{
+  {{  // history 1
+    -97, -97, -100, -97, -98, -97, -96, -100, -98, -99, -100, -97, -99,
+    -100, -99, -96, -99, -100, -99, -99, -96, -101, -99, -98, -97, -98,
+    -97, -96, -96, -97, -96, -99, -95, -97, -99, -100, -97, -99, -96,
+    -99, -97, -98, -97, -100, -97, -98, -100, -83, -73, -76, -97, -98,
+    -97, -99, -99, -99, -70, -65, -62, -87, -68, -53, -71, -98, -100,
+    -97, -99, -99, -99, -100, -97, -98, -98, -99, -96, -97, -96, -99,
+    -97, -99, -100, -99, -102, -99, -98, -100, -96, -99, -97, -101, -99,
+    -97, -97, -98, -96, -97, -96, -64, -71, -97, -97, -97, -97, -97,
+    -96, -98, -100, -101, -99, -96, -99, -99, -99, -98, -98, -98, -97,
+    -99, -98, -99, -100, -98, -99, -100, -96, -99, -100, -99, -98, -96,
+    -95, -98, -96, -97, -100, -99, -96, -98, -99, -98, -96, -98, -98,
+    -98, -98, -99, -101, -97, -98, -96, -98, -99, -99, -97, -96, -98,
+    -95, -97, -100, -98, -98, -97, -100, -96, -97, -98, -99, -100, -99,
+    -99, -97, -98, -97, -97, -97, -98, -98, -98, -99, -95, -97, -98,
+    -98, -99, -97, -96, -99, -97, -99, -99, -101, -98, -97, -99, -100,
+    -98, -97, -97, -96, -99, -100, -98, -99, -98, -99, -96, -99, -98,
+    -98, -99, -97, -100, -97, -97, -99, -99, -97, -101, -98, -98, -96,
+    -98, -99, -98, -97, -96, -99, -96, -98, -97, -94, -99, -98, -96,
+    -99, -98, -96, -98, -100, -96, -99, -96, -100, -98, -97, -97, -100,
+    -101, -101, -102, -98, -97, -96, -98, -97, -96,
+  }},
+  {{  // history 2
+    -99, -99, -97, -100, -99, -97, -100, -98, -99, -99, -99, -96, -96,
+    -97, -102, -99, -100, -99, -101, -96, -97, -99, -97, -98, -99, -97,
+    -101, -100, -96, -97, -97, -99, -97, -99, -98, -98, -100, -98, -100,
+    -99, -99, -95, -100, -100, -95, -98, -97, -100, -98, -99, -100, -97,
+    -98, -101, -99, -96, -96, -98, -97, -99, -100, -101, -99, -95, -96,
+    -98, -98, -97, -98, -101, -98, -99, -95, -97, -98, -98, -98, -99,
+    -99, -100, -99, -98, -98, -99, -99, -96, -98, -97, -98, -97, -97,
+    -95, -98, -99, -97, -98, -99, -100, -98, -99, -98, -98, -97, -98,
+    -98, -97, -99, -78, -84, -70, -97, -99, -98, -94, -96, -98, -102,
+    -101, -98, -99, -97, -96, -99, -96, -97, -101, -100, -97, -99, -95,
+    -95, -98, -98, -65, -64, -74, -99, -100, -94, -99, -97, -99, -101,
+    -100, -99, -98, -99, -99, -98, -98, -99, -100, -95, -98, -99, -97,
+    -101, -98, -97, -78, -81, -66, -69, -74, -86, -98, -79, -76, -80,
+    -85, -83, -98, -100, -98, -96, -98, -99, -99, -97, -99, -98, -99,
+    -97, -98, -97, -99, -98, -101, -98, -97, -99, -97, -98, -95, -97,
+    -100, -98, -98, -101, -95, -98, -98, -97, -98, -98, -99, -98, -97,
+    -100, -99, -98, -98, -97, -98, -98, -97, -97, -97, -98, -97, -98,
+    -100, -100, -101, -96, -99, -99, -101, -97, -98, -98, -98, -98, -99,
+    -97, -100, -100, -97, -98, -98, -96, -96, -96, -101, -99, -98, -99,
+    -100, -98, -97, -100, -97, -99, -97, -99, -97,
+  }},
+  {{  // history 3
+    -97, -98, -98, -97, -93, -96, -98, -99, -97, -101, -98, -98, -99,
+    -99, -98, -98, -98, -102, -96, -97, -97, -100, -97, -97, -98, -95,
+    -99, -94, -99, -99, -99, -99, -100, -97, -98, -100, -101, -101, -60,
+    -71, -56, -66, -64, -70, -89, -99, -98, -97, -96, -98, -97, -97,
+    -96, -99, -95, -98, -99, -99, -99, -99, -99, -99, -96, -98, -99,
+    -96, -100, -99, -97, -97, -97, -100, -97, -98, -97, -99, -98, -99,
+    -96, -100, -99, -97, -101, -100, -97, -96, -99, -96, -98, -99, -98,
+    -98, -98, -98, -99, -100, -97, -97, -99, -98, -99, -98, -100, -100,
+    -99, -96, -97, -95, -99, -97, -97, -99, -98, -99, -99, -99, -99,
+    -101, -97, -99, -101, -96, -97, -98, -98, -96, -98, -99, -98, -99,
+    -99, -98, -97, -98, -100, -97, -98, -98, -100, -98, -99, -101, -96,
+    -98, -98, -101, -95, -95, -96, -102, -98, -101, -100, -99, -99, -101,
+    -98, -97, -97, -97, -98, -101, -98, -99, -96, -97, -97, -99, -97,
+    -98, -97, -99, -95, -97, -100, -99, -99, -97, -98, -97, -98, -100,
+    -96, -97, -96, -99, -99, -98, -95, -99, -98, -100, -96, -101, -98,
+    -96, -98, -97, -82, -96, -100, -98, -99, -98, -97, -99, -99, -98,
+    -94, -97, -100, -72, -83, -61, -76, -97, -99, -99, -97, -97, -98,
+    -99, -100, -99, -97, -98, -96, -97, -97, -99, -100, -99, -97, -99,
+    -98, -98, -100, -95, -97, -95, -99, -98, -97, -98, -98, -99, -98,
+    -98, -98, -100, -96, -97, -97, -99, -97, -98,
+  }},
+}};
+
+TEST(CpmNoiseModel, GoldenReadingsPerHistory) {
+  const auto trace = generate_heavy_noise_trace({}, 3);
+  for (std::size_t history = 1; history <= 3; ++history) {
+    CpmNoiseModel model(trace, history);
+    auto gen = model.make_generator(7, 1);
+    const auto& golden = kGoldenReadings[history - 1];
+    SimTime t = 0;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      t += (i % 16 == 15 ? 50 : 1) * gen.step_period();
+      ASSERT_EQ(gen.noise_dbm(t), golden[i])
+          << "history " << history << ", reading " << i;
+    }
+  }
+}
+
+TEST(CpmNoiseModel, GoldenDigestAcrossTraceSeeds) {
+  // One FNV-1a digest over 2000 readings from each of 64 trained traces and
+  // histories 1-3. Many tables means many probe chains and collisions in
+  // the bucket array, which one trace alone does not reach.
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const auto trace = generate_heavy_noise_trace({}, seed);
+    for (std::size_t history = 1; history <= 3; ++history) {
+      CpmNoiseModel model(trace, history);
+      auto gen = model.make_generator(seed, history);
+      for (SimTime t = 0; t < 4 * kSecond; t += gen.step_period()) {
+        const auto reading = static_cast<int>(gen.noise_dbm(t));
+        digest ^= static_cast<std::uint8_t>(reading);
+        digest *= 1099511628211ULL;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x689a5c1a1e9fda50ULL);
+}
+
+TEST(CpmNoiseModel, NoiseMwIsExactlyDbmToMw) {
+  const auto trace = generate_heavy_noise_trace({}, 8);
+  CpmNoiseModel model(trace, 3);
+  auto mw = model.make_generator(5, 9);
+  auto dbm = model.make_generator(5, 9);
+  Pcg32 gaps(3, 3);
+  SimTime t = 0;
+  for (int i = 0; i < 10000; ++i) {
+    // Repeats within a step, short walks and jumps past the catch-up cap.
+    t += (gaps.uniform(50) == 0 ? 100 : gaps.uniform(5)) * kMillisecond;
+    EXPECT_EQ(mw.noise_mw(t), dbm_to_mw(dbm.noise_dbm(t))) << "step " << i;
+  }
+}
+
+TEST(CpmNoiseModel, RejectsTraceNoLongerThanHistory) {
+  for (const std::size_t history : {1u, 3u}) {
+    for (std::size_t length = 0; length <= history; ++length) {
+      const std::vector<std::int8_t> trace(length, -98);
+      EXPECT_THROW((CpmNoiseModel{trace, history}), std::invalid_argument)
+          << "history " << history << ", length " << length;
+    }
+    const std::vector<std::int8_t> trace(history + 1, -98);
+    CpmNoiseModel model(trace, history);
+    auto gen = model.make_generator(1, 1);
+    EXPECT_EQ(gen.noise_dbm(0), -98.0);
+    EXPECT_EQ(gen.noise_dbm(kSecond), -98.0);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace telea {
 namespace {
@@ -157,6 +162,104 @@ TEST(EventQueue, ManyInterleavedScheduleCancel) {
     EXPECT_EQ(fired.time % 2, 1u);  // even-indexed were cancelled
     last = fired.time;
   }
+}
+
+TEST(EventQueue, StaleHandleCopyDoesNotCancelSlotReuser) {
+  EventQueue q;
+  bool a_fired = false;
+  bool b_fired = false;
+  EventHandle a = q.schedule(10, [&] { a_fired = true; });
+  EventHandle stale = a;
+  q.cancel(a);
+  // B takes over A's freed slot; the copy of A's handle must not reach it.
+  q.schedule(20, [&] { b_fired = true; });
+  q.cancel(stale);
+  EXPECT_FALSE(stale.valid());
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().callback();
+  EXPECT_FALSE(a_fired);
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(EventQueue, FiredHandleDoesNotCancelSlotReuser) {
+  EventQueue q;
+  EventHandle a = q.schedule(10, [] {});
+  q.pop().callback();
+  bool b_fired = false;
+  q.schedule(20, [&] { b_fired = true; });
+  q.cancel(a);
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().callback();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(EventQueue, HandleFromBeforeClearStaysInert) {
+  EventQueue q;
+  EventHandle a = q.schedule(10, [] {});
+  q.schedule(11, [] {});
+  q.clear();
+  bool b_fired = false;
+  q.schedule(20, [&] { b_fired = true; });
+  q.cancel(a);
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 20u);
+  q.pop().callback();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(EventQueue, MatchesReferenceOnRandomOperations) {
+  // Differential test: a reference ordered map keyed by (time, seq) must
+  // agree with the queue on every pop and on size() after every operation.
+  using Key = std::pair<SimTime, std::uint64_t>;
+  EventQueue q;
+  std::multimap<Key, int> ref;
+  struct Held {
+    EventHandle handle;
+    Key key;
+  };
+  std::vector<Held> held;  // copies: cancelling one leaves stale twins
+  Pcg32 rng(2024, 7);
+  std::uint64_t seq = 0;
+  int next_id = 0;
+  int fired_id = -1;
+  int pops = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint32_t dice = rng.uniform(100);
+    if (dice < 45) {
+      // Few distinct times, so equal-time FIFO order is exercised heavily.
+      const SimTime when = rng.uniform(200);
+      const int id = next_id++;
+      const EventHandle h =
+          q.schedule(when, [&fired_id, id] { fired_id = id; });
+      const Key key{when, ++seq};
+      ref.emplace(key, id);
+      held.push_back({h, key});
+    } else if (dice < 65) {
+      if (held.empty()) continue;
+      const auto pick = rng.uniform(static_cast<std::uint32_t>(held.size()));
+      const Held& victim = held[pick];
+      EventHandle copy = victim.handle;
+      q.cancel(copy);
+      EXPECT_FALSE(copy.valid());
+      ref.erase(victim.key);
+    } else if (dice < 99) {
+      ASSERT_EQ(q.empty(), ref.empty());
+      if (ref.empty()) continue;
+      const auto head = ref.begin();
+      ASSERT_EQ(q.next_time(), head->first.first);
+      auto fired = q.pop();
+      fired.callback();
+      ASSERT_EQ(fired.time, head->first.first) << "op " << op;
+      ASSERT_EQ(fired_id, head->second) << "op " << op;
+      ref.erase(head);
+      ++pops;
+    } else {
+      q.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+  }
+  EXPECT_GT(pops, 5000);
 }
 
 }  // namespace

@@ -86,5 +86,40 @@ TEST(SimProfiling, RenderAndClear) {
   EXPECT_EQ(sim.profile().events_dispatched, 1u);
 }
 
+TEST(SimProfiling, TagSeenBeforeClearCountsAfterIt) {
+  Simulator sim;
+  sim.set_profiling(true);
+  sim.schedule_in(1, [] {}, "again");
+  sim.run();
+  sim.clear_profile();
+  sim.schedule_in(1, [] {}, "again");
+  sim.schedule_in(2, [] {}, "again");
+  sim.run();
+  ASSERT_TRUE(sim.profile().by_kind.contains("again"));
+  EXPECT_EQ(sim.profile().by_kind.at("again").count, 2u);
+
+  sim.reset();
+  sim.set_profiling(true);
+  sim.schedule_in(1, [] {}, "again");
+  sim.run();
+  EXPECT_EQ(sim.profile().by_kind.at("again").count, 1u);
+}
+
+TEST(SimProfiling, EqualTagTextAggregatesAcrossPointers) {
+  // Two distinct buffers holding the same text must land in one row.
+  static const char kFirst[] = "same.kind";
+  static const char kSecond[] = "same.kind";
+  ASSERT_NE(static_cast<const void*>(kFirst),
+            static_cast<const void*>(kSecond));
+  Simulator sim;
+  sim.set_profiling(true);
+  sim.schedule_in(1, [] {}, kFirst);
+  sim.schedule_in(2, [] {}, kSecond);
+  sim.schedule_in(3, [] {}, kFirst);
+  sim.run();
+  EXPECT_EQ(sim.profile().by_kind.size(), 1u);
+  EXPECT_EQ(sim.profile().by_kind.at("same.kind").count, 3u);
+}
+
 }  // namespace
 }  // namespace telea

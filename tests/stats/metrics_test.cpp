@@ -38,6 +38,32 @@ TEST(Metrics, InstancesAreStableAndLabelOrderCanonical) {
   EXPECT_EQ(reg.size(), 2u);
 }
 
+TEST(Metrics, ScrapeInADifferentOrderResolvesTheSameInstruments) {
+  // Collector-style passes that change order, gain an instrument and skip
+  // one must each resolve to the right instance.
+  MetricsRegistry reg;
+  reg.counter("telea_a_total", {{"node", "1"}}).set_total(1);
+  reg.gauge("telea_b").set(2.0);
+  reg.counter("telea_c_total").set_total(3);
+
+  reg.clear();
+  reg.counter("telea_c_total").set_total(30);
+  reg.gauge("telea_new").set(5.0);
+  reg.counter("telea_a_total", {{"node", "1"}}).set_total(10);
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.counter("telea_a_total", {{"node", "1"}}).value(), 10u);
+  EXPECT_EQ(reg.counter("telea_c_total").value(), 30u);
+  EXPECT_DOUBLE_EQ(reg.gauge("telea_new").value(), 5.0);
+
+  reg.clear();
+  reg.gauge("telea_b").set(20.0);
+  reg.counter("telea_a_total", {{"node", "2"}}).set_total(7);
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_DOUBLE_EQ(reg.gauge("telea_b").value(), 20.0);
+  EXPECT_EQ(reg.counter("telea_a_total", {{"node", "1"}}).value(), 0u);
+  EXPECT_EQ(reg.counter("telea_a_total", {{"node", "2"}}).value(), 7u);
+}
+
 TEST(Metrics, HistogramBucketsArePrometheusShaped) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("telea_lat_seconds", {0.1, 0.5, 1.0});

@@ -322,6 +322,43 @@ TEST(TimelineEngine, JsonlStreamIsParseableAndDescribesTiers) {
   std::remove(path.c_str());
 }
 
+TEST(TimelineEngine, SeriesStayAlignedWhenTheScrapeShifts) {
+  // The collector's output shifts between passes: a series appears in the
+  // middle, one disappears, and a histogram's bucket detail rides along.
+  // Every value must still land in its own series.
+  Simulator sim;
+  TimelineEngine engine{sim, tiny_config()};
+  int pass = 0;
+  engine.set_collector([&pass](MetricsRegistry& reg) {
+    reg.gauge("telea_a").set(1.0 + pass);
+    if (pass == 1) reg.gauge("telea_b").set(20.0);
+    reg.histogram("telea_h", {1.0}).observe(0.5);
+    if (pass != 2) reg.gauge("telea_c").set(3.0 + pass);
+    reg.counter("telea_d_total").set_total(10u * static_cast<unsigned>(pass));
+  });
+  engine.sample_now();
+  ++pass;
+  engine.sample_now();
+  ++pass;
+  engine.sample_now();
+
+  ASSERT_NE(engine.series("telea_a"), nullptr);
+  EXPECT_DOUBLE_EQ(engine.series("telea_a")->last(), 3.0);
+  ASSERT_NE(engine.series("telea_b"), nullptr);
+  EXPECT_EQ(engine.series("telea_b")->raw().size(), 1u);
+  EXPECT_DOUBLE_EQ(engine.series("telea_b")->last(), 20.0);
+  ASSERT_NE(engine.series("telea_c"), nullptr);
+  EXPECT_EQ(engine.series("telea_c")->raw().size(), 2u);
+  EXPECT_DOUBLE_EQ(engine.series("telea_c")->last(), 4.0);
+  ASSERT_NE(engine.series("telea_d_total"), nullptr);
+  EXPECT_DOUBLE_EQ(engine.series("telea_d_total")->last(), 10.0);
+  ASSERT_NE(engine.series("telea_h_count"), nullptr);
+  EXPECT_EQ(engine.series("telea_h_count")->raw().size(), 3u);
+  EXPECT_EQ(engine.series("telea_h_bucket{le=\"1\"}"), nullptr);
+  // a, b, c, d and the histogram's _sum and _count.
+  EXPECT_EQ(engine.series_count(), 6u);
+}
+
 TEST(Metrics, VisitSamplesReportsKinds) {
   MetricsRegistry reg;
   reg.counter("telea_ops_total").inc(2);
