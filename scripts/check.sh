@@ -8,11 +8,15 @@
 #   -------   ------------   ----------------------------------   --------------
 #   plain     build/         default                              tier-1, soak excluded
 #   static    build/         telea_lint + clang-tidy + cppcheck   (source analysis only)
-#   asan      build-asan/    -DTELEA_SANITIZE=address;undefined   tier-1 + one soak pass
+#   asan      build-asan/    -DTELEA_SANITIZE=address;undefined,  tier-1 + one soak pass
+#                            asserts + _GLIBCXX_ASSERTIONS on
 #   thread    build-tsan/    -DTELEA_SANITIZE=thread              tier-1, soak excluded
 #
 # Why each stage: the soaks run once under ASan/UBSan because their fault-plan
-# churn covers the most lifecycle/teardown code per wall-clock second. Each
+# churn covers the most lifecycle/teardown code per wall-clock second. That
+# stage also drops RelWithDebInfo's -DNDEBUG and adds libstdc++'s container
+# checks, so every assert() (MAC/medium state-machine guards included) runs
+# somewhere in CI. Each
 # simulation is single-threaded by design, but the trial runner
 # (src/harness/runner, docs/PARALLELISM.md) executes independent trials on a
 # worker pool — so the TSan stage additionally drives a runner-backed bench
@@ -170,7 +174,8 @@ if [ "$run_san" = 1 ]; then
   echo "== ASan/UBSan build + tests (incl. one soak pass) =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
-  build_and_test "$repo/build-asan" "soak" "-DTELEA_SANITIZE=address;undefined"
+  build_and_test "$repo/build-asan" "soak" "-DTELEA_SANITIZE=address;undefined" \
+    "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g -D_GLIBCXX_ASSERTIONS"
 
   echo "== TSan build + tests (fast label) =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \

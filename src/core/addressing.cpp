@@ -19,6 +19,9 @@ Addressing::Addressing(Simulator& sim, LplMac& mac, CtpNode& ctp,
   stability_timer_.set_callback([this] { stability_check(); });
   request_timer_.set_callback([this] { request_position_check(); });
   beacon_timer_.set_callback([this] { send_tele_beacon(); });
+  stability_timer_.set_tag("addr.stability");
+  request_timer_.set_tag("addr.request");
+  beacon_timer_.set_tag("addr.beacon");
 }
 
 void Addressing::start() {

@@ -70,10 +70,12 @@ AckDecision GroupControl::handle(NodeId from, const msg::GroupControlPacket& pac
   const std::uint16_t command = packet.command;
   // Defer like the unicast plane: stay receptive while the upstream sender
   // finishes.
-  sim_->schedule_in(config_.claim_defer,
-                    [this, group, command, hops, dests = std::move(fresh)] {
-                      dispatch(group, command, hops, dests);
-                    });
+  sim_->schedule_in(
+      config_.claim_defer,
+      [this, group, command, hops, dests = std::move(fresh)] {
+        dispatch(group, command, hops, dests);
+      },
+      "group.defer");
   return AckDecision::kAcceptAndAck;
 }
 
@@ -171,10 +173,12 @@ void GroupControl::send_branch(std::uint32_t group_seqno, std::uint16_t command,
         fallback_unicast(dests, command);
       });
   if (!queued) {
-    sim_->schedule_in(kSecond, [this, group_seqno, command, hops, relay,
-                                dests, attempt] {
-      send_branch(group_seqno, command, hops, relay, dests, attempt);
-    });
+    sim_->schedule_in(
+        kSecond,
+        [this, group_seqno, command, hops, relay, dests, attempt] {
+          send_branch(group_seqno, command, hops, relay, dests, attempt);
+        },
+        "group.retry");
   }
 }
 

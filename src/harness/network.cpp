@@ -32,6 +32,7 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
       sim_(&sim) {
   mac_.set_handler(*this);
   ctp_.set_listener(this);
+  data_timer_.set_tag("app.data");
 
   if (config.uses_tele()) {
     TeleConfig tele_config = config.tele;
@@ -474,56 +475,64 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
   registry.describe("telea_invariant_checkpoints_total", "Structural invariant checkpoints evaluated");
   registry.describe("telea_invariant_claims_audited_total", "Forwarding claims re-checked by the invariant engine");
 
+  // Label sets are built in key order ("kind" < "node" < "sub"), so the
+  // registry's lookup need not copy and sort them on every scrape.
+  static constexpr std::array<const char*, 4> kDataKinds{
+      "originated", "forwarded", "delivered", "dropped"};
+  static constexpr std::array<const char*, 10> kControlKinds{
+      "claims",     "forwards",     "deliveries", "duplicates",
+      "yields",     "suppressions", "backtracks", "feedback_claims",
+      "origin_retries", "origin_failures"};
+  while (node_labels_.size() < nodes_.size()) {
+    const std::string node = std::to_string(node_labels_.size());
+    NodeLabels& l = node_labels_.emplace_back();
+    l.lpl = {{"node", node}, {"sub", "lpl"}};
+    l.ctp = {{"node", node}, {"sub", "ctp"}};
+    for (std::size_t k = 0; k < kDataKinds.size(); ++k) {
+      l.data[k] = {{"kind", kDataKinds[k]}, {"node", node}, {"sub", "ctp"}};
+    }
+    for (std::size_t k = 0; k < kControlKinds.size(); ++k) {
+      l.control[k] = {
+          {"kind", kControlKinds[k]}, {"node", node}, {"sub", "forwarding"}};
+    }
+  }
+
   Histogram& duty_hist = registry.histogram(
       "telea_node_duty_cycle",
       {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0});
   duty_hist.reset();  // collector-style: re-populate on every scrape
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeStack& n = *nodes_[i];
-    const std::string node = std::to_string(i);
-    const MetricLabels lpl{{"node", node}, {"sub", "lpl"}};
-    registry.counter("telea_tx_copies_total", lpl)
+    const NodeLabels& l = node_labels_[i];
+    registry.counter("telea_tx_copies_total", l.lpl)
         .set_total(n.mac().copies_sent());
-    registry.counter("telea_send_ops_total", lpl).set_total(n.mac().send_ops());
-    registry.gauge("telea_duty_cycle", lpl).set(n.mac().duty_cycle());
+    registry.counter("telea_send_ops_total", l.lpl)
+        .set_total(n.mac().send_ops());
+    registry.gauge("telea_duty_cycle", l.lpl).set(n.mac().duty_cycle());
     duty_hist.observe(n.mac().duty_cycle());
 
-    const MetricLabels ctp{{"node", node}, {"sub", "ctp"}};
     const CtpNode::Stats& cs = n.ctp().stats();
-    registry.counter("telea_beacons_total", ctp).set_total(cs.beacons_sent);
-    // Label sets are built in key order ("kind" < "node" < "sub"), so the
-    // registry's lookup need not copy and sort them on every scrape.
-    auto data_kind = [&](const char* kind, std::uint64_t v) {
-      registry
-          .counter("telea_data_total",
-                   {{"kind", kind}, {"node", node}, {"sub", "ctp"}})
-          .set_total(v);
-    };
-    data_kind("originated", cs.data_originated);
-    data_kind("forwarded", cs.data_forwarded);
-    data_kind("delivered", cs.data_delivered);
-    data_kind("dropped", cs.data_dropped);
-    registry.counter("telea_parent_changes_total", ctp)
+    registry.counter("telea_beacons_total", l.ctp).set_total(cs.beacons_sent);
+    const std::array<std::uint64_t, 4> data{
+        cs.data_originated, cs.data_forwarded, cs.data_delivered,
+        cs.data_dropped};
+    for (std::size_t k = 0; k < data.size(); ++k) {
+      registry.counter("telea_data_total", l.data[k]).set_total(data[k]);
+    }
+    registry.counter("telea_parent_changes_total", l.ctp)
         .set_total(cs.parent_changes);
 
     if (TeleAdjusting* tele = n.tele()) {
       const Forwarding::Stats& fs = tele->forwarding().stats();
-      auto control_kind = [&](const char* kind, std::uint64_t v) {
-        registry
-            .counter("telea_control_total",
-                     {{"kind", kind}, {"node", node}, {"sub", "forwarding"}})
-            .set_total(v);
-      };
-      control_kind("claims", fs.claims);
-      control_kind("forwards", fs.forwards);
-      control_kind("deliveries", fs.deliveries);
-      control_kind("duplicates", fs.duplicates);
-      control_kind("yields", fs.yields);
-      control_kind("suppressions", fs.suppressions);
-      control_kind("backtracks", fs.backtracks);
-      control_kind("feedback_claims", fs.feedback_claims);
-      control_kind("origin_retries", fs.origin_retries);
-      control_kind("origin_failures", fs.origin_failures);
+      const std::array<std::uint64_t, 10> control{
+          fs.claims,         fs.forwards,        fs.deliveries,
+          fs.duplicates,     fs.yields,          fs.suppressions,
+          fs.backtracks,     fs.feedback_claims, fs.origin_retries,
+          fs.origin_failures};
+      for (std::size_t k = 0; k < control.size(); ++k) {
+        registry.counter("telea_control_total", l.control[k])
+            .set_total(control[k]);
+      }
     }
   }
 
@@ -640,6 +649,7 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
                                  : health_config_.period;
     health_timer_ = std::make_unique<Timer>(sim_);
     health_timer_->set_callback([this] { append_health_snapshot(); });
+    health_timer_->set_tag("obs.health");
     health_timer_->start_periodic(interval);
   }
   return *health_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -354,6 +355,15 @@ class Network {
   /// exist — callable from either enable_ path, whichever runs second.
   void wire_flight_triggers();
 
+  /// One node's label sets for collect_metrics, built on the first scrape
+  /// so later scrapes re-resolve instruments without rebuilding them.
+  struct NodeLabels {
+    MetricLabels lpl;
+    MetricLabels ctp;
+    std::array<MetricLabels, 4> data;      // telea_data_total, by kind
+    std::array<MetricLabels, 10> control;  // telea_control_total, by kind
+  };
+
   NetworkConfig config_;
   Simulator sim_;
   std::unique_ptr<LinkGainTable> gains_;
@@ -372,6 +382,7 @@ class Network {
   std::uint64_t flight_dumps_taken_ = 0;  // monotone, for metrics
   // Artifact paths this network holds in the ArtifactRegistry.
   std::vector<std::string> artifact_claims_;
+  mutable std::vector<NodeLabels> node_labels_;  // collect_metrics cache
 };
 
 }  // namespace telea

@@ -11,6 +11,8 @@ TrickleTimer::TrickleTimer(Simulator& sim, const Config& config,
       interval_timer_(sim) {
   fire_timer_.set_callback([this] { on_fire(); });
   interval_timer_.set_callback([this] { on_interval_end(); });
+  fire_timer_.set_tag("trickle.fire");
+  interval_timer_.set_tag("trickle.interval");
 }
 
 void TrickleTimer::start() {

@@ -17,6 +17,7 @@ OrplNode::OrplNode(Simulator& sim, LplMac& mac, CtpNode& ctp,
       announce_timer_(sim) {
   members_.insert(mac.id());
   announce_timer_.set_callback([this] { announce(); });
+  announce_timer_.set_tag("orpl.announce");
 }
 
 void OrplNode::start() {
@@ -152,7 +153,7 @@ void OrplNode::forward_next() {
       });
   if (!queued) {
     forwarding_ = false;
-    sim_->schedule_in(kSecond, [this] { forward_next(); });
+    sim_->schedule_in(kSecond, [this] { forward_next(); }, "orpl.requeue");
   }
 }
 

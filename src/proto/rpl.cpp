@@ -16,6 +16,8 @@ RplNode::RplNode(Simulator& sim, LplMac& mac, CtpNode& ctp,
       trigger_timer_(sim) {
   dao_timer_.set_callback([this] { send_dao(); });
   trigger_timer_.set_callback([this] { send_dao(); });
+  dao_timer_.set_tag("rpl.dao");
+  trigger_timer_.set_tag("rpl.trigger");
 }
 
 void RplNode::start() {
@@ -304,7 +306,7 @@ void RplNode::forward_next() {
       });
   if (!queued) {
     forwarding_ = false;
-    sim_->schedule_in(kSecond, [this] { forward_next(); });
+    sim_->schedule_in(kSecond, [this] { forward_next(); }, "rpl.requeue");
   }
 }
 

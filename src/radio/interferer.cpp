@@ -1,5 +1,7 @@
 #include "radio/interferer.hpp"
 
+#include "util/dbm.hpp"
+
 namespace telea {
 
 namespace {
@@ -8,10 +10,14 @@ constexpr double kOffFloorDbm = -120.0;
 
 WifiInterferer::WifiInterferer(const WifiInterfererConfig& config,
                                std::size_t node_count, std::uint64_t seed)
-    : config_(config), rng_(seed, /*stream=*/0x171F1ULL) {
+    : config_(config),
+      rng_(seed, /*stream=*/0x171F1ULL),
+      off_mw_(dbm_to_mw(kOffFloorDbm)) {
   node_offset_db_.reserve(node_count);
+  on_mw_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     node_offset_db_.push_back(rng_.normal(0.0, config.node_offset_sigma_db));
+    on_mw_.push_back(dbm_to_mw(config.base_power_dbm + node_offset_db_[i]));
   }
   // Start in the off state with a pending first burst.
   next_toggle_ = static_cast<SimTime>(
@@ -32,6 +38,12 @@ double WifiInterferer::power_at(NodeId node, SimTime t) {
   advance_to(t);
   if (!on_) return kOffFloorDbm;
   return config_.base_power_dbm + node_offset_db_[node];
+}
+
+double WifiInterferer::power_mw_at(NodeId node, SimTime t) {
+  if (!config_.enabled) return off_mw_;
+  advance_to(t);
+  return on_ ? on_mw_[node] : off_mw_;
 }
 
 double WifiInterferer::expected_duty() const noexcept {

@@ -35,6 +35,10 @@ class WifiInterferer {
   /// Queries must be (weakly) monotone in `t` — true for event-driven use.
   [[nodiscard]] double power_at(NodeId node, SimTime t);
 
+  /// The same power in mW: exactly dbm_to_mw(power_at(node, t)), looked up
+  /// rather than recomputed. Advances the process the same way.
+  [[nodiscard]] double power_mw_at(NodeId node, SimTime t);
+
   /// Fraction of time the interferer is on, in expectation.
   [[nodiscard]] double expected_duty() const noexcept;
 
@@ -43,7 +47,9 @@ class WifiInterferer {
 
   WifiInterfererConfig config_;
   std::vector<double> node_offset_db_;
+  std::vector<double> on_mw_;  // dbm_to_mw of each node's on-state power
   Pcg32 rng_;
+  double off_mw_;  // dbm_to_mw of the off floor
   bool on_ = false;
   SimTime next_toggle_ = 0;
 };

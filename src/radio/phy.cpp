@@ -57,6 +57,7 @@ double Cc2420Phy::bit_error_rate(double sinr_db) noexcept {
 double Cc2420Phy::packet_reception_ratio(double sinr_db, double rssi_dbm,
                                          std::size_t mpdu_bytes) noexcept {
   if (rssi_dbm < kSensitivityDbm) return 0.0;
+  if (sinr_db >= kSaturatedSinrDb) return 1.0;
   const double ber = bit_error_rate(sinr_db);
   const double bits = static_cast<double>((kPhyHeaderBytes + mpdu_bytes) * 8);
   return std::pow(1.0 - ber, bits);

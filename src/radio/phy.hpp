@@ -52,8 +52,15 @@ class Cc2420Phy {
   /// where γ is the linear SINR.
   [[nodiscard]] static double bit_error_rate(double sinr_db) noexcept;
 
+  /// SINR (dB) from which the PRR is exactly 1.0 for every frame length.
+  /// At γ ≥ 10^0.7 every one of the 15 BER terms is at most
+  /// 12870·e^(20·γ·(1/2 − 1)) ≤ 12870·e^−50.1, so BER < 1.2e-18 < 2^−54:
+  /// `1 − ber` rounds to 1.0 and `pow(1.0, bits)` is exactly 1.0.
+  static constexpr double kSaturatedSinrDb = 7.0;
+
   /// Packet reception ratio for an `mpdu_bytes`-long frame at `sinr_db`,
   /// gated on the received power clearing the radio sensitivity floor.
+  /// Returns 1.0 without evaluating the BER from kSaturatedSinrDb up.
   [[nodiscard]] static double packet_reception_ratio(double sinr_db,
                                                      double rssi_dbm,
                                                      std::size_t mpdu_bytes) noexcept;

@@ -92,7 +92,7 @@ double Histogram::quantile(double q) const noexcept {
   return bounds_.empty() ? 0.0 : bounds_.back();
 }
 
-MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
+MetricsRegistry::Metric& MetricsRegistry::upsert(std::string_view name,
                                                  const MetricLabels& labels,
                                                  Kind kind) {
   // Callers overwhelmingly pass already-sorted label sets; only copy when
@@ -138,28 +138,24 @@ MetricsRegistry::Metric& MetricsRegistry::upsert(const std::string& name,
     // First touch since clear(): same identity, pristine values.
     m.touched = epoch_;
     ++live_;
-    if (m.counter) m.counter->set_total(0);
-    if (m.gauge) m.gauge->set(0.0);
+    m.counter.set_total(0);
+    m.gauge.set(0.0);
     if (m.histogram) m.histogram->reset();
   }
   return m;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
+Counter& MetricsRegistry::counter(std::string_view name,
                                   const MetricLabels& labels) {
-  Metric& m = upsert(name, labels, Kind::kCounter);
-  if (m.counter == nullptr) m.counter = std::make_unique<Counter>();
-  return *m.counter;
+  return upsert(name, labels, Kind::kCounter).counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name,
+Gauge& MetricsRegistry::gauge(std::string_view name,
                               const MetricLabels& labels) {
-  Metric& m = upsert(name, labels, Kind::kGauge);
-  if (m.gauge == nullptr) m.gauge = std::make_unique<Gauge>();
-  return *m.gauge;
+  return upsert(name, labels, Kind::kGauge).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const std::vector<double>& upper_bounds,
                                       const MetricLabels& labels) {
   Metric& m = upsert(name, labels, Kind::kHistogram);
@@ -229,10 +225,10 @@ void MetricsRegistry::flatten(
   }
   switch (m.kind) {
     case Kind::kCounter:
-      emit(m.flat[0], static_cast<double>(m.counter->value()), Kind::kCounter);
+      emit(m.flat[0], static_cast<double>(m.counter.value()), Kind::kCounter);
       break;
     case Kind::kGauge:
-      emit(m.flat[0], m.gauge->value(), Kind::kGauge);
+      emit(m.flat[0], m.gauge.value(), Kind::kGauge);
       break;
     case Kind::kHistogram: {
       const Histogram& h = *m.histogram;
@@ -299,10 +295,10 @@ std::string MetricsRegistry::render_json() const {
     switch (m.kind) {
       case Kind::kCounter:
         out += "counter\",\"value\":" +
-               fmt_double(static_cast<double>(m.counter->value()));
+               fmt_double(static_cast<double>(m.counter.value()));
         break;
       case Kind::kGauge:
-        out += "gauge\",\"value\":" + fmt_double(m.gauge->value());
+        out += "gauge\",\"value\":" + fmt_double(m.gauge.value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = *m.histogram;

@@ -95,10 +95,10 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(const std::string& name, const MetricLabels& labels = {});
-  Gauge& gauge(const std::string& name, const MetricLabels& labels = {});
+  Counter& counter(std::string_view name, const MetricLabels& labels = {});
+  Gauge& gauge(std::string_view name, const MetricLabels& labels = {});
   /// `upper_bounds` is only consulted on first creation of the instance.
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        const std::vector<double>& upper_bounds,
                        const MetricLabels& labels = {});
 
@@ -158,12 +158,12 @@ class MetricsRegistry {
     /// identity is immutable, and scrape loops re-flatten every pass.
     /// Counter/gauge: one entry. Histogram: buckets..., +Inf, _sum, _count.
     mutable std::vector<std::string> flat;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
+    Counter counter;
+    Gauge gauge;
     std::unique_ptr<Histogram> histogram;
   };
 
-  Metric& upsert(const std::string& name, const MetricLabels& labels,
+  Metric& upsert(std::string_view name, const MetricLabels& labels,
                  Kind kind);
   /// True when the instance is visible (touched in the current epoch).
   [[nodiscard]] bool live(const Metric& m) const noexcept {

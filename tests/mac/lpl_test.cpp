@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace telea {
@@ -237,6 +238,90 @@ TEST_F(LplTest, RadioOnTimeAdvancesWhileAwake) {
   const SimTime on = macs_[0]->radio_on_time();
   EXPECT_GT(on, 0u);
   EXPECT_LT(on, 10_s);
+}
+
+/// Runs until node 0 has a copy of its current send on the air and node 1
+/// is locked onto it (so node 1 decodes that copy, and acks a unicast).
+void run_until_copy_reaches_node1(Simulator& sim, const RadioMedium& medium) {
+  while (!(medium.transmitting(0) && medium.receiving(1))) {
+    ASSERT_TRUE(sim.step(sim.now() + 1_s));
+  }
+}
+
+bool delivered_seq(const FakeHandler& handler, std::uint32_t link_seq) {
+  for (const Frame& f : handler.delivered) {
+    if (f.link_seq == link_seq) return true;
+  }
+  return false;
+}
+
+// An instant reboot (stop() then restart() in one event, as
+// NodeStack::reboot_with_state_loss does) while a copy is on the air: the
+// copy's on_tx_done still arrives and must be absorbed, not treated as the
+// completion of a send that stop() already dropped.
+TEST_F(LplTest, InstantRebootAbsorbsTxDoneOfCopyOnAir) {
+  build(2, 5.0);
+  bool dropped_done = false;
+  macs_[0]->send(broadcast(), [&](const SendResult&) { dropped_done = true; });
+  run_until_copy_reaches_node1(sim_, *medium_);
+  macs_[0]->stop();
+  macs_[0]->restart();
+  sim_.run_until(sim_.now() + 3_s);
+  EXPECT_FALSE(dropped_done);  // stop() drops the queue without callbacks
+  EXPECT_FALSE(medium_->transmitting(0));
+
+  // The MAC still works afterwards.
+  bool done = false;
+  const auto token = macs_[0]->send_cancellable(
+      broadcast(), [&](const SendResult& r) {
+        done = true;
+        EXPECT_TRUE(r.success);
+      });
+  ASSERT_TRUE(token.has_value());
+  sim_.run_until(sim_.now() + 3_s);
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(delivered_seq(*handlers_[1], *token));
+}
+
+// The same reboot with a new send queued right after the restart: it must
+// wait for the old copy to leave the air, and its outcome must be its own
+// (node 1 acks the old copy; that ack must not complete the new send).
+TEST_F(LplTest, InstantRebootDefersNewSendUntilCopyOnAirEnds) {
+  build(2, 5.0);
+  struct Airing {
+    SimTime start;
+    SimTime end;
+  };
+  std::vector<Airing> airings;  // node 0's copies on the air
+  medium_->add_transmit_hook([&](NodeId src, const Frame&, SimTime airtime) {
+    if (src == 0) airings.push_back({sim_.now(), sim_.now() + airtime});
+  });
+  macs_[0]->send(data_to(1), nullptr);
+  run_until_copy_reaches_node1(sim_, *medium_);
+  macs_[0]->stop();
+  macs_[0]->restart();
+
+  std::optional<std::uint32_t> token;
+  bool done = false;
+  bool delivered_first = false;
+  SendResult result;
+  token = macs_[0]->send_cancellable(data_to(1), [&](const SendResult& r) {
+    done = true;
+    result = r;
+    delivered_first = delivered_seq(*handlers_[1], *token);
+  });
+  ASSERT_TRUE(token.has_value());
+  sim_.run_until(sim_.now() + 3_s);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(result.acker, 1);
+  EXPECT_GE(result.copies, 1u);
+  // Acked means node 1 decoded this frame, not the copy from before.
+  EXPECT_TRUE(delivered_first);
+  // One radio: no copy starts before the previous one has left the air.
+  for (std::size_t i = 1; i < airings.size(); ++i) {
+    EXPECT_GE(airings[i].start, airings[i - 1].end) << "copy " << i;
+  }
 }
 
 }  // namespace

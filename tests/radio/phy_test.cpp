@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 namespace telea {
 namespace {
 
@@ -77,6 +81,56 @@ TEST(Cc2420Phy, PrrTransitionRegionIsSteep) {
   const double high = Cc2420Phy::packet_reception_ratio(4.0, -80.0, 50);
   EXPECT_LT(low, 0.1);
   EXPECT_GT(high, 0.9);
+}
+
+/// The BER as computed before the PRR saturated, term for term (the PRR
+/// reference below raises 1 - BER to the frame length as before).
+double reference_ber(double sinr_db) {
+  const double gamma = std::pow(10.0, sinr_db / 10.0);
+  static constexpr double kBinom[15] = {120,  560,  1820, 4368, 8008,
+                                        11440, 12870, 11440, 8008, 4368,
+                                        1820, 560,  120,  16,   1};
+  double sum = 0.0;
+  for (int k = 2; k <= 16; ++k) {
+    const double term =
+        kBinom[k - 2] *
+        std::exp(20.0 * gamma * (1.0 / static_cast<double>(k) - 1.0));
+    sum += (k % 2 == 0) ? term : -term;
+  }
+  return std::clamp((8.0 / 15.0) * (1.0 / 16.0) * sum, 0.0, 0.5);
+}
+
+double reference_prr(double ber, std::size_t mpdu_bytes) {
+  const double bits = static_cast<double>(
+      (Cc2420Phy::kPhyHeaderBytes + mpdu_bytes) * 8);
+  return std::pow(1.0 - ber, bits);
+}
+
+// The saturated PRR must be bit-identical to the full formula for every
+// frame length, from below the cutoff (where the formula still runs) across
+// it and far above it.
+TEST(Cc2420Phy, PrrMatchesReferenceFormulaBitForBit) {
+  const double rssi = Cc2420Phy::kSensitivityDbm;
+  std::vector<double> sinrs;
+  for (int i = -5000; i <= 60000; ++i) sinrs.push_back(i * 1e-3);
+  const double cutoff = Cc2420Phy::kSaturatedSinrDb;
+  sinrs.push_back(std::nextafter(cutoff, 0.0));
+  sinrs.push_back(cutoff);
+  sinrs.push_back(std::nextafter(cutoff, 100.0));
+  std::size_t mismatches = 0;
+  for (const double sinr : sinrs) {
+    const double ber = reference_ber(sinr);
+    for (std::size_t mpdu = 5; mpdu <= 127; ++mpdu) {
+      const double got = Cc2420Phy::packet_reception_ratio(sinr, rssi, mpdu);
+      if (got != reference_prr(ber, mpdu)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "sinr " << sinr << " dB, mpdu " << mpdu << ": "
+                        << got << " vs " << reference_prr(ber, mpdu);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
