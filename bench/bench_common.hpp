@@ -28,6 +28,7 @@
 #include "stats/table.hpp"
 #include "topo/topology.hpp"
 #include "util/logging.hpp"
+#include "util/text_file.hpp"
 
 namespace telea::bench {
 
@@ -211,14 +212,10 @@ inline void emit_runner_stats(const TrialBatch& batch,
   body << "{\"bench\": \"" << name << "\", \"jobs\": " << batch.jobs_used()
        << ", \"trials\": " << batch.trials_run()
        << ", \"wall_seconds\": " << batch.wall_seconds() << "}\n";
-  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  if (ec || !write_text_file(path, body.str())) {
     TELEA_WARN("bench") << "could not write " << path;
     return;
   }
-  const std::string text = body.str();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
   std::printf("[runner] jobs=%u trials=%llu wall=%.2fs\n", batch.jobs_used(),
               static_cast<unsigned long long>(batch.trials_run()),
               batch.wall_seconds());

@@ -41,7 +41,7 @@
 //                       docs/STATIC_ANALYSIS.md)
 //   failfast=false      with invariants=true: abort at the first violation
 //   health=off          in-band health telemetry: on = piggyback reports and
-//                       build the sink model; FILE = additionally append one
+//                       build the sink model; FILE = additionally write one
 //                       snapshot JSON line per period to FILE (telea_top
 //                       renders it; see docs/OBSERVABILITY.md)
 //   flightrec=off       per-node flight recorders: on = arm the rings and
@@ -83,6 +83,7 @@
 #include "topo/topology.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
+#include "util/text_file.hpp"
 
 using namespace telea;
 using namespace telea::time_literals;
@@ -125,22 +126,6 @@ std::optional<Topology> parse_topology(const Config& cfg, std::uint64_t seed) {
   return std::nullopt;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool append_text_line(const std::string& path, const std::string& line) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
-      std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 // health= / flightrec= take "on" (feature only) or a path (feature + file
 // export). "off"/"false"/"0"/"" keep the feature disabled.
 bool opt_enabled(const std::string& v) {
@@ -178,6 +163,7 @@ int main(int argc, char** argv) {
     Config merged = *file;
     merged.merge(cfg);  // CLI wins
     cfg = merged;
+    (void)cfg.get_string("config");  // consumed above, not an unknown option
   }
 
   const auto log_level = parse_log_level(cfg.get_string("log", "warn"));
@@ -306,15 +292,7 @@ int main(int argc, char** argv) {
         net.enable_health(hcfg);
       }
       if (flight_on) {
-        net.enable_flight_recorders();
-        if (!flight_file.empty()) {
-          const std::string path = flight_file;
-          net.on_flight_dump = [path](const FlightDump& dump) {
-            if (!append_text_line(path, render_flight_dump_json(dump))) {
-              TELEA_WARN("telea_sim") << "could not append to " << path;
-            }
-          };
-        }
+        net.enable_flight_recorders(Network::kFlightCapacity, flight_file);
       }
       if (timeline_on) {
         NetworkTimelineConfig tcfg;

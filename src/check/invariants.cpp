@@ -71,11 +71,9 @@ InvariantEngine::InvariantEngine(Simulator& sim, const InvariantConfig& config)
 
 void InvariantEngine::start(ViewProvider provider) {
   provider_ = std::move(provider);
-#ifndef TELEA_INVARIANTS_DISABLED
   if (config_.checkpoint_interval > 0) {
     checkpoint_timer_.start_periodic(config_.checkpoint_interval);
   }
-#endif
 }
 
 void InvariantEngine::stop() { checkpoint_timer_.stop(); }
@@ -128,10 +126,6 @@ void InvariantEngine::clear() {
 
 std::size_t InvariantEngine::run_checkpoint(
     const std::vector<InvariantNodeView>& views) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)views;
-  return 0;
-#else
   const std::size_t before = violations_.size();
   ++checkpoints_;
   for (const auto& v : views) {
@@ -156,7 +150,6 @@ std::size_t InvariantEngine::run_checkpoint(
   }
   last_checkpoint_time_ = sim_->now();
   return violations_.size() - before;
-#endif
 }
 
 void InvariantEngine::check_addressing(const InvariantNodeView& v) {
@@ -392,9 +385,6 @@ bool InvariantEngine::claim_justified(const InvariantNodeView& v,
 
 void InvariantEngine::on_claim(NodeId node, const msg::ControlPacket& packet,
                                TraceReason stated, bool rescue) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)node; (void)packet; (void)stated; (void)rescue;
-#else
   if (!provider_) return;
   const std::vector<InvariantNodeView> views = provider_();
   const auto it = std::find_if(views.begin(), views.end(),
@@ -409,15 +399,11 @@ void InvariantEngine::on_claim(NodeId node, const msg::ControlPacket& packet,
                (rescue ? ", feedback rescue" : "") + ") is unjustified — " +
                why);
   }
-#endif
 }
 
 void InvariantEngine::on_final_delivery(NodeId node,
                                         const msg::ControlPacket& packet,
                                         bool /*direct*/) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)node; (void)packet;
-#else
   if (node != packet.dest) {
     report(node, InvariantRule::kFwdUniqueDelivery, packet.seqno,
            "control seqno " + std::to_string(packet.seqno) +
@@ -450,15 +436,10 @@ void InvariantEngine::on_final_delivery(NodeId node,
                " with no state loss in between");
   }
   delivery_epoch_[packet.seqno] = epoch;
-#endif
 }
 
 void InvariantEngine::note_node_reset(NodeId node) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)node;
-#else
   ++reset_epoch_[node];
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -466,17 +447,10 @@ void InvariantEngine::note_node_reset(NodeId node) {
 // ---------------------------------------------------------------------------
 
 void InvariantEngine::note_command_issued(std::uint32_t first_seqno) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)first_seqno;
-#else
   commands_.try_emplace(first_seqno, 0);
-#endif
 }
 
 void InvariantEngine::note_command_resolved(std::uint32_t first_seqno) {
-#ifdef TELEA_INVARIANTS_DISABLED
-  (void)first_seqno;
-#else
   const auto it = commands_.find(first_seqno);
   if (it == commands_.end()) {
     report(kSinkNode, InvariantRule::kFwdVerdictConservation, first_seqno,
@@ -490,13 +464,9 @@ void InvariantEngine::note_command_resolved(std::uint32_t first_seqno) {
                ") resolved " + std::to_string(it->second) +
                " times — a lifecycle must close exactly once");
   }
-#endif
 }
 
 std::size_t InvariantEngine::final_audit() {
-#ifdef TELEA_INVARIANTS_DISABLED
-  return 0;
-#else
   const std::size_t before = violations_.size();
   if (config_.expect_all_resolved) {
     for (const auto& [seqno, resolutions] : commands_) {
@@ -508,7 +478,6 @@ std::size_t InvariantEngine::final_audit() {
     }
   }
   return violations_.size() - before;
-#endif
 }
 
 }  // namespace telea

@@ -141,9 +141,6 @@ struct InvariantNodeView {
 /// metrics layer (Network::collect_metrics exports
 /// telea_invariant_violations_total per rule) and the log (a human-readable
 /// expected-vs-actual diff), and optionally abort the run (fail_fast).
-///
-/// Compiled out by -DTELEA_INVARIANTS=OFF: the engine still exists but every
-/// check body is a no-op, so call sites need no guards.
 class InvariantEngine final : public ForwardingAuditor {
  public:
   using ViewProvider = std::function<std::vector<InvariantNodeView>()>;

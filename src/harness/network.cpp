@@ -1,12 +1,12 @@
 #include "harness/network.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/path_code.hpp"
 #include "harness/artifacts.hpp"
 #include "radio/phy.hpp"
 #include "stats/energy.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace telea {
@@ -621,10 +621,7 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
   if (health_ != nullptr) return *health_;
   // Claim the snapshot stream before any state lands: a collision with a
   // live trial must throw and leave this network health-off.
-  if (!config.snapshot_jsonl.empty()) {
-    ArtifactRegistry::instance().claim(config.snapshot_jsonl);
-    artifact_claims_.push_back(config.snapshot_jsonl);
-  }
+  claim_artifact(config.snapshot_jsonl);
   health_config_ = config;
   if (health_config_.period == 0) health_config_.period = 60 * kSecond;
 
@@ -644,32 +641,26 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
   };
 
   if (!health_config_.snapshot_jsonl.empty()) {
-    const SimTime interval = health_config_.snapshot_interval != 0
-                                 ? health_config_.snapshot_interval
-                                 : health_config_.period;
+    if (!health_jsonl_.open(health_config_.snapshot_jsonl)) {
+      TELEA_WARN("harness.network")
+          << "cannot open " << health_config_.snapshot_jsonl;
+    }
     health_timer_ = std::make_unique<Timer>(sim_);
     health_timer_->set_callback([this] { append_health_snapshot(); });
     health_timer_->set_tag("obs.health");
-    health_timer_->start_periodic(interval);
+    health_timer_->start_periodic(health_config_.period);
   }
   return *health_;
 }
 
 bool Network::append_health_snapshot() {
-  if (health_ == nullptr || health_config_.snapshot_jsonl.empty()) return false;
-  std::FILE* f = std::fopen(health_config_.snapshot_jsonl.c_str(), "a");
-  if (f == nullptr) return false;
-  const std::string line = health_->render_snapshot_json(sim_.now()) + "\n";
-  const bool ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
-  return std::fclose(f) == 0 && ok;
+  return health_ != nullptr && health_jsonl_.is_open() &&
+         health_jsonl_.write_line(health_->render_snapshot_json(sim_.now()));
 }
 
 TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
   if (timeline_ != nullptr) return *timeline_;
-  if (!config.jsonl.empty()) {
-    ArtifactRegistry::instance().claim(config.jsonl);
-    artifact_claims_.push_back(config.jsonl);
-  }
+  claim_artifact(config.jsonl);
   timeline_ = std::make_unique<TimelineEngine>(sim_, config.timeline);
   // Self-inclusion is intentional: the engine's own telea_timeline_* /
   // telea_alert_* families ride in the same collector pass, one sample late
@@ -678,7 +669,9 @@ TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
       [this](MetricsRegistry& registry) { collect_metrics(registry); });
   timeline_->set_tracer(tracer_.get());
   timeline_->set_rules(config.rules);
-  if (!config.jsonl.empty()) timeline_->set_jsonl(config.jsonl);
+  if (!config.jsonl.empty() && !timeline_->set_jsonl(config.jsonl)) {
+    TELEA_WARN("harness.network") << "cannot open " << config.jsonl;
+  }
   timeline_->on_alert_fired = [this](const AlertState& alert, NodeId node) {
     if (!flight_enabled_) return;
     // A rule naming a node="N" series dumps that node's ring — the alert is
@@ -696,8 +689,13 @@ TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
   return *timeline_;
 }
 
-void Network::enable_flight_recorders(std::size_t capacity) {
+void Network::enable_flight_recorders(std::size_t capacity,
+                                      const std::string& jsonl) {
   if (flight_enabled_) return;
+  claim_artifact(jsonl);
+  if (!jsonl.empty() && !flight_jsonl_.open(jsonl)) {
+    TELEA_WARN("harness.network") << "cannot open " << jsonl;
+  }
   flight_enabled_ = true;
   for (auto& n : nodes_) {
     n->enable_flight_recorder(
@@ -736,7 +734,15 @@ void Network::dump_flight(NodeId node, std::string trigger) {
     flight_dumps_.erase(flight_dumps_.begin());
   }
   flight_dumps_.push_back(std::move(dump));
-  if (on_flight_dump) on_flight_dump(flight_dumps_.back());
+  if (flight_jsonl_.is_open()) {
+    flight_jsonl_.write_line(render_flight_dump_json(flight_dumps_.back()));
+  }
+}
+
+void Network::claim_artifact(const std::string& path) {
+  if (path.empty()) return;
+  ArtifactRegistry::instance().claim(path);
+  artifact_claims_.push_back(path);
 }
 
 std::vector<InvariantNodeView> Network::invariant_views() const {

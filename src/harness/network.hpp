@@ -26,6 +26,7 @@
 #include "stats/timeline.hpp"
 #include "stats/trace.hpp"
 #include "topo/topology.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -181,10 +182,10 @@ struct NetworkHealthConfig {
   SimTime period = 60 * kSecond;  // telemetry period (attach rate limit)
   SimTime stale_after = 0;        // 0 = two periods
   SimTime evict_after = 0;        // 0 = never evict
-  /// When non-empty, a snapshot line is appended here every
-  /// `snapshot_interval` (0 = every period) — the telea_top input stream.
+  /// When non-empty, one snapshot line is written here every `period` —
+  /// the telea_top input stream (claimed and truncated like every stream,
+  /// see Network::enable_health).
   std::string snapshot_jsonl;
-  SimTime snapshot_interval = 0;
 };
 
 /// Harness-level switches for the timeline engine (docs/OBSERVABILITY.md,
@@ -298,19 +299,23 @@ class Network {
   /// them into a staleness-aware NetworkHealthModel, and Re-Tele detour
   /// selection starts preferring fresh, healthy candidates. Idempotent —
   /// the config of the first call wins; the model lives as long as the
-  /// network. A non-empty snapshot_jsonl is claimed in the process-wide
-  /// ArtifactRegistry for this network's lifetime; if another live trial
-  /// already owns the path this throws ArtifactConflictError instead of
-  /// silently interleaving two snapshot streams (docs/PARALLELISM.md).
+  /// network.
+  ///
+  /// Every JSONL stream a network writes (health snapshots here, timeline
+  /// samples, flight dumps) follows one policy: the path is claimed in the
+  /// process-wide ArtifactRegistry for this network's lifetime — if another
+  /// live trial already owns it this throws ArtifactConflictError instead
+  /// of silently interleaving two streams (docs/PARALLELISM.md) — then
+  /// truncated, and each record is one line, flushed as it is written.
   NetworkHealthModel& enable_health(const NetworkHealthConfig& config = {});
   [[nodiscard]] NetworkHealthModel* health() noexcept { return health_.get(); }
   [[nodiscard]] const NetworkHealthConfig& health_config() const noexcept {
     return health_config_;
   }
 
-  /// Appends one health snapshot line to the configured JSONL file right
-  /// now (also called periodically by the snapshot timer). False when
-  /// health is off, no file is configured, or the write failed.
+  /// Writes one health snapshot line to the configured JSONL stream right
+  /// now (also called every period by the snapshot timer). False when
+  /// health is off, no stream is open, or the write failed.
   bool append_health_snapshot();
 
   /// Turns on the timeline engine: collect_metrics is sampled every
@@ -320,16 +325,19 @@ class Network {
   /// recorders are armed — a flight dump with trigger "alert:<rule>"), and
   /// samples stream to `config.jsonl` when set. Idempotent — the config of
   /// the first call wins; the engine lives as long as the network. A
-  /// non-empty jsonl path is claimed like enable_health's snapshot stream:
-  /// a collision with a live trial throws ArtifactConflictError.
+  /// non-empty jsonl path follows enable_health's stream policy.
   TimelineEngine& enable_timeline(const NetworkTimelineConfig& config = {});
   [[nodiscard]] TimelineEngine* timeline() noexcept { return timeline_.get(); }
 
   /// Arms a bounded flight recorder on every node (forward decisions,
   /// parent changes, backtracks, ack timeouts, reboots...). Rings are
-  /// dumped — to Network storage, the trace stream, and on_flight_dump —
-  /// on invariant violation, command give-up, or node reboot. Idempotent.
-  void enable_flight_recorders(std::size_t capacity = 128);
+  /// dumped — to Network storage, the trace stream and one line of
+  /// `jsonl` when set — on invariant violation, command
+  /// give-up, alert firing, or node reboot. Idempotent — the first call
+  /// wins. A non-empty jsonl path follows enable_health's stream policy.
+  static constexpr std::size_t kFlightCapacity = 128;
+  void enable_flight_recorders(std::size_t capacity = kFlightCapacity,
+                               const std::string& jsonl = {});
   [[nodiscard]] bool flight_recorders_enabled() const noexcept {
     return flight_enabled_;
   }
@@ -340,8 +348,6 @@ class Network {
   [[nodiscard]] const std::vector<FlightDump>& flight_dumps() const noexcept {
     return flight_dumps_;
   }
-  /// Fired after each dump is stored (telea_sim streams them to JSONL).
-  std::function<void(const FlightDump&)> on_flight_dump;
 
   /// Mirrors every component's counters into `registry`, scoped per node
   /// (label "node") and per subsystem (label "sub": phy / lpl / ctp /
@@ -354,6 +360,10 @@ class Network {
   /// Routes invariant violations into flight dumps once both subsystems
   /// exist — callable from either enable_ path, whichever runs second.
   void wire_flight_triggers();
+
+  /// Claims `path` in the ArtifactRegistry until this network is destroyed
+  /// (throws ArtifactConflictError when a live network holds it).
+  void claim_artifact(const std::string& path);
 
   /// One node's label sets for collect_metrics, built on the first scrape
   /// so later scrapes re-resolve instruments without rebuilding them.
@@ -376,10 +386,12 @@ class Network {
   std::unique_ptr<NetworkHealthModel> health_;
   NetworkHealthConfig health_config_;
   std::unique_ptr<Timer> health_timer_;
+  LineWriter health_jsonl_;
   std::unique_ptr<TimelineEngine> timeline_;
   bool flight_enabled_ = false;
   std::vector<FlightDump> flight_dumps_;  // bounded, newest kept
   std::uint64_t flight_dumps_taken_ = 0;  // monotone, for metrics
+  LineWriter flight_jsonl_;
   // Artifact paths this network holds in the ArtifactRegistry.
   std::vector<std::string> artifact_claims_;
   mutable std::vector<NodeLabels> node_labels_;  // collect_metrics cache

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/logging.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -38,15 +39,9 @@ std::string render_topology_dot(Network& net) {
 }
 
 bool write_topology_dot(Network& net, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    TELEA_WARN("harness.topo") << "cannot open " << path << " for writing";
-    return false;
-  }
   const std::string dot = render_topology_dot(net);
-  const bool ok = std::fwrite(dot.data(), 1, dot.size(), f) == dot.size();
-  if (std::fclose(f) != 0 || !ok) {
-    TELEA_WARN("harness.topo") << "short write to " << path;
+  if (!write_text_file(path, dot)) {
+    TELEA_WARN("harness.topo") << "cannot write " << path;
     return false;
   }
   TELEA_DEBUG("harness.topo") << "wrote " << path << " (" << dot.size()

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -25,13 +26,6 @@ std::string fmt_double(double v) {
     return shorter;
   }
   return buf;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -322,11 +316,11 @@ std::string MetricsRegistry::render_json() const {
 }
 
 bool MetricsRegistry::write_prometheus(const std::string& path) const {
-  return write_file(path, render_prometheus());
+  return write_text_file(path, render_prometheus());
 }
 
 bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_file(path, render_json());
+  return write_text_file(path, render_json());
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -48,11 +49,7 @@ std::string TextTable::render_csv() const {
 }
 
 bool TextTable::write_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string csv = render_csv();
-  const bool ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text_file(path, render_csv());
 }
 
 namespace {
@@ -107,11 +104,7 @@ std::string TextTable::render_json(const std::string& name) const {
 
 bool TextTable::write_json(const std::string& name,
                            const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = render_json(name);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text_file(path, render_json(name));
 }
 
 std::string TextTable::render() const {

@@ -9,6 +9,7 @@
 #include <iterator>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -358,19 +359,12 @@ std::optional<std::vector<AlertRule>> parse_alert_rules(
 
 std::optional<std::vector<AlertRule>> load_alert_rules(
     const std::string& path, std::vector<AlertParseError>* errors) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const auto body = read_text_file(path);
+  if (!body.has_value()) {
     add_error(errors, 0, "cannot open " + path);
     return std::nullopt;
   }
-  std::string body;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    body.append(buf, got);
-  }
-  std::fclose(f);
-  return parse_alert_rules(body, errors);
+  return parse_alert_rules(*body, errors);
 }
 
 std::string render_alert_rule(const AlertRule& rule) {
@@ -423,10 +417,6 @@ TimelineEngine::TimelineEngine(Simulator& sim, TimelineConfig cfg)
   timer_.set_callback([this] { sample_now(); });
 }
 
-TimelineEngine::~TimelineEngine() {
-  if (jsonl_ != nullptr) std::fclose(jsonl_);
-}
-
 void TimelineEngine::set_rules(std::vector<AlertRule> rules) {
   alerts_.clear();
   alerts_.reserve(rules.size());
@@ -439,11 +429,8 @@ void TimelineEngine::set_rules(std::vector<AlertRule> rules) {
 }
 
 bool TimelineEngine::set_jsonl(const std::string& path) {
-  if (jsonl_ != nullptr) std::fclose(jsonl_);
-  jsonl_ = std::fopen(path.c_str(), "w");
-  jsonl_path_ = path;
   meta_written_ = false;
-  return jsonl_ != nullptr;
+  return jsonl_.open(path);
 }
 
 void TimelineEngine::start() {
@@ -516,14 +503,7 @@ void TimelineEngine::write_meta_line() {
     line.push_back('"');
   }
   line += "]}}";
-  append_jsonl(line);
-}
-
-void TimelineEngine::append_jsonl(const std::string& line) {
-  if (jsonl_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), jsonl_);
-  std::fputc('\n', jsonl_);
-  std::fflush(jsonl_);  // a killed soak still leaves a parseable timeline
+  jsonl_.write_line(line);
 }
 
 void TimelineEngine::sample_now() {
@@ -545,7 +525,7 @@ void TimelineEngine::sample_now() {
     if (slot.name != &name) {
       slot.name = &name;
       slot.entry = nullptr;
-      if (cfg_.include_histogram_detail || !is_bucket_sample(name)) {
+      if (!is_bucket_sample(name)) {
         auto sit = series_.find(name);
         if (sit == series_.end()) {
           sit = series_
@@ -578,7 +558,7 @@ void TimelineEngine::sample_now() {
     entry.last_sample = samples_;
   });
 
-  if (jsonl_ != nullptr) {
+  if (jsonl_.is_open()) {
     if (!meta_written_) {
       write_meta_line();
       meta_written_ = true;
@@ -599,7 +579,7 @@ void TimelineEngine::sample_now() {
     }
     line += "}}";
     jsonl_line_hint_ = std::max(jsonl_line_hint_, line.size() + 64);
-    append_jsonl(line);
+    jsonl_.write_line(line);
   }
 
   evaluate_alerts(now);
@@ -655,7 +635,7 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
         alert.last_fired = now;
         TELEA_TRACE_EVENT(tracer_, now, node.value_or(kSinkNode),
                           TraceEvent::kAlertFired, i, node.value_or(0));
-        append_jsonl(
+        jsonl_.write_line(
             "{\"t\":" +
             fmt_double(static_cast<double>(now) /
                        static_cast<double>(kSecond)) +
@@ -675,7 +655,7 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
         alert.last_resolved = now;
         TELEA_TRACE_EVENT(tracer_, now, node.value_or(kSinkNode),
                           TraceEvent::kAlertResolved, i, node.value_or(0));
-        append_jsonl(
+        jsonl_.write_line(
             "{\"t\":" +
             fmt_double(static_cast<double>(now) /
                        static_cast<double>(kSecond)) +

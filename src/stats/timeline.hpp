@@ -16,7 +16,6 @@
 // matter how large the underlying totals grow.
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <functional>
 #include <map>
@@ -31,6 +30,7 @@
 #include "stats/metrics.hpp"
 #include "stats/trace.hpp"
 #include "util/ids.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -75,10 +75,6 @@ struct TimelineConfig {
   std::size_t quantile_window = 30;
   /// EWMA smoothing factor in (0,1]: 1 = no smoothing.
   double ewma_alpha = 0.3;
-  /// Keep per-le histogram `_bucket{...}` series too. Off by default: the
-  /// `_sum`/`_count` samples carry the trend at a fraction of the series
-  /// count, and sliding-window quantiles come from gauges.
-  bool include_histogram_detail = false;
 };
 
 /// One metric sample's series: a raw ring plus two downsampled tiers.
@@ -214,13 +210,14 @@ struct AlertState {
 /// rings, evaluates alert rules each sample, and optionally streams every
 /// sample (and alert transition) as JSONL. The source is a collector
 /// callback so the engine stays below the harness layer; `Network` wires it
-/// to `collect_metrics`.
+/// to `collect_metrics`. Per-le histogram `_bucket{...}` samples are not
+/// kept: the `_sum`/`_count` samples carry the trend at a fraction of the
+/// series count, and sliding-window quantiles come from gauges.
 class TimelineEngine {
  public:
   explicit TimelineEngine(Simulator& sim, TimelineConfig cfg = {});
   TimelineEngine(const TimelineEngine&) = delete;
   TimelineEngine& operator=(const TimelineEngine&) = delete;
-  ~TimelineEngine();
 
   void set_collector(std::function<void(MetricsRegistry&)> collector) {
     collector_ = std::move(collector);
@@ -231,7 +228,8 @@ class TimelineEngine {
   void set_rules(std::vector<AlertRule> rules);
   /// Streams one JSONL line per sample (plus alert-transition lines) to
   /// `path`. The first line is a meta object describing the tier layout so
-  /// tools can rebuild the downsampled tiers exactly.
+  /// tools can rebuild the downsampled tiers exactly. The file is
+  /// truncated here and each line is flushed as it is written.
   bool set_jsonl(const std::string& path);
 
   /// Fired on alert transitions, after the trace event. The NodeId is the
@@ -295,7 +293,6 @@ class TimelineEngine {
                                    const MetricSeries* s) const;
   [[nodiscard]] const SeriesEntry* entry(std::string_view name) const;
   void write_meta_line();
-  void append_jsonl(const std::string& line);
 
   Simulator* sim_;
   TimelineConfig cfg_;
@@ -317,8 +314,7 @@ class TimelineEngine {
   // of a tree walk. Kept in step where sample_now adds a series.
   std::vector<const SeriesEntry*> json_order_;
   std::vector<AlertState> alerts_;
-  std::FILE* jsonl_ = nullptr;
-  std::string jsonl_path_;
+  LineWriter jsonl_;
   std::size_t jsonl_line_hint_ = 256;  // reserve size for the next line
   bool meta_written_ = false;
   std::uint64_t samples_ = 0;

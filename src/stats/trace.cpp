@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -139,14 +140,6 @@ std::string Tracer::render_csv() const {
   return out;
 }
 
-bool Tracer::write_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string csv = render_csv();
-  const bool ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 std::string Tracer::render_jsonl() const {
   std::string out;
   for (const auto& r : snapshot()) {
@@ -157,11 +150,7 @@ std::string Tracer::render_jsonl() const {
 }
 
 bool Tracer::write_jsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string jsonl = render_jsonl();
-  const bool ok = std::fwrite(jsonl.data(), 1, jsonl.size(), f) == jsonl.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text_file(path, render_jsonl());
 }
 
 void Tracer::clear() {
@@ -204,38 +193,23 @@ std::vector<TraceRecord> parse_trace_jsonl(std::string_view text,
                                            std::size_t* skipped) {
   std::vector<TraceRecord> out;
   std::size_t bad = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    const auto doc = JsonValue::parse(line);
-    const auto record =
-        doc.has_value() ? trace_record_from_json(*doc) : std::nullopt;
-    if (!record.has_value()) {
+  JsonlObjects lines(text);
+  while (const auto doc = lines.next()) {
+    if (const auto record = trace_record_from_json(*doc)) {
+      out.push_back(*record);
+    } else {
       ++bad;
-      continue;
     }
-    out.push_back(*record);
   }
-  if (skipped != nullptr) *skipped = bad;
+  if (skipped != nullptr) *skipped = bad + lines.skipped();
   return out;
 }
 
 std::optional<std::vector<TraceRecord>> load_trace_jsonl(
     const std::string& path, std::size_t* skipped) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return parse_trace_jsonl(text, skipped);
+  const auto text = read_text_file(path);
+  if (!text.has_value()) return std::nullopt;
+  return parse_trace_jsonl(*text, skipped);
 }
 
 std::string render_flight_dump_json(const FlightDump& dump) {

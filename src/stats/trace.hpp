@@ -143,7 +143,6 @@ class Tracer {
 
   /// CSV export: time_s,node,event,a,b,reason.
   [[nodiscard]] std::string render_csv() const;
-  bool write_csv(const std::string& path) const;
 
   /// JSONL export: one {"t","node","event","a","b","reason"} object per line.
   [[nodiscard]] std::string render_jsonl() const;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
+
+#include "util/text_file.hpp"
 
 namespace telea {
 
@@ -33,27 +34,26 @@ Config Config::from_args(int argc, const char* const* argv) {
 }
 
 std::optional<Config> Config::from_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
+  const auto text = read_text_file(path);
+  if (!text.has_value()) return std::nullopt;
   Config cfg;
-  char line[1024];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    std::string_view sv = line;
+  std::string_view rest = *text;
+  while (!rest.empty()) {
+    const auto eol = rest.find('\n');
+    std::string_view sv = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view{}
+                                         : rest.substr(eol + 1);
     // Strip comments.
     if (const auto hash = sv.find('#'); hash != std::string_view::npos) {
       sv = sv.substr(0, hash);
     }
-    const std::string text = trim(sv);
-    if (text.empty()) continue;
-    const auto eq = text.find('=');
-    if (eq == std::string::npos) {
-      std::fclose(f);
-      return std::nullopt;  // malformed line: fail fast
-    }
-    cfg.set(trim(std::string_view(text).substr(0, eq)),
-            trim(std::string_view(text).substr(eq + 1)));
+    const std::string line = trim(sv);
+    if (line.empty()) continue;
+    const auto eq = line.find('=');
+    if (eq == std::string::npos) return std::nullopt;  // malformed: fail fast
+    cfg.set(trim(std::string_view(line).substr(0, eq)),
+            trim(std::string_view(line).substr(eq + 1)));
   }
-  std::fclose(f);
   return cfg;
 }
 

@@ -199,14 +199,6 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text) {
   return v;
 }
 
-std::optional<JsonValue> JsonValue::parse_prefix(std::string_view text,
-                                                 std::size_t* consumed) {
-  JsonParser p(text);
-  auto v = p.value();
-  if (consumed != nullptr) *consumed = p.pos();
-  return v;
-}
-
 std::string JsonValue::escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -228,6 +220,22 @@ std::string JsonValue::escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::optional<JsonValue> JsonlObjects::next() {
+  while (pos_ < text_.size()) {
+    std::size_t eol = text_.find('\n', pos_);
+    if (eol == std::string_view::npos) eol = text_.size();
+    const std::string_view line = text_.substr(pos_, eol - pos_);
+    pos_ = eol + 1;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    auto doc = JsonValue::parse(line);
+    if (doc.has_value() && doc->type() == JsonValue::Type::kObject) {
+      return doc;
+    }
+    ++skipped_;
+  }
+  return std::nullopt;
 }
 
 }  // namespace telea

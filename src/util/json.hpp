@@ -48,11 +48,6 @@ class JsonValue {
   /// input. Trailing whitespace is allowed; trailing garbage is not.
   static std::optional<JsonValue> parse(std::string_view text);
 
-  /// Parses the *first* JSON value in `text` and reports how many bytes it
-  /// consumed — the building block for JSONL streams.
-  static std::optional<JsonValue> parse_prefix(std::string_view text,
-                                               std::size_t* consumed);
-
   /// Escapes `s` as the contents of a JSON string literal (no quotes).
   static std::string escape(std::string_view s);
 
@@ -64,6 +59,28 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
+};
+
+/// Walks JSONL text one object line at a time. Blank lines are passed
+/// over; a line that is not a JSON object is skipped and counted, so a
+/// reader can report damage instead of stopping at it.
+///
+///   JsonlObjects lines(text);
+///   while (const auto doc = lines.next()) use(*doc);
+class JsonlObjects {
+ public:
+  explicit JsonlObjects(std::string_view text) : text_(text) {}
+
+  /// The next object line, or nullopt once the text is used up.
+  std::optional<JsonValue> next();
+
+  /// Non-blank lines passed over so far because they were not an object.
+  [[nodiscard]] std::size_t skipped() const noexcept { return skipped_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t skipped_ = 0;
 };
 
 }  // namespace telea

@@ -16,6 +16,7 @@
 #include "harness/controller.hpp"
 #include "harness/faults.hpp"
 #include "harness/network.hpp"
+#include "stats/metrics.hpp"
 #include "topo/topology.hpp"
 
 namespace telea {
@@ -104,8 +105,6 @@ TEST(HealthE2E, ZeroExtraPacketsSameSeed) {
 TEST(HealthE2E, FlightDumpOnStateLossReboot) {
   Network net(line_cfg(5, 9));
   net.enable_flight_recorders();
-  std::size_t callbacks = 0;
-  net.on_flight_dump = [&callbacks](const FlightDump&) { ++callbacks; };
   net.start();
   net.run_for(5_min);
   net.start_data_collection(30_s);
@@ -118,7 +117,11 @@ TEST(HealthE2E, FlightDumpOnStateLossReboot) {
   EXPECT_EQ(dump.trigger, "reboot");
   EXPECT_FALSE(dump.events.empty())
       << "a live node must have recorded forwarding/parent events";
-  EXPECT_EQ(callbacks, net.flight_dumps().size());
+  MetricsRegistry registry;
+  net.collect_metrics(registry);
+  EXPECT_EQ(registry.counter("telea_flight_dumps_total", {{"sub", "flight"}})
+                .value(),
+            net.flight_dumps().size());
 }
 
 TEST(HealthE2E, FlightDumpOnCommandGiveUp) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "harness/network.hpp"
 #include "stats/table.hpp"
 #include "topo/topology.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 namespace {
@@ -227,9 +229,15 @@ TEST(TrialRunnerSeedSweep, ThirtyTwoTrialsAcrossEightWorkers) {
 
 // --- artifact-path collisions ----------------------------------------------
 
+/// A stream path in the system's temporary directory, so the tests that
+/// open a stream leave nothing in the working directory.
+std::string temp_artifact(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
 TEST(ArtifactRegistry, ClaimReleaseCycle) {
   auto& reg = ArtifactRegistry::instance();
-  const std::string path = "runner_test_claim.jsonl";
+  const std::string path = temp_artifact("telea_runner_test_claim.jsonl");
   reg.claim(path);
   EXPECT_TRUE(reg.claimed(path));
   EXPECT_THROW(reg.claim(path), ArtifactConflictError);
@@ -250,7 +258,7 @@ NetworkConfig tiny_net(std::uint64_t seed) {
 }
 
 TEST(ArtifactRegistry, NetworkRejectsTimelineSinkOfALiveTrial) {
-  const std::string path = "runner_test_timeline.jsonl";
+  const std::string path = temp_artifact("telea_runner_test_timeline.jsonl");
   NetworkTimelineConfig tcfg;
   tcfg.jsonl = path;
 
@@ -274,7 +282,7 @@ TEST(ArtifactRegistry, NetworkRejectsTimelineSinkOfALiveTrial) {
 }
 
 TEST(ArtifactRegistry, NetworkRejectsHealthSinkOfALiveTrial) {
-  const std::string path = "runner_test_health.jsonl";
+  const std::string path = temp_artifact("telea_runner_test_health.jsonl");
   NetworkHealthConfig hcfg;
   hcfg.snapshot_jsonl = path;
 
@@ -282,6 +290,77 @@ TEST(ArtifactRegistry, NetworkRejectsHealthSinkOfALiveTrial) {
   first.enable_health(hcfg);
   Network second(tiny_net(2));
   EXPECT_THROW(second.enable_health(hcfg), ArtifactConflictError);
+}
+
+TEST(ArtifactRegistry, NetworkRejectsFlightSinkOfALiveTrial) {
+  const std::string path = temp_artifact("telea_runner_test_flight.jsonl");
+  Network first(tiny_net(1));
+  first.enable_flight_recorders(Network::kFlightCapacity, path);
+  Network second(tiny_net(2));
+  EXPECT_THROW(second.enable_flight_recorders(Network::kFlightCapacity, path),
+               ArtifactConflictError);
+  // The claim comes first: a rejected network stays recorder-off.
+  EXPECT_FALSE(second.flight_recorders_enabled());
+}
+
+// --- one stream policy -----------------------------------------------------
+
+struct StreamRun {
+  std::string health;
+  std::string flight;
+  std::size_t timeline_lines = 0;
+};
+
+/// One short run streaming health snapshots, flight dumps (one state-loss
+/// reboot) and timeline samples into `dir`.
+StreamRun run_streams(const std::filesystem::path& dir) {
+  const std::string health = (dir / "health.jsonl").string();
+  const std::string flight = (dir / "flight.jsonl").string();
+  const std::string timeline = (dir / "timeline.jsonl").string();
+  {
+    Network net(tiny_net(7));
+    NetworkHealthConfig hcfg;
+    hcfg.period = 30_s;
+    hcfg.snapshot_jsonl = health;
+    net.enable_health(hcfg);
+    net.enable_flight_recorders(Network::kFlightCapacity, flight);
+    NetworkTimelineConfig tcfg;
+    tcfg.timeline.interval = 30_s;
+    tcfg.jsonl = timeline;
+    net.enable_timeline(tcfg);
+    net.start();
+    net.run_for(3_min);
+    net.node(2).reboot_with_state_loss();
+    net.run_for(1_min);
+  }
+  StreamRun run;
+  run.health = read_text_file(health).value_or("");
+  run.flight = read_text_file(flight).value_or("");
+  const std::string samples = read_text_file(timeline).value_or("");
+  run.timeline_lines = static_cast<std::size_t>(
+      std::count(samples.begin(), samples.end(), '\n'));
+  return run;
+}
+
+// Every stream is truncated when its network opens it, so a second run into
+// the same paths leaves exactly that run's lines — not the first run's
+// followed by the second's.
+TEST(ArtifactStreams, SecondRunIntoSamePathsLeavesOnlyItsLines) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "telea_runner_test_streams";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  const StreamRun first = run_streams(dir);
+  EXPECT_EQ(std::count(first.health.begin(), first.health.end(), '\n'), 8);
+  EXPECT_EQ(std::count(first.flight.begin(), first.flight.end(), '\n'), 1);
+  EXPECT_GT(first.timeline_lines, 8u);
+
+  const StreamRun second = run_streams(dir);
+  EXPECT_EQ(second.health, first.health);
+  EXPECT_EQ(second.flight, first.flight);
+  // Timeline lines carry host wall time, so only their count is stable.
+  EXPECT_EQ(second.timeline_lines, first.timeline_lines);
 }
 
 }  // namespace

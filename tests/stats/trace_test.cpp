@@ -361,6 +361,25 @@ TEST(Tracer, JsonlParserSkipsMalformedLines) {
   EXPECT_EQ(skipped, 2u);
 }
 
+// parse_trace_jsonl walks its input with JsonlObjects: on damage that is
+// not JSON-object-shaped, both report the same skip count.
+TEST(Tracer, JsonlParserSkipCountMatchesJsonlObjects) {
+  Tracer t(8);
+  t.record(1 * kSecond, 1, TraceEvent::kKill);
+  t.record(2 * kSecond, 2, TraceEvent::kRevive);
+  const std::string text = "garbage\n" + t.render_jsonl() +
+                           "  \n[]\n{\"t\":\n42\n\"str\"\n";
+  std::size_t skipped = 0;
+  const auto parsed = parse_trace_jsonl(text, &skipped);
+  EXPECT_EQ(parsed.size(), 2u);
+  JsonlObjects lines(text);
+  std::size_t objects = 0;
+  while (lines.next().has_value()) ++objects;
+  EXPECT_EQ(objects, 2u);
+  EXPECT_EQ(lines.skipped(), 5u);
+  EXPECT_EQ(skipped, lines.skipped());
+}
+
 TEST(Tracer, ClearResets) {
   Tracer t(4);
   t.record(1, 0, TraceEvent::kKill);

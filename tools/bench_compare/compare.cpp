@@ -5,12 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <system_error>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace telea::benchcmp {
 
@@ -79,11 +78,9 @@ std::optional<Table> parse_table_json(std::string_view text) {
 }
 
 std::optional<Table> load_table_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_table_json(buf.str());
+  const auto text = read_text_file(path);
+  if (!text.has_value()) return std::nullopt;
+  return parse_table_json(*text);
 }
 
 bool lower_is_better(std::string_view header) {

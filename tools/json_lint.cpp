@@ -6,11 +6,10 @@
 //   $ ./json_lint bench_results/*.json
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -19,21 +18,18 @@ int main(int argc, char** argv) {
   }
   int bad = 0;
   for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i]);
-    if (!in) {
+    const auto text = telea::read_text_file(argv[i]);
+    if (!text.has_value()) {
       std::fprintf(stderr, "json_lint: %s: cannot open\n", argv[i]);
       ++bad;
       continue;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    if (!telea::JsonValue::parse(text).has_value()) {
+    if (!telea::JsonValue::parse(*text).has_value()) {
       std::fprintf(stderr, "json_lint: %s: malformed JSON\n", argv[i]);
       ++bad;
       continue;
     }
-    std::printf("json_lint: %s: ok (%zu bytes)\n", argv[i], text.size());
+    std::printf("json_lint: %s: ok (%zu bytes)\n", argv[i], text->size());
   }
   return bad;
 }

@@ -25,6 +25,7 @@
 #include "stats/spans.hpp"
 #include "stats/trace.hpp"
 #include "util/config.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
@@ -34,13 +35,6 @@ int usage() {
                "                    [tx_ma=N] [rx_ma=N] [volts=N] "
                "[airtime_s=N]\n");
   return 2;
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -87,8 +81,10 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir, ec);
   const std::string report_path = out_dir + "/report_" + name + ".json";
   const std::string perfetto_path = out_dir + "/trace.perfetto.json";
-  if (!write_text(report_path, telea::render_report_json(spans, energy, name)) ||
-      !write_text(perfetto_path, telea::render_perfetto_json(spans))) {
+  if (!telea::write_text_file(
+          report_path, telea::render_report_json(spans, energy, name)) ||
+      !telea::write_text_file(perfetto_path,
+                              telea::render_perfetto_json(spans))) {
     std::fprintf(stderr, "telea_report: cannot write outputs under %s\n",
                  out_dir.c_str());
     return 2;

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -40,10 +39,12 @@
 #include "stats/timeline.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
 using telea::AlertRule;
+using telea::JsonlObjects;
 using telea::JsonValue;
 using telea::MetricSeries;
 using telea::SimTime;
@@ -52,6 +53,7 @@ using telea::TimelineBucket;
 using telea::TimelineConfig;
 using telea::TimelinePoint;
 using telea::kSecond;
+using telea::read_text_file;
 
 int usage() {
   std::fprintf(
@@ -110,14 +112,11 @@ void apply_meta(const JsonValue& meta, Timeline* tl) {
 }
 
 std::optional<Timeline> load_timeline(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  const auto text = read_text_file(path);
+  if (!text.has_value()) return std::nullopt;
   Timeline tl;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto v = JsonValue::parse(line);
-    if (!v.has_value() || v->type() != JsonValue::Type::kObject) continue;
+  JsonlObjects lines(*text);
+  while (const auto v = lines.next()) {
     if (const JsonValue* meta = v->find("meta")) {
       apply_meta(*meta, &tl);
       continue;

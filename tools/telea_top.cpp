@@ -28,8 +28,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -39,11 +37,14 @@
 #include "stats/trace.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
+using telea::JsonlObjects;
 using telea::JsonValue;
 using telea::TextTable;
+using telea::read_text_file;
 
 int usage() {
   std::fprintf(stderr,
@@ -54,30 +55,11 @@ int usage() {
   return 2;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 /// Last parsable JSON object line of a JSONL file — the newest snapshot.
 std::optional<JsonValue> last_json_line(const std::string& text) {
   std::optional<JsonValue> last;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    if (!line.empty()) {
-      if (auto v = JsonValue::parse(line);
-          v.has_value() && v->type() == JsonValue::Type::kObject) {
-        last = std::move(v);
-      }
-    }
-    start = end + 1;
-  }
+  JsonlObjects lines(text);
+  while (auto v = lines.next()) last = std::move(v);
   return last;
 }
 
@@ -87,15 +69,8 @@ std::optional<JsonValue> last_json_line(const std::string& text) {
 std::map<double, std::vector<double>> load_sparks(const std::string& text,
                                                   const std::string& metric) {
   std::map<double, std::vector<double>> by_node;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    const auto v = JsonValue::parse(line);
-    if (!v.has_value() || v->type() != JsonValue::Type::kObject) continue;
+  JsonlObjects lines(text);
+  while (const auto v = lines.next()) {
     const JsonValue* values = v->find("v");
     if (values == nullptr || values->type() != JsonValue::Type::kObject) {
       continue;
@@ -183,15 +158,8 @@ void render_snapshot(const JsonValue& snap, std::size_t limit,
 
 int render_flight_file(const std::string& text) {
   std::size_t dumps = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    const auto v = JsonValue::parse(line);
-    if (!v.has_value() || v->type() != JsonValue::Type::kObject) continue;
+  JsonlObjects lines(text);
+  while (const auto v = lines.next()) {
     ++dumps;
     std::printf("flight dump #%zu: node %.0f at t=%.3fs trigger=%s "
                 "(%.0f earlier events dropped)\n",
@@ -248,7 +216,7 @@ int main(int argc, char** argv) {
   }
 
   if (!flight_path.empty()) {
-    const auto text = read_file(flight_path);
+    const auto text = read_text_file(flight_path);
     if (!text.has_value()) {
       std::fprintf(stderr, "telea_top: cannot read %s\n", flight_path.c_str());
       return 2;
@@ -259,7 +227,7 @@ int main(int argc, char** argv) {
   }
 
   auto render_once = [&]() -> int {
-    const auto text = read_file(health_path);
+    const auto text = read_text_file(health_path);
     if (!text.has_value()) {
       std::fprintf(stderr, "telea_top: cannot read %s\n", health_path.c_str());
       return 2;
@@ -272,7 +240,7 @@ int main(int argc, char** argv) {
     }
     std::map<double, std::vector<double>> sparks;
     if (!timeline_path.empty()) {
-      const auto timeline_text = read_file(timeline_path);
+      const auto timeline_text = read_text_file(timeline_path);
       if (!timeline_text.has_value()) {
         std::fprintf(stderr, "telea_top: cannot read %s\n",
                      timeline_path.c_str());
