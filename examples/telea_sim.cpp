@@ -50,7 +50,7 @@
 //                       as a JSONL line to FILE
 //   timeline=off        metric time-series sampling: on = sample the full
 //                       metric set every `sample` seconds into bounded
-//                       multi-resolution series; FILE = additionally stream
+//                       series; FILE = additionally stream
 //                       every sample and alert transition as JSONL to FILE
 //                       (telea_timeline renders/diffs it; telea_top takes it
 //                       as a sparkline feed; see docs/OBSERVABILITY.md)
@@ -291,9 +291,7 @@ int main(int argc, char** argv) {
         hcfg.snapshot_jsonl = health_file;
         net.enable_health(hcfg);
       }
-      if (flight_on) {
-        net.enable_flight_recorders(Network::kFlightCapacity, flight_file);
-      }
+      if (flight_on) net.enable_flight_recorders(flight_file);
       if (timeline_on) {
         NetworkTimelineConfig tcfg;
         tcfg.timeline.interval =

@@ -143,11 +143,9 @@ std::size_t InvariantEngine::run_checkpoint(
   check_child_cross(views, &pending_children);
   pending_child_mismatch_ = std::move(pending_children);
 
-  if (config_.check_ctp_loops) {
-    std::set<std::string> pending_loops;
-    check_ctp_loops(views, &pending_loops);
-    pending_loops_ = std::move(pending_loops);
-  }
+  std::set<std::string> pending_loops;
+  check_ctp_loops(views, &pending_loops);
+  pending_loops_ = std::move(pending_loops);
   last_checkpoint_time_ = sim_->now();
   return violations_.size() - before;
 }
@@ -210,7 +208,7 @@ void InvariantEngine::check_addressing(const InvariantNodeView& v) {
 bool InvariantEngine::in_revival_grace(NodeId node) const {
   const auto it = last_dead_checkpoint_.find(node);
   if (it == last_dead_checkpoint_.end()) return false;
-  return checkpoints_ - it->second <= config_.revival_grace_checkpoints;
+  return checkpoints_ - it->second <= kRevivalGraceCheckpoints;
 }
 
 void InvariantEngine::check_child_cross(

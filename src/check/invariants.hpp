@@ -74,23 +74,20 @@ struct InvariantConfig {
   SimTime checkpoint_interval = 30 * kSecond;
   /// Throw InvariantViolationError at the first violation (tests).
   bool fail_fast = false;
-  /// Evaluate the CTP routing-loop rule. A loop is reported only when the
-  /// same cycle persists across two consecutive checkpoints — CTP repairs
-  /// transient loops itself, and a snapshot mid-repair is not a bug.
-  bool check_ctp_loops = true;
   /// final_audit() treats still-pending commands as violations. Leave off
   /// for runs that end mid-lifecycle (a soak's command window can close with
   /// retries still backed off); turn on when the drain is generous.
   bool expect_all_resolved = false;
-  /// Checkpoints a node is excused from cross-node addressing rules after
-  /// coming back from an outage. A child that was down while its allocator
-  /// re-allocated legitimately holds a doubly-stale code until the normal
-  /// beacon/report exchange reconciles it — that is repair, not corruption.
-  /// The mismatch is still flagged if it outlives this window. The window
-  /// must cover a trickle-suppressed beacon round (minutes at steady
-  /// state), which is what ultimately carries the reconciliation.
-  std::uint64_t revival_grace_checkpoints = 8;
 };
+
+/// Checkpoints a node is excused from cross-node addressing rules after
+/// coming back from an outage. A child that was down while its allocator
+/// re-allocated legitimately holds a doubly-stale code until the normal
+/// beacon/report exchange reconciles it — that is repair, not corruption.
+/// The mismatch is still flagged if it outlives this window. The window
+/// must cover a trickle-suppressed beacon round (minutes at steady state),
+/// which is what ultimately carries the reconciliation.
+inline constexpr std::uint64_t kRevivalGraceCheckpoints = 8;
 
 /// Checkpoint snapshot of one node's protocol state. Pure data: the harness
 /// builds these from live stacks, tests fabricate them directly.
@@ -211,6 +208,9 @@ class InvariantEngine final : public ForwardingAuditor {
                          std::set<std::string>* pending);
   void check_leases(const InvariantNodeView& v,
                     std::map<std::uint64_t, SimTime>* leases);
+  /// The CTP routing-loop rule. A loop is reported only when the same
+  /// cycle persists across two consecutive checkpoints — CTP repairs
+  /// transient loops itself, and a snapshot mid-repair is not a bug.
   void check_ctp_loops(const std::vector<InvariantNodeView>& views,
                        std::set<std::string>* pending);
   [[nodiscard]] bool in_revival_grace(NodeId node) const;
@@ -236,7 +236,7 @@ class InvariantEngine final : public ForwardingAuditor {
   std::set<std::string> pending_child_mismatch_;
   std::set<std::string> pending_loops_;
   // Checkpoint index at which each node was last observed dead; recently
-  // revived nodes get config_.revival_grace_checkpoints of slack on the
+  // revived nodes get kRevivalGraceCheckpoints of slack on the
   // cross-node addressing rules while the protocol reconciles their state.
   std::map<NodeId, std::uint64_t> last_dead_checkpoint_;
   SimTime last_checkpoint_time_ = 0;

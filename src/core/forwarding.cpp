@@ -176,10 +176,10 @@ AckDecision Forwarding::handle_control(NodeId from,
         from != me) {
       st.holding = false;
       ++stats_.suppressions;
-      TELEA_TRACE_EVENT(tracer_, sim_->now(), me, TraceEvent::kSuppress,
-                        packet.seqno, from);
-      TELEA_TRACE_EVENT(flight_, sim_->now(), me, TraceEvent::kSuppress,
-                        packet.seqno, from);
+      for (Tracer* t : {tracer_, flight_}) {
+        TELEA_TRACE_EVENT(t, sim_->now(), me, TraceEvent::kSuppress,
+                          packet.seqno, from);
+      }
       if (st.mac_token.has_value()) {
         mac_->cancel_send(*st.mac_token);
         st.mac_token.reset();
@@ -291,10 +291,10 @@ void Forwarding::defer_check(std::uint32_t seqno) {
     st.holding = false;
     st.done = false;
     ++stats_.yields;
-    TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kSuppress,
-                      seqno, st.came_from, TraceReason::kRetryExhausted);
-    TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kSuppress,
-                      seqno, st.came_from, TraceReason::kRetryExhausted);
+    for (Tracer* t : {tracer_, flight_}) {
+      TELEA_TRACE_EVENT(t, sim_->now(), mac_->id(), TraceEvent::kSuppress,
+                        seqno, st.came_from, TraceReason::kRetryExhausted);
+    }
     return;
   }
   forward(seqno);
@@ -431,10 +431,10 @@ void Forwarding::backtrack(std::uint32_t seqno, TraceReason reason) {
   st.holding = false;
   TELEA_DEBUG("tele.fwd") << "node " << mac_->id() << " seq " << seqno
                           << " backtracks to " << st.came_from;
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
-                    seqno, st.came_from, reason);
-  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
-                    seqno, st.came_from, reason);
+  for (Tracer* t : {tracer_, flight_}) {
+    TELEA_TRACE_EVENT(t, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
+                      seqno, st.came_from, reason);
+  }
 
   // Mark every on-path candidate we could not reach as unreachable until
   // their next routing beacon (Sec. III-C3).

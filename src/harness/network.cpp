@@ -193,10 +193,10 @@ void NodeStack::set_invariant_engine(InvariantEngine* engine) {
   if (tele_ != nullptr) tele_->forwarding().set_auditor(engine);
 }
 
-void NodeStack::enable_health_reporting(const HealthReporterConfig& config,
+void NodeStack::enable_health_reporting(SimTime period,
                                         const EnergyModelConfig& energy) {
   if (ctp_.is_root() || health_reporter_ != nullptr) return;
-  health_reporter_ = std::make_unique<HealthReporter>(config);
+  health_reporter_ = std::make_unique<HealthReporter>(period);
   health_energy_ = energy;
   ctp_.set_origin_hook([this](msg::CtpData& data) {
     health_reporter_->maybe_attach(sim_->now(), data,
@@ -222,9 +222,9 @@ HealthSample NodeStack::sample_health() {
 }
 
 void NodeStack::enable_flight_recorder(
-    std::size_t capacity, std::function<void(NodeId, const char*)> trigger_dump) {
+    std::function<void(NodeId, const char*)> trigger_dump) {
   if (flight_ != nullptr) return;
-  flight_ = std::make_unique<Tracer>(capacity);
+  flight_ = std::make_unique<Tracer>(Network::kFlightCapacity);
   flight_trigger_ = std::move(trigger_dump);
   if (tele_ != nullptr) tele_->forwarding().set_flight_recorder(flight_.get());
 }
@@ -625,17 +625,13 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
   health_config_ = config;
   if (health_config_.period == 0) health_config_.period = 60 * kSecond;
 
-  HealthModelConfig model_config;
-  model_config.period = health_config_.period;
-  model_config.stale_after = health_config_.stale_after;
-  model_config.evict_after = health_config_.evict_after;
-  health_ = std::make_unique<NetworkHealthModel>(model_config);
+  health_ = std::make_unique<NetworkHealthModel>(health_config_.period);
   health_->set_expected_nodes(nodes_.empty() ? 0 : nodes_.size() - 1);
 
-  HealthReporterConfig reporter_config;
-  reporter_config.min_interval = health_config_.period;
   const EnergyModelConfig energy = energy_config();
-  for (auto& n : nodes_) n->enable_health_reporting(reporter_config, energy);
+  for (auto& n : nodes_) {
+    n->enable_health_reporting(health_config_.period, energy);
+  }
   sink().on_health_report = [this](NodeId node, const msg::HealthReport& r) {
     health_->on_report(sim_.now(), node, r);
   };
@@ -654,8 +650,13 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
 }
 
 bool Network::append_health_snapshot() {
-  return health_ != nullptr && health_jsonl_.is_open() &&
-         health_jsonl_.write_line(health_->render_snapshot_json(sim_.now()));
+  if (health_ == nullptr || !health_jsonl_.is_open()) return false;
+  if (last_health_snapshot_ == sim_.now()) return true;
+  if (!health_jsonl_.write_line(health_->render_snapshot_json(sim_.now()))) {
+    return false;
+  }
+  last_health_snapshot_ = sim_.now();
+  return true;
 }
 
 TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
@@ -689,8 +690,7 @@ TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
   return *timeline_;
 }
 
-void Network::enable_flight_recorders(std::size_t capacity,
-                                      const std::string& jsonl) {
+void Network::enable_flight_recorders(const std::string& jsonl) {
   if (flight_enabled_) return;
   claim_artifact(jsonl);
   if (!jsonl.empty() && !flight_jsonl_.open(jsonl)) {
@@ -699,7 +699,6 @@ void Network::enable_flight_recorders(std::size_t capacity,
   flight_enabled_ = true;
   for (auto& n : nodes_) {
     n->enable_flight_recorder(
-        capacity,
         [this](NodeId node, const char* trigger) { dump_flight(node, trigger); });
   }
   wire_flight_triggers();

@@ -100,10 +100,11 @@ class NodeStack final : public FrameHandler, public CtpListener {
   std::function<void(NodeId, const msg::HealthReport&)> on_health_report;
 
   /// Turns on in-band health reporting: every locally-originated upward CTP
-  /// frame is offered to a rate-limited HealthReporter through the CTP
-  /// origin hook. No-op on the sink (it never reports to itself). The
-  /// energy config is used for the report's energy-spent estimate.
-  void enable_health_reporting(const HealthReporterConfig& config,
+  /// frame is offered to a HealthReporter rate-limited to one report per
+  /// `period` through the CTP origin hook. No-op on the sink (it never
+  /// reports to itself). The energy config is used for the report's
+  /// energy-spent estimate.
+  void enable_health_reporting(SimTime period,
                                const EnergyModelConfig& energy);
   [[nodiscard]] HealthReporter* health_reporter() noexcept {
     return health_reporter_.get();
@@ -113,14 +114,14 @@ class NodeStack final : public FrameHandler, public CtpListener {
   /// quantize). Public for tests.
   [[nodiscard]] HealthSample sample_health();
 
-  /// Attaches a flight ring — a Tracer of `capacity` records only this node
-  /// writes — fed by the forwarding plane and the CTP/addressing event
-  /// fan-out. It survives reboot_with_state_loss (noinit-RAM semantics).
+  /// Attaches a flight ring — a Tracer of Network::kFlightCapacity records
+  /// only this node writes — fed by the forwarding plane and the
+  /// CTP/addressing event fan-out. It survives reboot_with_state_loss
+  /// (noinit-RAM semantics).
   /// `trigger_dump` fires when this node's own machinery decides a
   /// post-mortem is warranted (currently: a state-loss reboot); external
   /// triggers go through Network::dump_flight.
   void enable_flight_recorder(
-      std::size_t capacity,
       std::function<void(NodeId, const char*)> trigger_dump);
   [[nodiscard]] Tracer* flight_recorder() noexcept { return flight_.get(); }
 
@@ -177,11 +178,10 @@ class NodeStack final : public FrameHandler, public CtpListener {
 
 /// Harness-level switches for the in-band health telemetry subsystem
 /// (docs/OBSERVABILITY.md). One knob, `period`, drives both sides: the
-/// per-node attach rate limit and the sink model's staleness expectations.
+/// per-node attach rate limit and the sink model's staleness cutoff (two
+/// periods).
 struct NetworkHealthConfig {
   SimTime period = 60 * kSecond;  // telemetry period (attach rate limit)
-  SimTime stale_after = 0;        // 0 = two periods
-  SimTime evict_after = 0;        // 0 = never evict
   /// When non-empty, one snapshot line is written here every `period` —
   /// the telea_top input stream (claimed and truncated like every stream,
   /// see Network::enable_health).
@@ -189,7 +189,7 @@ struct NetworkHealthConfig {
 };
 
 /// Harness-level switches for the timeline engine (docs/OBSERVABILITY.md,
-/// "Timeline & alerts"): sampling/tier layout, the optional JSONL stream,
+/// "Timeline & alerts"): the sampling interval, the optional JSONL stream,
 /// and the alert rules to evaluate each sample.
 struct NetworkTimelineConfig {
   TimelineConfig timeline{};
@@ -263,7 +263,7 @@ class Network {
 
   /// Span-attribution energy model: the deployment's currents/voltage plus
   /// the exact PHY airtime of one LPL control-frame copy, ready to hand to
-  /// attribute_energy / collect_span_metrics / telea_report.
+  /// attribute_energy / telea_report.
   [[nodiscard]] SpanEnergyConfig span_energy_config() const;
 
   /// Command spans reconstructed from the live tracer (empty when tracing
@@ -314,13 +314,14 @@ class Network {
   }
 
   /// Writes one health snapshot line to the configured JSONL stream right
-  /// now (also called every period by the snapshot timer). False when
-  /// health is off, no stream is open, or the write failed.
+  /// now (also called every period by the snapshot timer). Writes nothing
+  /// when the stream already holds the line for this instant, so an
+  /// end-of-run call that lands on a timer tick adds no duplicate. False
+  /// when health is off, no stream is open, or the write failed.
   bool append_health_snapshot();
 
   /// Turns on the timeline engine: collect_metrics is sampled every
-  /// `config.timeline.interval` of simulated time into bounded
-  /// multi-resolution series, the configured alert rules are evaluated each
+  /// `config.timeline.interval` of simulated time into bounded series, the configured alert rules are evaluated each
   /// sample (firings land in the tracer, the metrics, and — when flight
   /// recorders are armed — a flight dump with trigger "alert:<rule>"), and
   /// samples stream to `config.jsonl` when set. Idempotent — the config of
@@ -329,15 +330,14 @@ class Network {
   TimelineEngine& enable_timeline(const NetworkTimelineConfig& config = {});
   [[nodiscard]] TimelineEngine* timeline() noexcept { return timeline_.get(); }
 
-  /// Arms a bounded flight recorder on every node (forward decisions,
-  /// parent changes, backtracks, ack timeouts, reboots...). Rings are
-  /// dumped — to Network storage, the trace stream and one line of
-  /// `jsonl` when set — on invariant violation, command
+  /// Arms a flight recorder of kFlightCapacity records on every node
+  /// (forward decisions, parent changes, backtracks, ack timeouts,
+  /// reboots...). Rings are dumped — to Network storage, the trace stream
+  /// and one line of `jsonl` when set — on invariant violation, command
   /// give-up, alert firing, or node reboot. Idempotent — the first call
   /// wins. A non-empty jsonl path follows enable_health's stream policy.
   static constexpr std::size_t kFlightCapacity = 128;
-  void enable_flight_recorders(std::size_t capacity = kFlightCapacity,
-                               const std::string& jsonl = {});
+  void enable_flight_recorders(const std::string& jsonl = {});
   [[nodiscard]] bool flight_recorders_enabled() const noexcept {
     return flight_enabled_;
   }
@@ -352,8 +352,8 @@ class Network {
   /// Mirrors every component's counters into `registry`, scoped per node
   /// (label "node") and per subsystem (label "sub": phy / lpl / ctp /
   /// forwarding / teleadjusting / sim). Collector-style: call it again to
-  /// refresh the same registry; values are absolute totals, so
-  /// MetricsRegistry::diff gives per-window deltas.
+  /// refresh the same registry; values are absolute totals (the timeline
+  /// engine turns them into per-sample deltas).
   void collect_metrics(MetricsRegistry& registry) const;
 
  private:
@@ -387,6 +387,8 @@ class Network {
   NetworkHealthConfig health_config_;
   std::unique_ptr<Timer> health_timer_;
   LineWriter health_jsonl_;
+  // Sim time of the last snapshot line written; none before the first.
+  std::optional<SimTime> last_health_snapshot_;
   std::unique_ptr<TimelineEngine> timeline_;
   bool flight_enabled_ = false;
   std::vector<FlightDump> flight_dumps_;  // bounded, newest kept

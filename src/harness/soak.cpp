@@ -139,7 +139,7 @@ ChurnSoakResult run_churn_soak(const ChurnSoakConfig& cfg) {
   if (cfg.timeline) {
     // Flight recorders armed from boot, so alert firings (and reboots,
     // give-ups...) always have node context to dump.
-    net.enable_flight_recorders(Network::kFlightCapacity, cfg.flight_jsonl);
+    net.enable_flight_recorders(cfg.flight_jsonl);
   }
 
   net.start();

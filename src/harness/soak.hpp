@@ -91,7 +91,7 @@ struct ChurnSoakResult {
   std::size_t span_reconcile_failures = 0;
   // Health model verdict (cfg.health), read at end of run.
   double health_coverage = 0.0;      // fresh / expected
-  std::size_t health_tracked = 0;    // nodes ever heard from (not evicted)
+  std::size_t health_tracked = 0;    // nodes ever heard from
   std::uint64_t health_reports = 0;  // reports the sink accepted or rejected
   std::uint64_t health_bytes = 0;    // piggyback bytes that reached the sink
   // Timeline engine verdict (cfg.timeline), read at end of run.

@@ -79,9 +79,6 @@ class Simulator {
   }
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.size();
-  }
 
   /// Drops all pending events and resets the clock to zero (profiling
   /// counters included).

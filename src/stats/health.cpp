@@ -52,7 +52,7 @@ bool health_seqno_newer(std::uint8_t candidate, std::uint8_t current) noexcept {
 void HealthReporter::maybe_attach(SimTime now, msg::CtpData& data,
                                   const std::function<HealthSample()>& sample) {
   if (data.has_health) return;  // never overwrite (defensive; origins only)
-  if (attached_once_ && now < last_attach_ + config_.min_interval) {
+  if (attached_once_ && now < last_attach_ + period_) {
     ++stats_.suppressed;
     return;
   }
@@ -86,28 +86,16 @@ const NetworkHealthModel::Entry* NetworkHealthModel::entry(NodeId node) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void NetworkHealthModel::prune(SimTime now) {
-  if (config_.evict_after == 0) return;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now >= it->second.updated + config_.evict_after) {
-      it = entries_.erase(it);
-      ++stats_.evicted;
-    } else {
-      ++it;
-    }
-  }
-}
-
 bool NetworkHealthModel::is_fresh(SimTime now, NodeId node) const {
   const Entry* e = entry(node);
-  return e != nullptr && now < e->updated + config_.effective_stale_after();
+  return e != nullptr && now < e->updated + stale_after();
 }
 
 double NetworkHealthModel::coverage(SimTime now) const {
   if (expected_nodes_ == 0) return 1.0;
   std::size_t fresh = 0;
   for (const auto& [id, e] : entries_) {
-    if (now < e.updated + config_.effective_stale_after()) ++fresh;
+    if (now < e.updated + stale_after()) ++fresh;
   }
   return static_cast<double>(fresh) / static_cast<double>(expected_nodes_);
 }
@@ -115,7 +103,7 @@ double NetworkHealthModel::coverage(SimTime now) const {
 std::vector<NodeId> NetworkHealthModel::stale_nodes(SimTime now) const {
   std::vector<NodeId> out;
   for (const auto& [id, e] : entries_) {
-    if (now >= e.updated + config_.effective_stale_after()) out.push_back(id);
+    if (now >= e.updated + stale_after()) out.push_back(id);
   }
   return out;
 }
@@ -130,15 +118,13 @@ std::vector<NodeId> NetworkHealthModel::unseen_nodes() const {
 }
 
 void NetworkHealthModel::collect_metrics(MetricsRegistry& registry,
-                                         SimTime now) {
+                                         SimTime now) const {
   registry.describe("telea_health_reports_total",
                     "In-band health reports, by side (origin attach / sink accept)");
   registry.describe("telea_health_stale_reports_total",
                     "Out-of-order health reports dropped by freshest-wins");
   registry.describe("telea_health_overhead_bytes",
                     "Piggyback byte overhead of health telemetry, by side");
-  registry.describe("telea_health_evicted_total",
-                    "Health entries aged out of the sink model");
   registry.describe("telea_health_nodes",
                     "Sink health-model population by state (tracked/fresh/stale/unseen)");
   registry.describe("telea_health_coverage",
@@ -150,16 +136,12 @@ void NetworkHealthModel::collect_metrics(MetricsRegistry& registry,
   registry.describe("telea_health_etx10",
                     "Distribution of node-reported parent-link ETX (1/10 units)");
 
-  prune(now);
-
   const MetricLabels sink{{"side", "sink"}, {"sub", "health"}};
   registry.counter("telea_health_reports_total", sink).set_total(stats_.reports);
   registry.counter("telea_health_stale_reports_total", sink)
       .set_total(stats_.stale_dropped);
   registry.counter("telea_health_overhead_bytes", sink).set_total(stats_.bytes);
-  registry.counter("telea_health_evicted_total", sink).set_total(stats_.evicted);
 
-  const SimTime stale_after = config_.effective_stale_after();
   std::size_t fresh = 0;
   Histogram& age = registry.histogram(
       "telea_health_report_age_seconds",
@@ -174,7 +156,7 @@ void NetworkHealthModel::collect_metrics(MetricsRegistry& registry,
   etx.reset();
   for (const auto& [id, e] : entries_) {
     const SimTime report_age = now - e.updated;
-    if (report_age < stale_after) ++fresh;
+    if (report_age < stale_after()) ++fresh;
     age.observe(to_seconds(report_age));
     duty.observe(static_cast<double>(e.report.duty_permille) / 1000.0);
     etx.observe(static_cast<double>(e.report.etx10));
@@ -193,10 +175,9 @@ void NetworkHealthModel::collect_metrics(MetricsRegistry& registry,
 }
 
 std::string NetworkHealthModel::render_snapshot_json(SimTime now) const {
-  const SimTime stale_after = config_.effective_stale_after();
   std::size_t fresh = 0;
   for (const auto& [id, e] : entries_) {
-    if (now - e.updated < stale_after) ++fresh;
+    if (now - e.updated < stale_after()) ++fresh;
   }
   std::string out;
   char buf[256];
@@ -205,8 +186,8 @@ std::string NetworkHealthModel::render_snapshot_json(SimTime now) const {
                 "\"expected\":%zu,\"tracked\":%zu,\"fresh\":%zu,"
                 "\"coverage\":%.6f,\"reports\":%llu,\"stale_dropped\":%llu,"
                 "\"bytes\":%llu,\"nodes\":[",
-                to_seconds(now), to_seconds(config_.period),
-                to_seconds(stale_after), expected_nodes_, entries_.size(),
+                to_seconds(now), to_seconds(period_),
+                to_seconds(stale_after()), expected_nodes_, entries_.size(),
                 fresh, coverage(now),
                 static_cast<unsigned long long>(stats_.reports),
                 static_cast<unsigned long long>(stats_.stale_dropped),

@@ -19,7 +19,7 @@ namespace telea {
 ///  * node side — `HealthReporter` piggybacks an 8-byte `msg::HealthReport`
 ///    onto locally-originated upward CTP traffic (data and e2e acks) through
 ///    `CtpNode::set_origin_hook`. No dedicated packets, rate-limited to one
-///    report per `min_interval`.
+///    report per telemetry period.
 ///  * sink side — `NetworkHealthModel` assembles the reports into a
 ///    staleness-aware per-node picture: last-seen state with age tracking,
 ///    freshest-wins acceptance on out-of-order arrivals, coverage and
@@ -49,17 +49,13 @@ struct HealthSample {
 [[nodiscard]] bool health_seqno_newer(std::uint8_t candidate,
                                       std::uint8_t current) noexcept;
 
-struct HealthReporterConfig {
-  /// At most one report attached per interval — the "telemetry period".
-  SimTime min_interval = 60 * kSecond;
-};
-
 /// Node-side attach policy. Owns the rate limiter and the wrapping report
 /// sequence number; the host stack supplies a sampling callback so the
 /// (cheap but not free) sample is only taken when a report actually goes out.
 class HealthReporter {
  public:
-  explicit HealthReporter(HealthReporterConfig config) : config_(config) {}
+  /// At most one report is attached per `period`, the telemetry period.
+  explicit HealthReporter(SimTime period) : period_(period) {}
 
   /// Offers an origin frame to the reporter: attaches a freshly sampled
   /// report when the rate limiter allows, otherwise leaves the frame alone.
@@ -72,38 +68,23 @@ class HealthReporter {
     std::uint64_t suppressed = 0;       // origin frames left bare (rate limit)
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const HealthReporterConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
-  HealthReporterConfig config_;
+  SimTime period_;
   Stats stats_;
   std::uint8_t next_seqno_ = 0;
   bool attached_once_ = false;
   SimTime last_attach_ = 0;
 };
 
-struct HealthModelConfig {
-  /// The telemetry period the model expects (= reporter min_interval).
-  SimTime period = 60 * kSecond;
-  /// Reports older than this are stale (excluded from coverage).
-  /// 0 = two telemetry periods.
-  SimTime stale_after = 0;
-  /// Entries older than this are evicted entirely. 0 = never evict.
-  SimTime evict_after = 0;
-
-  [[nodiscard]] SimTime effective_stale_after() const noexcept {
-    return stale_after != 0 ? stale_after : 2 * period;
-  }
-};
-
 /// The sink's staleness-aware view of network health, assembled purely from
 /// in-band reports — no simulator omniscience.
 class NetworkHealthModel {
  public:
-  explicit NetworkHealthModel(HealthModelConfig config = {})
-      : config_(config) {}
+  /// `period` is the telemetry period the reporters use. A report older
+  /// than two periods is stale (excluded from coverage).
+  explicit NetworkHealthModel(SimTime period = 60 * kSecond)
+      : period_(period) {}
 
   /// Node-id universe for coverage/unseen accounting: ids 1..n are expected
   /// to report (the sink itself never does).
@@ -122,12 +103,9 @@ class NetworkHealthModel {
     SimTime updated = 0;        // sink arrival time of the freshest report
     std::uint64_t updates = 0;  // accepted reports from this node
   };
-  /// Last accepted state for `node`, or nullptr when never seen / evicted.
+  /// Last accepted state for `node`, or nullptr when never seen.
   [[nodiscard]] const Entry* entry(NodeId node) const;
   [[nodiscard]] std::size_t tracked() const noexcept { return entries_.size(); }
-
-  /// Drops entries older than `evict_after` (no-op when 0 = never).
-  void prune(SimTime now);
 
   [[nodiscard]] bool is_fresh(SimTime now, NodeId node) const;
   /// Fraction of expected nodes with a fresh (non-stale) report.
@@ -141,24 +119,22 @@ class NetworkHealthModel {
     std::uint64_t reports = 0;        // accepted (freshest) reports
     std::uint64_t stale_dropped = 0;  // out-of-order arrivals ignored
     std::uint64_t bytes = 0;          // piggyback bytes seen at the sink
-    std::uint64_t evicted = 0;        // entries aged out by prune()
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const HealthModelConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Mirrors the model into `registry` (all `telea_health_*` names are
   /// documented in docs/OBSERVABILITY.md). Collector-style: refreshes on
-  /// every call. Runs prune() first so gauges reflect the eviction policy.
-  void collect_metrics(MetricsRegistry& registry, SimTime now);
+  /// every call.
+  void collect_metrics(MetricsRegistry& registry, SimTime now) const;
 
   /// One JSONL line: aggregates plus a per-node array, newest state only.
   /// The input format of `tools/telea_top`.
   [[nodiscard]] std::string render_snapshot_json(SimTime now) const;
 
  private:
-  HealthModelConfig config_;
+  [[nodiscard]] SimTime stale_after() const noexcept { return 2 * period_; }
+
+  SimTime period_;
   std::size_t expected_nodes_ = 0;
   std::map<NodeId, Entry> entries_;  // sorted: deterministic export order
   Stats stats_;

@@ -323,37 +323,6 @@ bool MetricsRegistry::write_json(const std::string& path) const {
   return write_text_file(path, render_json());
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [key, m] : metrics_) {
-    (void)key;
-    if (!live(m)) continue;
-    flatten(m, [&snap](const std::string& name, double value, Kind) {
-      snap.emplace(name, value);
-    });
-  }
-  return snap;
-}
-
-MetricsSnapshot MetricsRegistry::diff(const MetricsSnapshot& older) const {
-  MetricsSnapshot out;
-  for (const auto& [key, m] : metrics_) {
-    (void)key;
-    if (!live(m)) continue;
-    flatten(m,
-            [&out, &older](const std::string& name, double value, Kind kind) {
-              if (kind != Kind::kGauge) {
-                const auto it = older.find(name);
-                if (it != older.end()) {
-                  value = std::max(0.0, value - it->second);
-                }
-              }
-              out.emplace(name, value);
-            });
-  }
-  return out;
-}
-
 void MetricsRegistry::visit_samples(
     const std::function<void(const std::string&, double, SampleKind)>& fn)
     const {

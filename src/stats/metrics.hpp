@@ -74,11 +74,6 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Flattened sample map: one entry per exported Prometheus sample
-/// ("name{labels}" or "name_bucket{...,le=\"x\"}" / "_sum" / "_count").
-/// This is the snapshot/diff currency — plain data, cheap to copy and compare.
-using MetricsSnapshot = std::map<std::string, double>;
-
 /// Flattened-sample semantics, for consumers that must treat cumulative
 /// samples differently from instantaneous ones (the timeline engine
 /// delta-encodes counters but stores gauges as-is). Histogram samples are
@@ -108,7 +103,7 @@ class MetricsRegistry {
   /// Live (visible) instrument count — see clear().
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   /// Logically empties the registry while retaining instrument storage:
-  /// existing instances become invisible to size()/snapshot()/visit/render
+  /// existing instances become invisible to size()/visit/render
   /// until the next counter()/gauge()/histogram() lookup, which resets them
   /// to pristine values. Collector-style scrape loops (the timeline engine
   /// clears and re-collects every sample) therefore pay no re-allocation
@@ -127,21 +122,11 @@ class MetricsRegistry {
   bool write_prometheus(const std::string& path) const;
   bool write_json(const std::string& path) const;
 
-  /// Current values flattened to Prometheus sample granularity.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-  /// Delta since `older`: counter and histogram samples are subtracted
-  /// (absent-in-older counts as 0) with negative deltas clamped to 0 — a
-  /// cumulative sample can only shrink when its owner reset (state-loss
-  /// reboot re-registering a collector), and reporting the reset as a huge
-  /// negative rate is strictly worse than reporting no progress. Gauge
-  /// samples pass through at their current value.
-  [[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& older) const;
-
-  /// Visits every flattened sample with its kind — snapshot() plus the
-  /// counter/gauge distinction snapshot's plain map erases. Each name
-  /// string is owned by the registry and keeps its address for the
-  /// registry's lifetime (clear() included), so scrape loops may key a
-  /// per-sample cache by address.
+  /// Visits every live sample at Prometheus sample granularity
+  /// ("name{labels}" or "name_bucket{...,le=\"x\"}" / "_sum" / "_count")
+  /// with its kind. Each name string is owned by the registry and keeps its
+  /// address for the registry's lifetime (clear() included), so scrape
+  /// loops may key a per-sample cache by address.
   void visit_samples(
       const std::function<void(const std::string&, double, SampleKind)>& fn)
       const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "stats/metrics.hpp"
 #include "stats/summary.hpp"
 
 namespace telea {
@@ -235,48 +234,6 @@ CommandEnergy attribute_energy(const CommandSpan& span,
   }
   e.total_uj = e.listen_uj + e.tx_uj;
   return e;
-}
-
-void collect_span_metrics(const std::vector<CommandSpan>& spans,
-                          const SpanEnergyConfig& cfg,
-                          MetricsRegistry& registry) {
-  static const std::vector<double> kLatencyBounds = {
-      0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
-  static const std::vector<double> kEnergyBounds = {
-      100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000};
-  registry.describe("telea_command_latency_seconds",
-                    "End-to-end latency of delivered commands (span engine)");
-  registry.describe("telea_command_energy_uj",
-                    "Radio energy attributed per delivered command (uJ)");
-  registry.describe("telea_command_segment_seconds",
-                    "Per-command time in one latency segment kind");
-  registry.describe("telea_command_spans_total",
-                    "Command spans reconstructed from the trace");
-  registry.describe("telea_command_spans_delivered_total",
-                    "Command spans that reached their destination");
-  registry.describe("telea_span_reconcile_failures_total",
-                    "Delivered spans whose segment sums missed e2e latency");
-  auto& lat = registry.histogram("telea_command_latency_seconds",
-                                 kLatencyBounds);
-  auto& energy = registry.histogram("telea_command_energy_uj", kEnergyBounds);
-  std::uint64_t delivered = 0;
-  for (const auto& span : spans) {
-    if (!span.delivered) continue;
-    ++delivered;
-    lat.observe(to_seconds(span.latency()));
-    energy.observe(attribute_energy(span, cfg).total_uj);
-    for (std::size_t i = 0; i < kSegmentKinds; ++i) {
-      const auto kind = static_cast<SegmentKind>(i);
-      registry
-          .histogram("telea_command_segment_seconds", kLatencyBounds,
-                     {{"segment", segment_kind_name(kind)}})
-          .observe(span.segment_seconds(kind));
-    }
-  }
-  registry.counter("telea_command_spans_total").set_total(spans.size());
-  registry.counter("telea_command_spans_delivered_total").set_total(delivered);
-  registry.counter("telea_span_reconcile_failures_total")
-      .set_total(count_reconcile_failures(spans));
 }
 
 TextTable render_critical_path_table(const std::vector<CommandSpan>& spans,

@@ -12,8 +12,6 @@
 
 namespace telea {
 
-class MetricsRegistry;
-
 /// Causal span engine: turns the flat per-node trace-event stream into one
 /// *command span* per control seqno — a cross-node timeline with per-hop
 /// relay spans and a latency decomposition answering "where did the time
@@ -107,12 +105,6 @@ struct CommandEnergy {
 
 [[nodiscard]] CommandEnergy attribute_energy(const CommandSpan& span,
                                              const SpanEnergyConfig& cfg);
-
-/// Registers/updates the telea_command_* histograms and span counters in
-/// `registry` from delivered spans (see docs/OBSERVABILITY.md).
-void collect_span_metrics(const std::vector<CommandSpan>& spans,
-                          const SpanEnergyConfig& cfg,
-                          MetricsRegistry& registry);
 
 /// Per-command critical-path table: latency decomposition, energy, and the
 /// dominant segment for every span.

@@ -79,45 +79,13 @@ bool is_bucket_sample(const std::string& name) {
 
 // --- MetricSeries -----------------------------------------------------------
 
-MetricSeries::MetricSeries(const TimelineConfig& cfg, bool cumulative)
-    : cumulative_(cumulative),
-      raw_capacity_(std::max<std::size_t>(cfg.raw_capacity, 1)),
-      mid_cfg_(cfg.mid),
-      coarse_cfg_(cfg.coarse),
-      quantile_window_(std::max<std::size_t>(cfg.quantile_window, 1)),
-      ewma_alpha_(std::clamp(cfg.ewma_alpha, 1e-6, 1.0)),
-      interval_(cfg.interval) {
-  mid_cfg_.fold = std::max<std::size_t>(mid_cfg_.fold, 1);
-  coarse_cfg_.fold = std::max<std::size_t>(coarse_cfg_.fold, 1);
-}
-
 void MetricSeries::append(SimTime t, double value) {
   raw_.push_back(TimelinePoint{t, value});
-  if (raw_.size() > raw_capacity_) raw_.pop_front();
+  if (raw_.size() > kTimelineRawCapacity) raw_.pop_front();
   ewma_ = total_ == 0 ? value
-                      : ewma_alpha_ * value + (1.0 - ewma_alpha_) * ewma_;
+                      : kTimelineEwmaAlpha * value +
+                            (1.0 - kTimelineEwmaAlpha) * ewma_;
   ++total_;
-
-  accumulate(mid_pending_, t, value);
-  if (mid_pending_.count >= mid_cfg_.fold) {
-    // A mid bucket completed; it cascades into the coarse pending bucket
-    // (coarse folds are counted in completed mid buckets, not raw points).
-    if (mid_cfg_.capacity > 0) {
-      mid_.push_back(mid_pending_);
-      if (mid_.size() > mid_cfg_.capacity) mid_.pop_front();
-    }
-    merge(coarse_pending_, mid_pending_);
-    ++coarse_folded_;
-    mid_pending_ = TimelineBucket{};
-    if (coarse_folded_ >= coarse_cfg_.fold) {
-      if (coarse_cfg_.capacity > 0) {
-        coarse_.push_back(coarse_pending_);
-        if (coarse_.size() > coarse_cfg_.capacity) coarse_.pop_front();
-      }
-      coarse_pending_ = TimelineBucket{};
-      coarse_folded_ = 0;
-    }
-  }
 }
 
 double MetricSeries::window_sum(std::size_t n) const noexcept {
@@ -139,7 +107,7 @@ double MetricSeries::window_rate(std::size_t n) const noexcept {
 }
 
 double MetricSeries::window_quantile(double q) const noexcept {
-  const std::size_t take = std::min(quantile_window_, raw_.size());
+  const std::size_t take = std::min(kTimelineQuantileWindow, raw_.size());
   if (take == 0) return 0.0;
   std::vector<double> vals;
   vals.reserve(take);
@@ -153,6 +121,25 @@ double MetricSeries::window_quantile(double q) const noexcept {
   const std::size_t hi = std::min(lo + 1, vals.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return vals[lo] + (vals[hi] - vals[lo]) * frac;
+}
+
+// --- TimelineTiers ----------------------------------------------------------
+
+void TimelineTiers::append(SimTime t, double value) {
+  accumulate(mid_pending_, t, value);
+  if (mid_pending_.count < kTimelineMidFold) return;
+  // A mid bucket completed; it cascades into the coarse pending bucket
+  // (coarse folds are counted in completed mid buckets, not raw points).
+  mid_.push_back(mid_pending_);
+  if (mid_.size() > kTimelineMidCapacity) mid_.pop_front();
+  merge(coarse_pending_, mid_pending_);
+  ++coarse_folded_;
+  mid_pending_ = TimelineBucket{};
+  if (coarse_folded_ < kTimelineCoarseFold) return;
+  coarse_.push_back(coarse_pending_);
+  if (coarse_.size() > kTimelineCoarseCapacity) coarse_.pop_front();
+  coarse_pending_ = TimelineBucket{};
+  coarse_folded_ = 0;
 }
 
 // --- alert rules ------------------------------------------------------------
@@ -411,8 +398,7 @@ std::optional<NodeId> series_node_label(std::string_view name) {
 // --- TimelineEngine ---------------------------------------------------------
 
 TimelineEngine::TimelineEngine(Simulator& sim, TimelineConfig cfg)
-    : sim_(&sim), cfg_(cfg), timer_(sim) {
-  cfg_.interval = std::max<SimTime>(cfg_.interval, 1);
+    : sim_(&sim), interval_(std::max<SimTime>(cfg.interval, 1)), timer_(sim) {
   timer_.set_tag("timeline");
   timer_.set_callback([this] { sample_now(); });
 }
@@ -434,15 +420,12 @@ bool TimelineEngine::set_jsonl(const std::string& path) {
 }
 
 void TimelineEngine::start() {
-  if (!timer_.running()) timer_.start_periodic(cfg_.interval);
+  if (!timer_.running()) timer_.start_periodic(interval_);
 }
 
-void TimelineEngine::stop() { timer_.stop(); }
-
-TimelineEngine::SeriesEntry::SeriesEntry(const TimelineConfig& cfg,
-                                         bool cumulative,
+TimelineEngine::SeriesEntry::SeriesEntry(SimTime interval,
                                          const std::string& name)
-    : series(cfg, cumulative) {
+    : series(interval) {
   json_key.push_back('"');
   json_key += JsonValue::escape(name);
   json_key += "\":";
@@ -459,16 +442,6 @@ const MetricSeries* TimelineEngine::series(std::string_view name) const {
   return e == nullptr ? nullptr : &e->series;
 }
 
-std::vector<std::string> TimelineEngine::series_names() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [name, s] : series_) {
-    (void)s;
-    out.push_back(name);
-  }
-  return out;
-}
-
 std::uint64_t TimelineEngine::alerts_fired_total() const noexcept {
   std::uint64_t total = 0;
   for (const auto& a : alerts_) total += a.fired;
@@ -483,19 +456,7 @@ std::uint64_t TimelineEngine::alerts_resolved_total() const noexcept {
 
 void TimelineEngine::write_meta_line() {
   std::string line = "{\"meta\":{\"interval_us\":" +
-                     std::to_string(cfg_.interval) +
-                     ",\"raw_capacity\":" + std::to_string(cfg_.raw_capacity) +
-                     ",\"mid\":{\"capacity\":" +
-                     std::to_string(cfg_.mid.capacity) +
-                     ",\"fold\":" + std::to_string(cfg_.mid.fold) +
-                     "},\"coarse\":{\"capacity\":" +
-                     std::to_string(cfg_.coarse.capacity) +
-                     ",\"fold\":" + std::to_string(cfg_.coarse.fold) +
-                     "},\"window\":" + std::to_string(cfg_.window) +
-                     ",\"quantile_window\":" +
-                     std::to_string(cfg_.quantile_window) +
-                     ",\"ewma_alpha\":" + fmt_double(cfg_.ewma_alpha) +
-                     ",\"rules\":[";
+                     std::to_string(interval_) + ",\"rules\":[";
   for (std::size_t i = 0; i < alerts_.size(); ++i) {
     if (i > 0) line.push_back(',');
     line.push_back('"');
@@ -529,8 +490,7 @@ void TimelineEngine::sample_now() {
         auto sit = series_.find(name);
         if (sit == series_.end()) {
           sit = series_
-                    .emplace(name, SeriesEntry(cfg_, kind != SampleKind::kGauge,
-                                               name))
+                    .emplace(name, SeriesEntry(interval_, name))
                     .first;
           json_order_.insert(
               json_order_.begin() + std::distance(series_.begin(), sit),
@@ -594,11 +554,11 @@ double TimelineEngine::eval_signal(const AlertRule& rule,
   if (s == nullptr) return 0.0;
   switch (rule.signal) {
     case AlertSignal::kValue: return s->last();
-    case AlertSignal::kRate: return s->window_rate(cfg_.window);
+    case AlertSignal::kRate: return s->window_rate(kTimelineRateWindow);
     case AlertSignal::kEwma: return s->ewma();
     case AlertSignal::kQuantile: return s->window_quantile(rule.quantile);
     case AlertSignal::kBurnRate:
-      return s->window_rate(cfg_.window) / rule.budget_per_s;
+      return s->window_rate(kTimelineRateWindow) / rule.budget_per_s;
     case AlertSignal::kAbsent: return 0.0;  // handled by the caller
   }
   return 0.0;
@@ -663,9 +623,6 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
             "\",\"state\":\"resolved\",\"signal\":" +
             fmt_double(alert.last_signal) + ",\"rule\":\"" +
             JsonValue::escape(render_alert_rule(rule)) + "\"}");
-        if (on_alert_resolved) {
-          on_alert_resolved(alert, node.value_or(kInvalidNode));
-        }
       }
     }
   }

@@ -7,8 +7,8 @@
 // End-of-run aggregates average away exactly the transients worth debugging
 // (count-to-infinity repair, retry storms under churn, outage-silenced
 // origination). The engine samples a MetricsRegistry on a simulated-time
-// cadence, stores every sample in fixed-capacity multi-resolution rings
-// (raw tier + two downsampled tiers with min/max/sum/count per bucket), and
+// cadence, stores every sample in a fixed-capacity raw ring (telea_timeline
+// rebuilds two downsampled tiers from the stream, see TimelineTiers), and
 // evaluates operator-style alert rules — threshold, absence, burn-rate —
 // each sample, firing trace events and flight-recorder dumps with node-level
 // context. Counters are delta-encoded per interval (with counter-reset
@@ -53,50 +53,40 @@ struct TimelinePoint {
   double value = 0.0;
 };
 
-/// One downsampled tier: every `fold` points of the next-finer tier become
-/// one bucket; at most `capacity` buckets are retained (oldest evicted).
-struct TimelineTierConfig {
-  std::size_t capacity = 0;
-  std::size_t fold = 1;
-};
+// The fixed retention and signal layout of every timeline
+// (docs/OBSERVABILITY.md, "Retention"); durations at the default 10 s
+// cadence.
+/// Raw ring capacity (samples): 720 x 10 s = 2 h of raw history.
+inline constexpr std::size_t kTimelineRawCapacity = 720;
+/// Mid tier: raw points folded 6:1 (1-minute buckets), 240 kept (4 h).
+inline constexpr std::size_t kTimelineMidFold = 6;
+inline constexpr std::size_t kTimelineMidCapacity = 240;
+/// Coarse tier: mid buckets folded 10:1 (10-minute buckets), 288 kept (2 d).
+inline constexpr std::size_t kTimelineCoarseFold = 10;
+inline constexpr std::size_t kTimelineCoarseCapacity = 288;
+/// Sliding windows (raw samples) for rates and for gauge quantiles.
+inline constexpr std::size_t kTimelineRateWindow = 6;
+inline constexpr std::size_t kTimelineQuantileWindow = 30;
+/// EWMA smoothing factor.
+inline constexpr double kTimelineEwmaAlpha = 0.3;
 
 struct TimelineConfig {
   /// Sampling cadence in simulated time.
   SimTime interval = 10 * kSecond;
-  /// Raw tier ring capacity (samples). 720 x 10 s = 2 h of raw history.
-  std::size_t raw_capacity = 720;
-  /// Mid tier: fold raw samples 6:1 (1-minute buckets at the default
-  /// cadence), keep 4 h of them.
-  TimelineTierConfig mid{240, 6};
-  /// Coarse tier: fold mid buckets 10:1 (10-minute buckets), keep 2 days.
-  TimelineTierConfig coarse{288, 10};
-  /// Sliding window (raw samples) for gauge quantiles and rates.
-  std::size_t window = 6;
-  std::size_t quantile_window = 30;
-  /// EWMA smoothing factor in (0,1]: 1 = no smoothing.
-  double ewma_alpha = 0.3;
 };
 
-/// One metric sample's series: a raw ring plus two downsampled tiers.
+/// One metric sample's series: the raw ring plus its smoothed value.
 /// Counter (and histogram `_sum`/`_count`) samples are appended as
-/// per-interval deltas; gauges as absolute values — so bucket sums are
-/// meaningful in both cases (events per bucket vs. value-seconds).
+/// per-interval deltas, gauges as absolute values.
 class MetricSeries {
  public:
-  MetricSeries(const TimelineConfig& cfg, bool cumulative);
+  /// `interval` is the sampling cadence window_rate divides by.
+  explicit MetricSeries(SimTime interval) : interval_(interval) {}
 
   void append(SimTime t, double value);
 
-  /// True when the underlying sample is cumulative (delta-encoded here).
-  [[nodiscard]] bool cumulative() const noexcept { return cumulative_; }
   [[nodiscard]] const std::deque<TimelinePoint>& raw() const noexcept {
     return raw_;
-  }
-  [[nodiscard]] const std::deque<TimelineBucket>& mid() const noexcept {
-    return mid_;
-  }
-  [[nodiscard]] const std::deque<TimelineBucket>& coarse() const noexcept {
-    return coarse_;
   }
   /// Points ever appended (evicted ones included).
   [[nodiscard]] std::uint64_t total_points() const noexcept { return total_; }
@@ -109,28 +99,42 @@ class MetricSeries {
   /// the event count inside the window).
   [[nodiscard]] double window_sum(std::size_t n) const noexcept;
   /// Per-second rate over the most recent `n` raw points, using the
-  /// configured sampling interval. 0 until at least one point exists.
+  /// sampling interval. 0 until at least one point exists.
   [[nodiscard]] double window_rate(std::size_t n) const noexcept;
   /// Sliding-window quantile (nearest-rank with interpolation) over the
-  /// most recent `quantile_window` raw points. 0 when empty.
+  /// most recent kTimelineQuantileWindow raw points. 0 when empty.
   [[nodiscard]] double window_quantile(double q) const noexcept;
 
  private:
-  bool cumulative_;
-  std::size_t raw_capacity_;
-  TimelineTierConfig mid_cfg_;
-  TimelineTierConfig coarse_cfg_;
-  std::size_t quantile_window_;
-  double ewma_alpha_;
   SimTime interval_;
   std::deque<TimelinePoint> raw_;
+  double ewma_ = 0.0;
+  std::uint64_t total_ = 0;
+};
+
+/// The two downsampled tiers of one series, with min/max/sum/count per
+/// bucket: every kTimelineMidFold appended points become one mid bucket,
+/// every kTimelineCoarseFold completed mid buckets one coarse bucket, and
+/// each tier keeps its newest buckets up to its capacity. For a
+/// delta-encoded counter a bucket's sum is its event count. The engine does
+/// not keep tiers; telea_timeline folds them from the stream on demand.
+class TimelineTiers {
+ public:
+  void append(SimTime t, double value);
+
+  [[nodiscard]] const std::deque<TimelineBucket>& mid() const noexcept {
+    return mid_;
+  }
+  [[nodiscard]] const std::deque<TimelineBucket>& coarse() const noexcept {
+    return coarse_;
+  }
+
+ private:
   std::deque<TimelineBucket> mid_;
   std::deque<TimelineBucket> coarse_;
   TimelineBucket mid_pending_{};
   TimelineBucket coarse_pending_{};
   std::size_t coarse_folded_ = 0;  // completed mid buckets in coarse_pending_
-  double ewma_ = 0.0;
-  std::uint64_t total_ = 0;
 };
 
 // --- alert rules ------------------------------------------------------------
@@ -207,7 +211,7 @@ struct AlertState {
 // --- engine -----------------------------------------------------------------
 
 /// Samples a metric source on a simulated-time cadence into MetricSeries
-/// rings, evaluates alert rules each sample, and optionally streams every
+/// raw rings, evaluates alert rules each sample, and optionally streams every
 /// sample (and alert transition) as JSONL. The source is a collector
 /// callback so the engine stays below the harness layer; `Network` wires it
 /// to `collect_metrics`. Per-le histogram `_bucket{...}` samples are not
@@ -227,28 +231,24 @@ class TimelineEngine {
   void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
   void set_rules(std::vector<AlertRule> rules);
   /// Streams one JSONL line per sample (plus alert-transition lines) to
-  /// `path`. The first line is a meta object describing the tier layout so
-  /// tools can rebuild the downsampled tiers exactly. The file is
-  /// truncated here and each line is flushed as it is written.
+  /// `path`. The first line is a meta object with the sampling interval and
+  /// the rendered rules. The file is truncated here and each line is
+  /// flushed as it is written.
   bool set_jsonl(const std::string& path);
 
-  /// Fired on alert transitions, after the trace event. The NodeId is the
+  /// Fired when an alert fires, after the trace event. The NodeId is the
   /// rule's `node="N"` label target, or kInvalidNode for network-wide rules.
   std::function<void(const AlertState&, NodeId)> on_alert_fired;
-  std::function<void(const AlertState&, NodeId)> on_alert_resolved;
 
   /// Arms the periodic sampling timer (tag "timeline"). Idempotent.
   void start();
-  void stop();
 
   /// One sampling pass right now — the timer body, public so harnesses can
   /// flush a final sample at end of run and tests can drive the engine
   /// without a simulator loop.
   void sample_now();
 
-  [[nodiscard]] const TimelineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const MetricSeries* series(std::string_view name) const;
-  [[nodiscard]] std::vector<std::string> series_names() const;
   [[nodiscard]] std::size_t series_count() const noexcept {
     return series_.size();
   }
@@ -284,8 +284,7 @@ class TimelineEngine {
     double prev_absolute = 0.0;  // last absolute cumulative value seen
     std::uint64_t last_sample = 0;  // 1-based sample number of last append
 
-    SeriesEntry(const TimelineConfig& cfg, bool cumulative,
-                const std::string& name);
+    SeriesEntry(SimTime interval, const std::string& name);
   };
 
   void evaluate_alerts(SimTime now);
@@ -295,7 +294,7 @@ class TimelineEngine {
   void write_meta_line();
 
   Simulator* sim_;
-  TimelineConfig cfg_;
+  SimTime interval_;
   Timer timer_;
   std::function<void(MetricsRegistry&)> collector_;
   Tracer* tracer_ = nullptr;

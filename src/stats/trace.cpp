@@ -76,7 +76,6 @@ Tracer::Tracer(std::size_t capacity) : ring_(std::max<std::size_t>(capacity, 1))
 
 void Tracer::record(SimTime time, NodeId node, TraceEvent event,
                     std::uint64_t a, std::uint64_t b, TraceReason reason) {
-  if (!enabled_) return;
   ring_[head_] = TraceRecord{time, node, event, reason, a, b};
   head_ = (head_ + 1) % ring_.size();
   if (size_ < ring_.size()) {

@@ -112,11 +112,6 @@ class Tracer {
   void record(SimTime time, NodeId node, TraceEvent event, std::uint64_t a = 0,
               std::uint64_t b = 0, TraceReason reason = TraceReason::kNone);
 
-  /// Runtime kill switch: while disabled, record() is a cheap early return
-  /// (the TELEA_TRACE_EVENT macro checks it before evaluating arguments).
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
@@ -155,7 +150,6 @@ class Tracer {
   std::size_t head_ = 0;  // next write slot
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
-  bool enabled_ = true;
 };
 
 /// Appends one record as a {"t","node","event","a","b","reason"} JSON
@@ -213,13 +207,12 @@ struct ExplainOptions {
 
 }  // namespace telea
 
-/// Trace emission: a null check plus a runtime-enable check guard argument
-/// evaluation, so hot paths pay one predictable branch when tracing is off.
-#define TELEA_TRACE_EVENT(tracer, ...)                             \
-  do {                                                             \
-    auto* telea_trace_tracer_ = (tracer);                          \
-    if (telea_trace_tracer_ != nullptr &&                          \
-        telea_trace_tracer_->enabled()) {                          \
-      telea_trace_tracer_->record(__VA_ARGS__);                    \
-    }                                                              \
+/// Trace emission: a null check guards argument evaluation, so hot paths
+/// pay one predictable branch when tracing is off.
+#define TELEA_TRACE_EVENT(tracer, ...)                \
+  do {                                                \
+    auto* telea_trace_tracer_ = (tracer);             \
+    if (telea_trace_tracer_ != nullptr) {             \
+      telea_trace_tracer_->record(__VA_ARGS__);       \
+    }                                                 \
   } while (0)

@@ -400,7 +400,6 @@ TEST_F(InvariantEngineTest, RuleNamesRoundTripAndHaveSections) {
 
 TEST_F(InvariantEngineTest, ViolationsAreTraceLinked) {
   Tracer tracer(64);
-  tracer.set_enabled(true);
   InvariantEngine engine(sim_, cfg_);
   engine.set_tracer(&tracer);
   auto views = clean_views();

@@ -154,7 +154,7 @@ TEST(ChurnSoak, TimelineAlertsFireUnderFaultsAndStayQuietClean) {
   // and the wall time per series sample rises with a slower host or a
   // sanitizer, each with sampling unchanged. A costlier sampler raises
   // both, so the gate fails only when both are over. This arm samples 109
-  // times over 508 series. On a quiet 4-vCPU host: 273-346 ns and 2.5 %,
+  // times over 507 series. On a quiet 4-vCPU host: 273-346 ns and 2.5 %,
   // where 5 % of the wall is 580 ns, so at today's speed the gate trips
   // exactly where the 5 % share did. On the same host under outside
   // load: 587-1170 ns and 3.4-4.3 %; under ASan/UBSan: 2810-3835 ns and

@@ -295,10 +295,9 @@ TEST(ArtifactRegistry, NetworkRejectsHealthSinkOfALiveTrial) {
 TEST(ArtifactRegistry, NetworkRejectsFlightSinkOfALiveTrial) {
   const std::string path = temp_artifact("telea_runner_test_flight.jsonl");
   Network first(tiny_net(1));
-  first.enable_flight_recorders(Network::kFlightCapacity, path);
+  first.enable_flight_recorders(path);
   Network second(tiny_net(2));
-  EXPECT_THROW(second.enable_flight_recorders(Network::kFlightCapacity, path),
-               ArtifactConflictError);
+  EXPECT_THROW(second.enable_flight_recorders(path), ArtifactConflictError);
   // The claim comes first: a rejected network stays recorder-off.
   EXPECT_FALSE(second.flight_recorders_enabled());
 }
@@ -323,7 +322,7 @@ StreamRun run_streams(const std::filesystem::path& dir) {
     hcfg.period = 30_s;
     hcfg.snapshot_jsonl = health;
     net.enable_health(hcfg);
-    net.enable_flight_recorders(Network::kFlightCapacity, flight);
+    net.enable_flight_recorders(flight);
     NetworkTimelineConfig tcfg;
     tcfg.timeline.interval = 30_s;
     tcfg.jsonl = timeline;
@@ -361,6 +360,30 @@ TEST(ArtifactStreams, SecondRunIntoSamePathsLeavesOnlyItsLines) {
   EXPECT_EQ(second.flight, first.flight);
   // Timeline lines carry host wall time, so only their count is stable.
   EXPECT_EQ(second.timeline_lines, first.timeline_lines);
+}
+
+// A snapshot asked for at the instant the snapshot timer already wrote one
+// (a run that ends on a tick) adds no second, identical line.
+TEST(ArtifactStreams, HealthSnapshotOnATimerTickIsWrittenOnce) {
+  const std::string path = temp_artifact("telea_runner_test_tick.jsonl");
+  const auto lines = [&path] {
+    const std::string text = read_text_file(path).value_or("");
+    return std::count(text.begin(), text.end(), '\n');
+  };
+  Network net(tiny_net(5));
+  NetworkHealthConfig hcfg;
+  hcfg.period = 30_s;
+  hcfg.snapshot_jsonl = path;
+  net.enable_health(hcfg);
+  net.start();
+  net.run_for(2_min);  // the timer writes at 30, 60, 90 and 120 s
+  ASSERT_EQ(lines(), 4);
+  EXPECT_TRUE(net.append_health_snapshot());
+  EXPECT_EQ(lines(), 4);
+
+  net.run_for(1_s);  // off the tick: the end-of-run line is new
+  EXPECT_TRUE(net.append_health_snapshot());
+  EXPECT_EQ(lines(), 5);
 }
 
 }  // namespace

@@ -107,21 +107,5 @@ TEST(DecisionTrace, JsonlExportReconstructsIdenticalTrajectory) {
   EXPECT_EQ(explain_control(*reloaded, *seq), tracer.explain(*seq));
 }
 
-TEST(DecisionTrace, RuntimeDisableSilencesTheStack) {
-  NetworkConfig cfg;
-  cfg.topology = make_line(3, 22.0);
-  cfg.seed = 8;
-  cfg.protocol = ControlProtocol::kReTele;
-  Network net(cfg);
-  Tracer& tracer = net.enable_tracing();
-  tracer.set_enabled(false);
-  net.start();
-  net.run_for(3_min);
-  EXPECT_EQ(tracer.size(), 0u);
-  tracer.set_enabled(true);
-  net.run_for(1_min);
-  EXPECT_GT(tracer.size(), 0u);
-}
-
 }  // namespace
 }  // namespace telea

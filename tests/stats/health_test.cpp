@@ -61,9 +61,7 @@ TEST(HealthEncode, SeqnoFreshnessWraps) {
 }
 
 TEST(HealthReporter, RateLimitsToOneReportPerPeriod) {
-  HealthReporterConfig cfg;
-  cfg.min_interval = 60_s;
-  HealthReporter reporter(cfg);
+  HealthReporter reporter(60_s);
   std::size_t sampled = 0;
   const auto sample = [&sampled] {
     ++sampled;
@@ -113,9 +111,7 @@ TEST(HealthModel, FreshestWinsOnOutOfOrderArrivals) {
 }
 
 TEST(HealthModel, StalenessAndCoverage) {
-  HealthModelConfig cfg;
-  cfg.period = 60_s;  // stale_after defaults to two periods
-  NetworkHealthModel model(cfg);
+  NetworkHealthModel model(60_s);  // stale after two periods
   model.set_expected_nodes(4);
   model.on_report(0, 1, report_with_seqno(0));
   model.on_report(0, 2, report_with_seqno(0));
@@ -132,37 +128,8 @@ TEST(HealthModel, StalenessAndCoverage) {
   EXPECT_EQ(model.unseen_nodes(), (std::vector<NodeId>{4}));
 }
 
-TEST(HealthModel, EvictsAfterConfigurableAge) {
-  HealthModelConfig cfg;
-  cfg.period = 60_s;
-  cfg.evict_after = 300_s;
-  NetworkHealthModel model(cfg);
-  model.set_expected_nodes(2);
-  model.on_report(0, 1, report_with_seqno(0));
-  model.on_report(250_s, 2, report_with_seqno(0));
-
-  model.prune(299_s);
-  EXPECT_EQ(model.tracked(), 2u);
-
-  model.prune(301_s);  // node 1's entry is now older than evict_after
-  EXPECT_EQ(model.tracked(), 1u);
-  EXPECT_EQ(model.entry(1), nullptr);
-  EXPECT_NE(model.entry(2), nullptr);
-  EXPECT_EQ(model.stats().evicted, 1u);
-  EXPECT_EQ(model.unseen_nodes(), (std::vector<NodeId>{1}));
-
-  // evict_after = 0 keeps entries forever.
-  NetworkHealthModel keeper;
-  keeper.set_expected_nodes(1);
-  keeper.on_report(0, 1, report_with_seqno(0));
-  keeper.prune(3600_s);
-  EXPECT_EQ(keeper.tracked(), 1u);
-}
-
 TEST(HealthModel, SnapshotJsonParsesAndMetricsExport) {
-  HealthModelConfig cfg;
-  cfg.period = 60_s;
-  NetworkHealthModel model(cfg);
+  NetworkHealthModel model(60_s);
   model.set_expected_nodes(2);
   model.on_report(10_s, 1, report_with_seqno(3));
 
@@ -172,6 +139,7 @@ TEST(HealthModel, SnapshotJsonParsesAndMetricsExport) {
   EXPECT_DOUBLE_EQ(doc->number_or("expected", 0), 2.0);
   EXPECT_DOUBLE_EQ(doc->number_or("tracked", 0), 1.0);
   EXPECT_DOUBLE_EQ(doc->number_or("coverage", 0), 0.5);
+  EXPECT_DOUBLE_EQ(doc->number_or("stale_after_s", 0), 120.0);  // 2 periods
   const JsonValue* nodes = doc->find("nodes");
   ASSERT_NE(nodes, nullptr);
   ASSERT_EQ(nodes->as_array().size(), 1u);

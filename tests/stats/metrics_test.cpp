@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "harness/network.hpp"
 #include "topo/topology.hpp"
 #include "util/json.hpp"
@@ -204,59 +207,6 @@ TEST(Metrics, JsonRoundTripsThroughParser) {
   EXPECT_EQ(labels->string_or("sub", ""), "lpl");
 }
 
-TEST(Metrics, SnapshotDiffSubtractsCountersButNotGauges) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("telea_ops_total");
-  Gauge& g = reg.gauge("telea_depth");
-  Histogram& h = reg.histogram("telea_lat_seconds", {1.0});
-  c.inc(10);
-  g.set(5);
-  h.observe(0.5);
-
-  const MetricsSnapshot before = reg.snapshot();
-  EXPECT_DOUBLE_EQ(before.at("telea_ops_total"), 10.0);
-
-  c.inc(3);
-  g.set(2);
-  h.observe(0.25);
-  h.observe(7.0);
-
-  const MetricsSnapshot delta = reg.diff(before);
-  EXPECT_DOUBLE_EQ(delta.at("telea_ops_total"), 3.0);
-  EXPECT_DOUBLE_EQ(delta.at("telea_depth"), 2.0);  // gauge: current value
-  EXPECT_DOUBLE_EQ(delta.at("telea_lat_seconds_count"), 2.0);
-  EXPECT_DOUBLE_EQ(delta.at("telea_lat_seconds_bucket{le=\"1\"}"), 1.0);
-  EXPECT_DOUBLE_EQ(delta.at("telea_lat_seconds_bucket{le=\"+Inf\"}"), 2.0);
-}
-
-TEST(Metrics, SnapshotDiffClampsCounterResetsToZero) {
-  // Regression: a collector-mirrored counter can go *backwards* when its
-  // source node reboots with protocol state wiped. diff() must clamp the
-  // delta to zero — a negative "increase" poisons every rate computed from
-  // it — while gauges keep reporting their (legitimately lower) value.
-  MetricsRegistry reg;
-  Counter& c = reg.counter("telea_ops_total");
-  Gauge& g = reg.gauge("telea_depth");
-  Histogram& h = reg.histogram("telea_lat_seconds", {1.0});
-  c.inc(10);
-  g.set(5);
-  h.observe(0.5);
-  h.observe(0.25);
-  const MetricsSnapshot before = reg.snapshot();
-
-  // Simulate the reboot: fresh registry, totals restart from zero.
-  MetricsRegistry after_reboot;
-  after_reboot.counter("telea_ops_total").inc(4);
-  after_reboot.gauge("telea_depth").set(2);
-  after_reboot.histogram("telea_lat_seconds", {1.0}).observe(0.5);
-
-  const MetricsSnapshot delta = after_reboot.diff(before);
-  EXPECT_DOUBLE_EQ(delta.at("telea_ops_total"), 0.0);  // 4 - 10, clamped
-  EXPECT_DOUBLE_EQ(delta.at("telea_depth"), 2.0);      // gauge: current value
-  EXPECT_DOUBLE_EQ(delta.at("telea_lat_seconds_count"), 0.0);  // 1 - 2
-  EXPECT_DOUBLE_EQ(delta.at("telea_lat_seconds_bucket{le=\"1\"}"), 0.0);
-}
-
 TEST(MetricsIntegration, NetworkCollectorRefreshesWithoutDoubleCounting) {
   NetworkConfig cfg;
   cfg.topology = make_line(4, 22.0);
@@ -267,21 +217,26 @@ TEST(MetricsIntegration, NetworkCollectorRefreshesWithoutDoubleCounting) {
   net.run_for(4_min);
 
   MetricsRegistry reg;
+  const auto samples = [&reg] {
+    std::map<std::string, double> out;
+    reg.visit_samples([&out](const std::string& name, double value,
+                             SampleKind) { out.emplace(name, value); });
+    return out;
+  };
+  const std::string tx = "telea_phy_transmissions_total{sub=\"phy\"}";
   net.collect_metrics(reg);
-  const MetricsSnapshot first = reg.snapshot();
+  const auto first = samples();
   EXPECT_GT(reg.size(), 0u);
-  EXPECT_GT(first.at("telea_phy_transmissions_total{sub=\"phy\"}"), 0.0);
+  EXPECT_GT(first.at(tx), 0.0);
 
   // Collecting again without advancing time must be idempotent — the
   // collector mirrors absolute totals, it does not accumulate.
   net.collect_metrics(reg);
-  const MetricsSnapshot second = reg.snapshot();
-  EXPECT_EQ(first, second);
+  EXPECT_EQ(samples(), first);
 
   net.run_for(2_min);
   net.collect_metrics(reg);
-  const MetricsSnapshot delta = reg.diff(first);
-  EXPECT_GT(delta.at("telea_phy_transmissions_total{sub=\"phy\"}"), 0.0);
+  EXPECT_GT(samples().at(tx), first.at(tx));
 
   // The export formats stay parseable with the full live label set.
   EXPECT_TRUE(JsonValue::parse(reg.render_json()).has_value());

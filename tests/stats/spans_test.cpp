@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/network.hpp"
-#include "stats/metrics.hpp"
 #include "stats/trace.hpp"
 #include "topo/topology.hpp"
 #include "util/json.hpp"
@@ -129,20 +128,6 @@ TEST(CommandSpans, EnergyAttributionFollowsTheRadioStateModel) {
   double per_node = 0.0;
   for (const auto& [node, uj] : e.per_node_uj) per_node += uj;
   EXPECT_NEAR(per_node, e.total_uj, 1e-6);
-}
-
-TEST(CommandSpans, MetricsCollectionFeedsHistogramsAndCounters) {
-  const auto spans = build_command_spans(clean_delivery());
-  MetricsRegistry reg;
-  collect_span_metrics(spans, SpanEnergyConfig{}, reg);
-  EXPECT_EQ(reg.counter("telea_command_spans_total").value(), 1u);
-  EXPECT_EQ(reg.counter("telea_command_spans_delivered_total").value(), 1u);
-  EXPECT_EQ(reg.counter("telea_span_reconcile_failures_total").value(), 0u);
-  auto& lat = reg.histogram("telea_command_latency_seconds", {});
-  EXPECT_EQ(lat.count(), 1u);
-  EXPECT_NEAR(lat.sum(), 0.104, 1e-9);
-  // The JSON export (and the quantiles the benches print) stay parseable.
-  EXPECT_TRUE(JsonValue::parse(reg.render_json()).has_value());
 }
 
 TEST(CommandSpans, ReportJsonParsesWithAggregates) {

@@ -12,46 +12,72 @@
 namespace telea {
 namespace {
 
-TimelineConfig tiny_config() {
-  TimelineConfig cfg;
-  cfg.interval = 10 * kSecond;
-  cfg.raw_capacity = 8;
-  cfg.mid = {4, 2};     // fold raw 2:1
-  cfg.coarse = {4, 2};  // fold mid buckets 2:1
-  cfg.window = 3;
-  cfg.quantile_window = 5;
-  cfg.ewma_alpha = 0.5;
-  return cfg;
+constexpr std::uint64_t kMidSpan = kTimelineMidFold;
+constexpr std::uint64_t kCoarseSpan = kTimelineMidFold * kTimelineCoarseFold;
+
+/// Sum of i for i in [first, last).
+double sum_range(std::uint64_t first, std::uint64_t last) {
+  return static_cast<double>(last * (last - 1) / 2 - first * (first - 1) / 2);
 }
 
+// Point i has value i, so a bucket's min, max and sum name exactly which
+// points it folded.
 TEST(MetricSeries, TiersFoldAndEvict) {
-  MetricSeries s(tiny_config(), false);
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    s.append(i * 10 * kSecond, static_cast<double>(i));
+  MetricSeries s(10 * kSecond);
+  TimelineTiers tiers;
+  const auto append_up_to = [&](std::uint64_t end) {
+    for (std::uint64_t i = s.total_points(); i < end; ++i) {
+      s.append(i * 10 * kSecond, static_cast<double>(i));
+      tiers.append(i * 10 * kSecond, static_cast<double>(i));
+    }
+  };
+
+  // 130 points: 21 full mid buckets (126 points, 4 pending) and 2 full
+  // coarse buckets (120 points, one mid bucket pending).
+  append_up_to(130);
+  EXPECT_EQ(s.raw().size(), 130u);
+  ASSERT_EQ(tiers.mid().size(), 21u);
+  for (std::uint64_t k = 0; k < tiers.mid().size(); ++k) {
+    const TimelineBucket& b = tiers.mid()[k];
+    EXPECT_EQ(b.start, k * kMidSpan * 10 * kSecond);
+    EXPECT_EQ(b.count, kMidSpan);
+    EXPECT_DOUBLE_EQ(b.min, static_cast<double>(k * kMidSpan));
+    EXPECT_DOUBLE_EQ(b.max, static_cast<double>((k + 1) * kMidSpan - 1));
+    EXPECT_DOUBLE_EQ(b.sum, sum_range(k * kMidSpan, (k + 1) * kMidSpan));
   }
-  EXPECT_EQ(s.total_points(), 12u);
-  // Raw ring keeps the newest 8 of 12 points.
-  ASSERT_EQ(s.raw().size(), 8u);
-  EXPECT_DOUBLE_EQ(s.raw().front().value, 4.0);
-  EXPECT_DOUBLE_EQ(s.raw().back().value, 11.0);
-  // Mid tier: 12 points folded 2:1 = 6 buckets, capacity keeps the last 4.
-  ASSERT_EQ(s.mid().size(), 4u);
-  const TimelineBucket& b = s.mid().back();  // points 10, 11
-  EXPECT_DOUBLE_EQ(b.min, 10.0);
-  EXPECT_DOUBLE_EQ(b.max, 11.0);
-  EXPECT_DOUBLE_EQ(b.sum, 21.0);
-  EXPECT_EQ(b.count, 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 10.5);
-  EXPECT_EQ(b.start, 10u * 10 * kSecond);
-  // Coarse tier folds *mid buckets* 2:1 — 6 mid buckets = 3 coarse buckets,
-  // each aggregating 4 raw points.
-  ASSERT_EQ(s.coarse().size(), 3u);
-  EXPECT_EQ(s.coarse().back().count, 4u);
-  EXPECT_DOUBLE_EQ(s.coarse().back().sum, 8.0 + 9.0 + 10.0 + 11.0);
+  EXPECT_DOUBLE_EQ(tiers.mid().back().mean(), 122.5);  // points 120..125
+  ASSERT_EQ(tiers.coarse().size(), 2u);
+  for (std::uint64_t k = 0; k < tiers.coarse().size(); ++k) {
+    const TimelineBucket& b = tiers.coarse()[k];
+    EXPECT_EQ(b.start, k * kCoarseSpan * 10 * kSecond);
+    EXPECT_EQ(b.count, kCoarseSpan);
+    EXPECT_DOUBLE_EQ(b.min, static_cast<double>(k * kCoarseSpan));
+    EXPECT_DOUBLE_EQ(b.max, static_cast<double>((k + 1) * kCoarseSpan - 1));
+    EXPECT_DOUBLE_EQ(b.sum, sum_range(k * kCoarseSpan, (k + 1) * kCoarseSpan));
+  }
+
+  // Past every capacity: each ring keeps only its newest entries.
+  const std::uint64_t total = (kTimelineCoarseCapacity + 2) * kCoarseSpan;
+  append_up_to(total);
+  EXPECT_EQ(s.total_points(), total);
+  ASSERT_EQ(s.raw().size(), kTimelineRawCapacity);
+  EXPECT_DOUBLE_EQ(s.raw().front().value,
+                   static_cast<double>(total - kTimelineRawCapacity));
+  EXPECT_DOUBLE_EQ(s.raw().back().value, static_cast<double>(total - 1));
+  ASSERT_EQ(tiers.mid().size(), kTimelineMidCapacity);
+  EXPECT_DOUBLE_EQ(tiers.mid().front().min,
+                   static_cast<double>(total - kTimelineMidCapacity * kMidSpan));
+  EXPECT_DOUBLE_EQ(tiers.mid().back().sum, sum_range(total - kMidSpan, total));
+  ASSERT_EQ(tiers.coarse().size(), kTimelineCoarseCapacity);
+  EXPECT_DOUBLE_EQ(tiers.coarse().front().min,
+                   static_cast<double>(2 * kCoarseSpan));
+  EXPECT_DOUBLE_EQ(tiers.coarse().back().max, static_cast<double>(total - 1));
+  EXPECT_DOUBLE_EQ(tiers.coarse().back().sum,
+                   sum_range(total - kCoarseSpan, total));
 }
 
 TEST(MetricSeries, WindowedSignals) {
-  MetricSeries s(tiny_config(), true);
+  MetricSeries s(10 * kSecond);
   // Deltas appended at the 10 s cadence: 0, 3, 6, 9.
   for (std::uint64_t i = 0; i < 4; ++i) {
     s.append(i * 10 * kSecond, static_cast<double>(3 * i));
@@ -60,8 +86,12 @@ TEST(MetricSeries, WindowedSignals) {
   EXPECT_DOUBLE_EQ(s.window_sum(3), 3.0 + 6.0 + 9.0);
   // Rate over 3 samples x 10 s of window.
   EXPECT_DOUBLE_EQ(s.window_rate(3), 18.0 / 30.0);
-  // EWMA with alpha 0.5 over 0,3,6,9.
-  EXPECT_DOUBLE_EQ(s.ewma(), ((0.0 * 0.5 + 3.0) * 0.5 + 6.0) * 0.5 * 0.5 + 4.5);
+  // EWMA over 0,3,6,9, seeded with the first point.
+  double ewma = 0.0;
+  for (const double v : {3.0, 6.0, 9.0}) {
+    ewma = kTimelineEwmaAlpha * v + (1.0 - kTimelineEwmaAlpha) * ewma;
+  }
+  EXPECT_DOUBLE_EQ(s.ewma(), ewma);
   const double p50 = s.window_quantile(0.5);
   EXPECT_GT(p50, 0.0);
   EXPECT_LT(p50, 9.0);
@@ -141,7 +171,7 @@ TEST(AlertRules, SeriesNodeLabel) {
 // simulator, the way Network::enable_timeline wires it.
 struct EngineRig {
   Simulator sim;
-  TimelineEngine engine{sim, tiny_config()};
+  TimelineEngine engine{sim};
   double gauge_value = 0.0;
   std::uint64_t counter_total = 0;
   bool emit_gauge = true;
@@ -167,7 +197,6 @@ TEST(TimelineEngine, SamplesOnCadenceAndDeltaEncodesCounters) {
 
   const MetricSeries* ops = rig.engine.series("telea_test_ops_total");
   ASSERT_NE(ops, nullptr);
-  EXPECT_TRUE(ops->cumulative());
   ASSERT_EQ(ops->raw().size(), 3u);
   // First observation of a cumulative series is its baseline: delta 100,
   // then no growth.
@@ -177,7 +206,6 @@ TEST(TimelineEngine, SamplesOnCadenceAndDeltaEncodesCounters) {
   const MetricSeries* depth =
       rig.engine.series("telea_test_depth{node=\"2\"}");
   ASSERT_NE(depth, nullptr);
-  EXPECT_FALSE(depth->cumulative());
   EXPECT_DOUBLE_EQ(depth->last(), 4.0);  // gauges stay absolute
 
   // Counter reset (state-loss reboot): total drops 100 -> 5. The delta is
@@ -245,10 +273,11 @@ TEST(TimelineEngine, AlertFiresAfterForWindowsAndResolves) {
   // The engine mirrors alert state as metrics, like every subsystem.
   MetricsRegistry reg;
   rig.engine.collect_metrics(reg);
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("telea_alert_fired_total{rule=\"deep\"}"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.at("telea_alert_active{rule=\"deep\"}"), 0.0);
-  EXPECT_GT(snap.at("telea_timeline_samples_total"), 0.0);
+  EXPECT_EQ(reg.counter("telea_alert_fired_total", {{"rule", "deep"}}).value(),
+            1u);
+  EXPECT_DOUBLE_EQ(reg.gauge("telea_alert_active", {{"rule", "deep"}}).value(),
+                   0.0);
+  EXPECT_GT(reg.counter("telea_timeline_samples_total").value(), 0u);
 }
 
 TEST(TimelineEngine, AbsentRuleFiresWhenSeriesStopsReporting) {
@@ -301,7 +330,8 @@ TEST(TimelineEngine, JsonlStreamIsParseableAndDescribesTiers) {
       ++meta_lines;
       EXPECT_DOUBLE_EQ(meta->number_or("interval_us", 0.0),
                        static_cast<double>(10 * kSecond));
-      EXPECT_DOUBLE_EQ(meta->number_or("raw_capacity", 0.0), 8.0);
+      // The tier layout is fixed, so the meta carries only these two keys.
+      EXPECT_EQ(meta->as_object().size(), 2u);
       const JsonValue* rules = meta->find("rules");
       ASSERT_NE(rules, nullptr);
       ASSERT_EQ(rules->as_array().size(), 1u);
@@ -327,7 +357,7 @@ TEST(TimelineEngine, SeriesStayAlignedWhenTheScrapeShifts) {
   // middle, one disappears, and a histogram's bucket detail rides along.
   // Every value must still land in its own series.
   Simulator sim;
-  TimelineEngine engine{sim, tiny_config()};
+  TimelineEngine engine{sim};
   int pass = 0;
   engine.set_collector([&pass](MetricsRegistry& reg) {
     reg.gauge("telea_a").set(1.0 + pass);

@@ -1,11 +1,11 @@
 // telea_timeline — renders, summarizes, and diffs the timeline JSONL that
 // `telea_sim timeline=FILE` (or the churn soak's timeline arm) streams: one
-// meta line describing the tier layout, one {"t","v":{series:value}} line
+// meta line (sampling interval and rules), one {"t","v":{series:value}} line
 // per sample, and one {"t","alert",...} line per alert transition.
 //
-// The tool rebuilds the engine's multi-resolution series (src/stats/
-// timeline.*) from the stream — same fold config, same buckets — so what it
-// renders is exactly what the in-sim engine held.
+// The tool rebuilds each series from the stream with the engine's own code
+// (src/stats/timeline.*): the raw ring the in-sim engine held, plus the mid
+// and coarse tiers folded at the fixed layout, which only this tool builds.
 //
 //   $ ./telea_timeline timeline=run.timeline.jsonl
 //   $ ./telea_timeline timeline=run.timeline.jsonl series=telea_duty_cycle
@@ -50,8 +50,8 @@ using telea::MetricSeries;
 using telea::SimTime;
 using telea::TextTable;
 using telea::TimelineBucket;
-using telea::TimelineConfig;
 using telea::TimelinePoint;
+using telea::TimelineTiers;
 using telea::kSecond;
 using telea::read_text_file;
 
@@ -71,36 +71,25 @@ struct AlertEvent {
   double signal = 0.0;
 };
 
-/// One parsed timeline stream: the meta config plus every sample appended
-/// into rebuilt MetricSeries (same fold layout the in-sim engine used).
+/// One rebuilt series: the engine's raw ring plus the downsampled tiers.
+struct Series {
+  MetricSeries ring;
+  TimelineTiers tiers;
+};
+
+/// One parsed timeline stream: the meta interval and rules plus every
+/// sample appended into a rebuilt Series.
 struct Timeline {
-  TimelineConfig config;
-  std::map<std::string, MetricSeries> series;
+  SimTime interval = 10 * kSecond;
+  std::map<std::string, Series> series;
   std::vector<std::string> rules;  // rendered rule lines from the meta
   std::vector<AlertEvent> alerts;
   std::size_t samples = 0;
 };
 
 void apply_meta(const JsonValue& meta, Timeline* tl) {
-  tl->config.interval =
+  tl->interval =
       static_cast<SimTime>(meta.number_or("interval_us", 10.0 * kSecond));
-  tl->config.raw_capacity =
-      static_cast<std::size_t>(meta.number_or("raw_capacity", 720.0));
-  if (const JsonValue* mid = meta.find("mid")) {
-    tl->config.mid.capacity =
-        static_cast<std::size_t>(mid->number_or("capacity", 240.0));
-    tl->config.mid.fold = static_cast<std::size_t>(mid->number_or("fold", 6.0));
-  }
-  if (const JsonValue* coarse = meta.find("coarse")) {
-    tl->config.coarse.capacity =
-        static_cast<std::size_t>(coarse->number_or("capacity", 288.0));
-    tl->config.coarse.fold =
-        static_cast<std::size_t>(coarse->number_or("fold", 10.0));
-  }
-  tl->config.window = static_cast<std::size_t>(meta.number_or("window", 6.0));
-  tl->config.quantile_window =
-      static_cast<std::size_t>(meta.number_or("quantile_window", 30.0));
-  tl->config.ewma_alpha = meta.number_or("ewma_alpha", 0.3);
   if (const JsonValue* rules = meta.find("rules");
       rules != nullptr && rules->type() == JsonValue::Type::kArray) {
     for (const JsonValue& r : rules->as_array()) {
@@ -142,11 +131,12 @@ std::optional<Timeline> load_timeline(const std::string& path) {
       auto it = tl.series.find(name);
       if (it == tl.series.end()) {
         // The stream stores counters already delta-encoded, so rebuilt
-        // series are all appended as-is; cumulative=false keeps append
-        // semantics identical to what the engine stored.
-        it = tl.series.emplace(name, MetricSeries(tl.config, false)).first;
+        // series take every value as-is, as the engine stored it.
+        it = tl.series.emplace(name, Series{MetricSeries(tl.interval), {}})
+                 .first;
       }
-      it->second.append(t, value.as_number());
+      it->second.ring.append(t, value.as_number());
+      it->second.tiers.append(t, value.as_number());
     }
   }
   return tl;
@@ -160,13 +150,13 @@ std::vector<double> raw_values(const MetricSeries& s) {
 }
 
 /// series= resolution: exact name first, then unique substring.
-const MetricSeries* resolve_series(const Timeline& tl, const std::string& key,
-                                   std::string* resolved) {
+const Series* resolve_series(const Timeline& tl, const std::string& key,
+                             std::string* resolved) {
   if (const auto it = tl.series.find(key); it != tl.series.end()) {
     *resolved = it->first;
     return &it->second;
   }
-  const MetricSeries* match = nullptr;
+  const Series* match = nullptr;
   std::size_t matches = 0;
   for (const auto& [name, s] : tl.series) {
     if (name.find(key) == std::string::npos) continue;
@@ -195,12 +185,13 @@ double to_s(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
-int render_series(const std::string& name, const MetricSeries& s,
+int render_series(const std::string& name, const Series& series,
                   const std::string& tier, const std::string& format,
                   bool spark) {
+  const MetricSeries& s = series.ring;
   const bool raw = tier == "raw";
   const std::deque<TimelineBucket>& buckets =
-      tier == "mid" ? s.mid() : s.coarse();
+      tier == "mid" ? series.tiers.mid() : series.tiers.coarse();
   if ((raw && s.raw().empty()) || (!raw && buckets.empty())) {
     std::fprintf(stderr, "telea_timeline: no %s-tier data for %s\n",
                  tier.c_str(), name.c_str());
@@ -266,7 +257,7 @@ int render_summary(const Timeline& tl, const std::string& path,
                    std::size_t limit) {
   std::printf("%s: %zu samples every %.0f s, %zu series, %zu alert "
               "transition(s)\n",
-              path.c_str(), tl.samples, to_s(tl.config.interval),
+              path.c_str(), tl.samples, to_s(tl.interval),
               tl.series.size(), tl.alerts.size());
   for (const std::string& rule : tl.rules) {
     std::printf("rule: %s\n", rule.c_str());
@@ -281,9 +272,10 @@ int render_summary(const Timeline& tl, const std::string& path,
   }
   TextTable table({"series", "points", "last", "ewma", "spark"});
   std::size_t shown = 0;
-  for (const auto& [name, s] : tl.series) {
+  for (const auto& [name, series] : tl.series) {
     if (limit > 0 && shown >= limit) break;
     ++shown;
+    const MetricSeries& s = series.ring;
     table.row({name, std::to_string(s.total_points()),
                TextTable::fmt(s.last(), 4), TextTable::fmt(s.ewma(), 4),
                telea::sparkline(raw_values(s), 24)});
@@ -315,8 +307,8 @@ int diff_timelines(const Timeline& a, const Timeline& b, double tolerance) {
       ++differing_series;
       continue;
     }
-    const auto& ra = sa.raw();
-    const auto& rb = itb->second.raw();
+    const auto& ra = sa.ring.raw();
+    const auto& rb = itb->second.ring.raw();
     const std::size_t n = std::min(ra.size(), rb.size());
     bool differs = ra.size() != rb.size();
     std::string detail;
@@ -430,7 +422,7 @@ int main(int argc, char** argv) {
 
   if (!series_key.empty()) {
     std::string resolved;
-    const MetricSeries* s = resolve_series(*tl, series_key, &resolved);
+    const Series* s = resolve_series(*tl, series_key, &resolved);
     if (s == nullptr) {
       std::fprintf(stderr, "telea_timeline: no series matches '%s'\n",
                    series_key.c_str());
