@@ -89,6 +89,9 @@ Outcome run_with_failures(ControlProtocol proto, unsigned kills,
       case ControlProtocol::kRpl:
         net.sink().rpl()->send_downward(dest, 1, next_seq);
         break;
+      case ControlProtocol::kOrpl:
+        net.sink().orpl()->send_downward(dest, 1, next_seq);
+        break;
     }
     ++next_seq;
   }

@@ -146,7 +146,14 @@ void print_grouped(const char* title, const GroupedStats& g, bool pct,
   std::printf("\n%s\n", title);
   table.print();
   if (!csv_dir.empty()) {
-    table.write_csv(csv_dir + "/" + csv_name + ".csv");
+    // Created here as metrics= creates its directory: a missing DIR must
+    // not lose the tables silently.
+    const std::string path = csv_dir + "/" + csv_name + ".csv";
+    std::error_code ec;
+    std::filesystem::create_directories(csv_dir, ec);
+    if (ec || !table.write_csv(path)) {
+      TELEA_WARN("telea_sim") << "could not write " << path;
+    }
   }
 }
 

@@ -30,7 +30,7 @@
 #   scripts/check.sh --san-only   # asan + thread only
 #   scripts/check.sh --static     # static analysis only
 #   scripts/check.sh --lint-fix   # apply telea_lint's mechanical fixes
-#                                 # (enum cases, doc rows), then report
+#                                 # (doc rows, metric bullets), then report
 #   scripts/check.sh --bench      # bench regression gate only (pinned short
 #                                 # bench runs vs bench/baselines/, >10%
 #                                 # worsening on latency/duty columns fails)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/enum_name.hpp"
 #include "util/logging.hpp"
 
 namespace telea {
@@ -38,12 +39,7 @@ const char* invariant_rule_section(InvariantRule r) noexcept {
 
 std::optional<InvariantRule> invariant_rule_from_name(
     std::string_view name) noexcept {
-  for (std::uint8_t i = 0;
-       i <= static_cast<std::uint8_t>(InvariantRule::kCtpNoLoop); ++i) {
-    const auto r = static_cast<InvariantRule>(i);
-    if (name == invariant_rule_name(r)) return r;
-  }
-  return std::nullopt;
+  return enum_from_name(name, invariant_rule_name);
 }
 
 namespace {

@@ -27,7 +27,7 @@ PathCode make_child_code(const PathCode& parent_code, std::uint32_t position,
 
 PathCode sink_code() noexcept {
   PathCode code;
-  code.push_back(false);
+  (void)code.push_back(false);  // one bit into an empty code always fits
   return code;
 }
 

@@ -135,8 +135,9 @@ struct ChurnSoakPair {
                                           const ChurnSoakResult& without);
 
 /// Writes churn_soak_json to `path`. Returns false on I/O failure.
-bool write_churn_soak_json(const std::string& path, const ChurnSoakConfig& cfg,
-                           const ChurnSoakResult& with_retries,
-                           const ChurnSoakResult& without);
+[[nodiscard]] bool write_churn_soak_json(const std::string& path,
+                                         const ChurnSoakConfig& cfg,
+                                         const ChurnSoakResult& with_retries,
+                                         const ChurnSoakResult& without);
 
 }  // namespace telea

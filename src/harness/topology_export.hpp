@@ -13,6 +13,6 @@ namespace telea {
 [[nodiscard]] std::string render_topology_dot(Network& net);
 
 /// Writes the DOT rendering to `path`. Returns false on I/O failure.
-bool write_topology_dot(Network& net, const std::string& path);
+[[nodiscard]] bool write_topology_dot(Network& net, const std::string& path);
 
 }  // namespace telea

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -14,8 +15,9 @@ namespace telea {
 /// header (FCF + seq + addressing) and FCS footer leave 114 bytes of
 /// payload for any single frame. Protocols that batch variable-length
 /// content (allocation tables, group-control destination lists) must chunk
-/// against kMaxPayloadBytes — telea_lint's wire-format rule audits every
-/// wire struct's fixed fields against it.
+/// against kMaxPayloadBytes (a static_assert pins the allocation-table
+/// chunk in core/addressing.cpp); WireSizeProperty.AllFramesFitTheMpdu
+/// checks real frame sizes against kMaxMpduBytes.
 inline constexpr std::size_t kMacHeaderBytes = 11;
 inline constexpr std::size_t kMacFooterBytes = 2;
 inline constexpr std::size_t kMaxMpduBytes = 127;
@@ -65,6 +67,11 @@ struct HealthReport {
 
 /// Wire size of one piggybacked HealthReport.
 inline constexpr std::size_t kHealthReportBytes = 8;
+static_assert(sizeof(HealthReport) == kHealthReportBytes,
+              "HealthReport is its own wire format: fields must sum to "
+              "kHealthReportBytes");
+static_assert(std::has_unique_object_representations_v<HealthReport>,
+              "HealthReport must have no padding bytes");
 
 /// CTP data frame (unicast, hop-by-hop to the current parent). Also carries
 /// TeleAdjusting end-to-end acknowledgements, which the paper transmits "as a

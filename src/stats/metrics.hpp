@@ -119,8 +119,8 @@ class MetricsRegistry {
   /// JSON export: {"metrics":[{name,labels,type,...}]}. Parseable by
   /// JsonValue::parse — the unit tests round-trip it.
   [[nodiscard]] std::string render_json() const;
-  bool write_prometheus(const std::string& path) const;
-  bool write_json(const std::string& path) const;
+  [[nodiscard]] bool write_prometheus(const std::string& path) const;
+  [[nodiscard]] bool write_json(const std::string& path) const;
 
   /// Visits every live sample at Prometheus sample granularity
   /// ("name{labels}" or "name_bucket{...,le=\"x\"}" / "_sum" / "_count")

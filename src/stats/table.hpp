@@ -27,7 +27,7 @@ class TextTable {
   [[nodiscard]] std::string render_csv() const;
 
   /// Writes the CSV rendering to `path`. Returns false on I/O failure.
-  bool write_csv(const std::string& path) const;
+  [[nodiscard]] bool write_csv(const std::string& path) const;
 
   /// Machine-readable JSON: {"name":...,"headers":[...],"rows":[{header:
   /// cell}...]}. Cells that parse fully as numbers (including "12.3%", which
@@ -36,7 +36,8 @@ class TextTable {
   [[nodiscard]] std::string render_json(const std::string& name) const;
 
   /// Writes the JSON rendering to `path`. Returns false on I/O failure.
-  bool write_json(const std::string& name, const std::string& path) const;
+  [[nodiscard]] bool write_json(const std::string& name,
+                                const std::string& path) const;
 
   static std::string fmt(double v, int decimals = 2);
   static std::string fmt_pct(double fraction, int decimals = 1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/enum_name.hpp"
 #include "util/json.hpp"
 #include "util/text_file.hpp"
 
@@ -54,22 +55,12 @@ const char* trace_reason_name(TraceReason r) noexcept {
 }
 
 std::optional<TraceEvent> trace_event_from_name(std::string_view name) noexcept {
-  for (std::uint8_t i = 0;
-       i <= static_cast<std::uint8_t>(TraceEvent::kGiveUp); ++i) {
-    const auto e = static_cast<TraceEvent>(i);
-    if (name == trace_event_name(e)) return e;
-  }
-  return std::nullopt;
+  return enum_from_name(name, trace_event_name);
 }
 
 std::optional<TraceReason> trace_reason_from_name(
     std::string_view name) noexcept {
-  for (std::uint8_t i = 0;
-       i <= static_cast<std::uint8_t>(TraceReason::kBudgetExhausted); ++i) {
-    const auto r = static_cast<TraceReason>(i);
-    if (name == trace_reason_name(r)) return r;
-  }
-  return std::nullopt;
+  return enum_from_name(name, trace_reason_name);
 }
 
 Tracer::Tracer(std::size_t capacity) : ring_(std::max<std::size_t>(capacity, 1)) {}

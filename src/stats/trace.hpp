@@ -141,7 +141,7 @@ class Tracer {
 
   /// JSONL export: one {"t","node","event","a","b","reason"} object per line.
   [[nodiscard]] std::string render_jsonl() const;
-  bool write_jsonl(const std::string& path) const;
+  [[nodiscard]] bool write_jsonl(const std::string& path) const;
 
   void clear();
 

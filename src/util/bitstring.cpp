@@ -28,7 +28,7 @@ bool BitString::from_string(std::string_view bits, BitString& out) noexcept {
   BitString tmp;
   for (char c : bits) {
     if (c != '0' && c != '1') return false;
-    tmp.push_back(c == '1');
+    (void)tmp.push_back(c == '1');  // size checked against kCapacity above
   }
   out = tmp;
   return true;
@@ -59,7 +59,7 @@ bool BitString::push_back(bool value) noexcept {
 bool BitString::append_bits(std::uint64_t value, std::size_t width) noexcept {
   if (width > 64 || len_ + width > kCapacity) return false;
   for (std::size_t i = 0; i < width; ++i) {
-    push_back((value >> (width - 1 - i)) & 1ULL);
+    (void)push_back((value >> (width - 1 - i)) & 1ULL);  // checked above
   }
   return true;
 }
@@ -67,7 +67,7 @@ bool BitString::append_bits(std::uint64_t value, std::size_t width) noexcept {
 bool BitString::append(const BitString& other) noexcept {
   if (len_ + other.len_ > kCapacity) return false;
   for (std::size_t i = 0; i < other.len_; ++i) {
-    push_back(other.bit(i));
+    (void)push_back(other.bit(i));  // checked above
   }
   return true;
 }

@@ -45,15 +45,19 @@ class BitString {
   void set_bit(std::size_t i, bool value) noexcept;
 
   /// Appends a single bit. Returns false (unchanged) when at capacity.
-  bool push_back(bool value) noexcept;
+  /// The capacity mutators are [[nodiscard]]: path-code arithmetic that
+  /// truncates silently misroutes a command, and the build promotes a
+  /// discarded result to an error (-Werror=unused-result).
+  [[nodiscard]] bool push_back(bool value) noexcept;
 
   /// Appends the low `width` bits of `value`, most-significant first.
   /// Returns false (unchanged) when the result would exceed capacity or
   /// width > 64.
-  bool append_bits(std::uint64_t value, std::size_t width) noexcept;
+  [[nodiscard]] bool append_bits(std::uint64_t value,
+                                 std::size_t width) noexcept;
 
   /// Appends all bits of `other`. Returns false (unchanged) on overflow.
-  bool append(const BitString& other) noexcept;
+  [[nodiscard]] bool append(const BitString& other) noexcept;
 
   /// Removes the trailing `n` bits. Precondition: n <= size().
   void truncate_back(std::size_t n) noexcept;

@@ -18,7 +18,8 @@ namespace telea {
 
 /// Replaces the contents of `path` with `text`. False when the file cannot
 /// be opened, or the write or the close fails.
-bool write_text_file(const std::string& path, std::string_view text);
+[[nodiscard]] bool write_text_file(const std::string& path,
+                                   std::string_view text);
 
 /// A line stream into one file. open() truncates, so a second run into the
 /// same path holds only that run's lines; each write_line() adds `line` and

@@ -81,12 +81,17 @@ TEST_F(Algorithms, Alg2MatchingClaimConfirms) {
   Addressing& parent = addressing(1);
   const auto* entry = parent.children().find(2);
   ASSERT_NE(entry, nullptr);
-  // Simulate losing the confirmation: reset and re-hear the child's claim.
-  parent.children().find(2);
-  const auto claim = claim_beacon(
-      /*parent=*/1, entry->position,
-      static_cast<std::uint8_t>(addressing(2).code().size()));
-  net_->node(1).on_beacon_heard(2, claim);
+  const auto code_len = static_cast<std::uint8_t>(addressing(2).code().size());
+  // Lose the confirmation: a mismatched claim makes the parent reallocate,
+  // which resets the flag (Alg. 2 lines 4-6).
+  net_->node(1).on_beacon_heard(2, claim_beacon(/*parent=*/1,
+                                                entry->position + 1, code_len));
+  entry = parent.children().find(2);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_FALSE(entry->confirmed);
+  // A claim at the reallocated position confirms it again (Alg. 2 l.2-3).
+  net_->node(1).on_beacon_heard(2,
+                                claim_beacon(1, entry->position, code_len));
   EXPECT_TRUE(parent.children().find(2)->confirmed);
 }
 

@@ -87,7 +87,7 @@ TEST(PathCode, RejectsPositionOutsideSpace) {
 TEST(PathCode, RejectsCapacityOverflow) {
   PathCode deep;
   for (std::size_t i = 0; i < BitString::kCapacity - 2; ++i) {
-    deep.push_back(false);
+    ASSERT_TRUE(deep.push_back(false));
   }
   EXPECT_TRUE(make_child_code(deep, 1, 3).empty());   // capacity-2+3 overflows
   EXPECT_FALSE(make_child_code(deep, 1, 2).empty());  // capacity-2+2 fits
@@ -120,7 +120,7 @@ class PathCodeChain : public ::testing::TestWithParam<std::uint8_t> {};
 TEST_P(PathCodeChain, AncestorPrefixInvariant) {
   const std::uint8_t space = GetParam();
   std::vector<PathCode> chain{sink_code()};
-  for (int depth = 0; depth < 12; ++depth) {
+  for (std::uint32_t depth = 0; depth < 12; ++depth) {
     const std::uint32_t pos = (depth * 7 + 1) % (1u << space);
     const PathCode next = make_child_code(chain.back(), pos, space);
     if (next.empty()) break;  // capacity reached

@@ -153,7 +153,9 @@ TEST_P(WireSizeProperty, AllFramesFitTheMpdu) {
   for (int iter = 0; iter < 100; ++iter) {
     BitString code;
     const std::size_t len = rng.uniform(200) + 1;
-    for (std::size_t i = 0; i < len; ++i) code.push_back(rng.chance(0.5));
+    for (std::size_t i = 0; i < len; ++i) {
+      ASSERT_TRUE(code.push_back(rng.chance(0.5)));
+    }
 
     msg::ControlPacket cp;
     cp.dest_code = code;

@@ -63,7 +63,9 @@ TEST(LinkGainTable, SymmetricShadowingOption) {
   LinkGainTable table(line_positions(6, 9.0), cfg, 7);
   for (NodeId i = 0; i < 6; ++i) {
     for (NodeId j = 0; j < 6; ++j) {
-      if (i != j) EXPECT_DOUBLE_EQ(table.loss_db(i, j), table.loss_db(j, i));
+      if (i != j) {
+        EXPECT_DOUBLE_EQ(table.loss_db(i, j), table.loss_db(j, i));
+      }
     }
   }
 }

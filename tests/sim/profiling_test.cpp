@@ -18,7 +18,7 @@ TEST(SimProfiling, OffByDefaultAndCostsNothing) {
 TEST(SimProfiling, CountsEventsByTag) {
   Simulator sim;
   sim.set_profiling(true);
-  for (int i = 0; i < 3; ++i) sim.schedule_in(10 + i, [] {}, "alpha");
+  for (SimTime i = 0; i < 3; ++i) sim.schedule_in(10 + i, [] {}, "alpha");
   sim.schedule_in(5, [] {}, "beta");
   sim.schedule_in(7, [] {});  // untagged
   sim.run();
@@ -35,7 +35,7 @@ TEST(SimProfiling, CountsEventsByTag) {
 TEST(SimProfiling, TracksMaxQueueDepth) {
   Simulator sim;
   sim.set_profiling(true);
-  for (int i = 0; i < 8; ++i) sim.schedule_in(10 + i, [] {}, "w");
+  for (SimTime i = 0; i < 8; ++i) sim.schedule_in(10 + i, [] {}, "w");
   sim.run();
   // Depth is sampled before each pop: the first pop sees all 8 pending.
   EXPECT_EQ(sim.profile().max_queue_depth, 8u);

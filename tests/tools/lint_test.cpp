@@ -1,14 +1,15 @@
-// Unit tests for telea_lint (tools/telea_lint): the stripper and enum parser
-// on tricky inputs, then each rule family against a fabricated mini-tree —
-// once seeded with a violation (rule fires, right file/line) and once clean.
+// Unit tests for telea_lint (tools/telea_lint): the stripper on tricky inputs,
+// then each rule family against a fabricated mini-tree — once seeded with a
+// violation (rule fires, right file/line) and once clean — the --fix
+// insertions, the registry, and the committed tree itself.
 #include "telea_lint/lint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace telea::lint {
@@ -24,7 +25,8 @@ class LintTreeTest : public ::testing::Test {
     // remove_all another's files mid-scan.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     root_ = fs::path(::testing::TempDir()) /
-            (std::string("telea_lint_") + info->name());
+            (std::string("telea_lint_") + info->test_suite_name() + "_" +
+             info->name());
     fs::remove_all(root_);
     fs::create_directories(root_);
   }
@@ -37,8 +39,19 @@ class LintTreeTest : public ::testing::Test {
     out << text;
   }
 
+  std::string read(const std::string& rel) {
+    std::ifstream in(root_ / rel);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  }
+
   fs::path root_;
 };
+
+// The semantic rules and the --fix insertions share the mini-tree fixture.
+class LintSemanticTest : public LintTreeTest {};
+class LintInfraTest : public LintTreeTest {};
 
 // --- stripper ---------------------------------------------------------------
 
@@ -68,112 +81,9 @@ TEST(StripTest, HandlesEscapedQuotesInsideLiterals) {
   EXPECT_NE(out.find("int x;"), std::string::npos);
 }
 
-// --- enum parser ------------------------------------------------------------
-
-TEST(ParseEnumeratorsTest, CollectsNamesSkipsInitializersAndComments) {
-  const std::string header =
-      "enum class Color : std::uint8_t {\n"
-      "  kRed,            // warm\n"
-      "  kGreen = 4,\n"
-      "  kBlue,\n"
-      "};\n"
-      "enum class Other { kOther };\n";
-  const auto names = parse_enumerators(header, "Color");
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "kRed");
-  EXPECT_EQ(names[1], "kGreen");
-  EXPECT_EQ(names[2], "kBlue");
-  EXPECT_TRUE(parse_enumerators(header, "Missing").empty());
-  const auto other = parse_enumerators(header, "Other");
-  ASSERT_EQ(other.size(), 1u);
-  EXPECT_EQ(other[0], "kOther");
-}
-
-// --- enum-string rule -------------------------------------------------------
-
-namespace {
-
-const char* kColorHeader =
-    "enum class Color : std::uint8_t {\n"
-    "  kRed,\n"
-    "  kGreen,\n"
-    "  kBlue,\n"
-    "};\n";
-
-std::string color_source(bool case_for_blue, const std::string& loop_bound) {
-  std::string src =
-      "const char* color_name(Color c) {\n"
-      "  switch (c) {\n"
-      "    case Color::kRed: return \"red\";\n"
-      "    case Color::kGreen: return \"green\";\n";
-  if (case_for_blue) src += "    case Color::kBlue: return \"blue\";\n";
-  src +=
-      "  }\n"
-      "  return \"?\";\n"
-      "}\n"
-      "std::optional<Color> color_from_name(std::string_view n) {\n"
-      "  for (std::uint8_t i = 0; i <= static_cast<std::uint8_t>(" +
-      loop_bound +
-      "); ++i) {\n"
-      "    if (n == color_name(static_cast<Color>(i))) return "
-      "static_cast<Color>(i);\n"
-      "  }\n"
-      "  return std::nullopt;\n"
-      "}\n";
-  return src;
-}
-
-}  // namespace
-
-TEST_F(LintTreeTest, EnumStringRuleFiresOnMissingCaseAndStaleLoopBound) {
-  Options opts;
-  opts.root = root_;
-  opts.enums = {{"Color", "src/color.hpp", "src/color.cpp", "color_name",
-                 "color_from_name"}};
-  write("src/color.hpp", kColorHeader);
-
-  write("src/color.cpp", color_source(true, "Color::kBlue"));
-  EXPECT_TRUE(check_enum_strings(opts).empty());
-
-  // Missing switch case for the newest enumerator.
-  write("src/color.cpp", color_source(false, "Color::kBlue"));
-  auto findings = check_enum_strings(opts);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "enum-string");
-  EXPECT_EQ(findings[0].file, "src/color.cpp");
-  EXPECT_NE(findings[0].message.find("kBlue"), std::string::npos);
-
-  // Probe loop still bounded on the old last enumerator.
-  write("src/color.cpp", color_source(true, "Color::kGreen"));
-  findings = check_enum_strings(opts);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("color_from_name"), std::string::npos);
-}
-
-TEST_F(LintTreeTest, EnumWithoutFromNameFnSkipsTheLoopCheck) {
-  Options opts;
-  opts.root = root_;
-  opts.enums = {{"Color", "src/color.hpp", "src/color.cpp", "color_name",
-                 /*from_name_fn=*/""}};
-  write("src/color.hpp", kColorHeader);
-  write("src/color.cpp",
-        "const char* color_name(Color c) {\n"
-        "  switch (c) {\n"
-        "    case Color::kRed: return \"red\";\n"
-        "    case Color::kGreen: return \"green\";\n"
-        "    case Color::kBlue: return \"blue\";\n"
-        "  }\n"
-        "  return \"?\";\n"
-        "}\n");
-  EXPECT_TRUE(check_enum_strings(opts).empty());
-}
-
 // --- metric-docs rule -------------------------------------------------------
 
 TEST_F(LintTreeTest, MetricDocsRuleFiresOnUndocumentedMetric) {
-  Options opts;
-  opts.root = root_;
-  opts.enums.clear();
   write("src/stats.cpp",
         "void f(R& r) {\n"
         "  r.describe(\"telea_documented_total\", \"...\");\n"
@@ -181,7 +91,7 @@ TEST_F(LintTreeTest, MetricDocsRuleFiresOnUndocumentedMetric) {
         "}\n");
   write("docs/OBSERVABILITY.md", "- `telea_documented_total` — a counter\n");
 
-  const auto findings = check_metric_docs(opts);
+  const auto findings = check_metric_docs(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "metric-docs");
   EXPECT_EQ(findings[0].file, "src/stats.cpp");
@@ -192,7 +102,7 @@ TEST_F(LintTreeTest, MetricDocsRuleFiresOnUndocumentedMetric) {
   write("docs/OBSERVABILITY.md",
         "- `telea_documented_total` — a counter\n"
         "- `telea_undocumented_total` — now documented\n");
-  EXPECT_TRUE(check_metric_docs(opts).empty());
+  EXPECT_TRUE(check_metric_docs(root_).empty());
 }
 
 // --- trace-docs rule --------------------------------------------------------
@@ -227,17 +137,13 @@ const char* kTraceDocClean =
 }  // namespace
 
 TEST_F(LintTreeTest, TraceDocsRuleAcceptsAMatchingTable) {
-  Options opts;
-  opts.root = root_;
   write("src/stats/trace.hpp", kTraceHeader);
   write("src/stats/trace.cpp", kTraceSource);
   write("docs/OBSERVABILITY.md", kTraceDocClean);
-  EXPECT_TRUE(check_trace_docs(opts).empty());
+  EXPECT_TRUE(check_trace_docs(root_).empty());
 }
 
 TEST_F(LintTreeTest, TraceDocsRuleFiresOnUndocumentedEvent) {
-  Options opts;
-  opts.root = root_;
   // A new enumerator + name string ships without a doc table row.
   write("src/stats/trace.hpp",
         "enum class TraceEvent : std::uint8_t {\n"
@@ -257,7 +163,7 @@ TEST_F(LintTreeTest, TraceDocsRuleFiresOnUndocumentedEvent) {
             "}\n");
   write("docs/OBSERVABILITY.md", kTraceDocClean);
 
-  const auto findings = check_trace_docs(opts);
+  const auto findings = check_trace_docs(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "trace-docs");
   EXPECT_EQ(findings[0].file, "src/stats/trace.hpp");
@@ -266,14 +172,12 @@ TEST_F(LintTreeTest, TraceDocsRuleFiresOnUndocumentedEvent) {
 }
 
 TEST_F(LintTreeTest, TraceDocsRuleFiresOnStaleDocRow) {
-  Options opts;
-  opts.root = root_;
   write("src/stats/trace.hpp", kTraceHeader);
   write("src/stats/trace.cpp", kTraceSource);
   write("docs/OBSERVABILITY.md",
         std::string(kTraceDocClean) + "| `vanished_event`  | —   | nobody |\n");
 
-  const auto findings = check_trace_docs(opts);
+  const auto findings = check_trace_docs(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "trace-docs");
   EXPECT_EQ(findings[0].file, "docs/OBSERVABILITY.md");
@@ -283,12 +187,10 @@ TEST_F(LintTreeTest, TraceDocsRuleFiresOnStaleDocRow) {
 }
 
 TEST_F(LintTreeTest, TraceDocsRuleReportsAMissingTable) {
-  Options opts;
-  opts.root = root_;
   write("src/stats/trace.hpp", kTraceHeader);
   write("src/stats/trace.cpp", kTraceSource);
   write("docs/OBSERVABILITY.md", "No table here.\n");
-  const auto findings = check_trace_docs(opts);
+  const auto findings = check_trace_docs(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].message.find("event table"), std::string::npos);
 }
@@ -296,16 +198,13 @@ TEST_F(LintTreeTest, TraceDocsRuleReportsAMissingTable) {
 // --- rng rule ---------------------------------------------------------------
 
 TEST_F(LintTreeTest, RngRuleBansUnseededEntropyOutsideTheExemptFiles) {
-  Options opts;
-  opts.root = root_;
-  opts.enums.clear();
   write("src/util/rng.cpp", "std::random_device rd;  // the one sanctioned use\n");
   write("src/bad.cpp",
         "int f() {\n"
         "  return rand() % 7;\n"
         "}\n");
 
-  const auto findings = check_rng_discipline(opts);
+  const auto findings = check_rng_discipline(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "rng");
   EXPECT_EQ(findings[0].file, "src/bad.cpp");
@@ -313,24 +212,18 @@ TEST_F(LintTreeTest, RngRuleBansUnseededEntropyOutsideTheExemptFiles) {
 }
 
 TEST_F(LintTreeTest, RngRuleIgnoresMembersCommentsAndNonCalls) {
-  Options opts;
-  opts.root = root_;
-  opts.enums.clear();
   write("src/ok.cpp",
         "// rand() in a comment is fine\n"
         "const char* s = \"time(nullptr)\";\n"
         "void g(Clock& c) { c.time(); }        // member access\n"
         "int run_time(int t) { return t; }     // substring, not the token\n"
         "int x = my::rand();                   // qualified elsewhere\n");
-  EXPECT_TRUE(check_rng_discipline(opts).empty());
+  EXPECT_TRUE(check_rng_discipline(root_).empty());
 }
 
 // --- field-width rule -------------------------------------------------------
 
 TEST_F(LintTreeTest, FieldWidthRuleFlagsRawNarrowingCastsInPacketCode) {
-  Options opts;
-  opts.root = root_;
-  opts.enums.clear();
   write("src/proto/bad.cpp",
         "void f(Packet& p, std::size_t n) {\n"
         "  p.hops = static_cast<std::uint8_t>(n);\n"
@@ -339,7 +232,7 @@ TEST_F(LintTreeTest, FieldWidthRuleFlagsRawNarrowingCastsInPacketCode) {
   write("src/harness/ok.cpp",
         "int g(std::size_t n) { return static_cast<std::uint8_t>(n); }\n");
 
-  const auto findings = check_field_widths(opts);
+  const auto findings = check_field_widths(root_);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "field-width");
   EXPECT_EQ(findings[0].file, "src/proto/bad.cpp");
@@ -349,21 +242,192 @@ TEST_F(LintTreeTest, FieldWidthRuleFlagsRawNarrowingCastsInPacketCode) {
         "void f(Packet& p, std::size_t n) {\n"
         "  p.hops = field::u8(n);\n"
         "}\n");
-  EXPECT_TRUE(check_field_widths(opts).empty());
+  EXPECT_TRUE(check_field_widths(root_).empty());
+}
+
+// --- layering ---------------------------------------------------------------
+
+namespace {
+
+std::size_t count_rule(const std::vector<Finding>& findings,
+                       const std::string& rule) {
+  return static_cast<std::size_t>(
+      std::count_if(findings.begin(), findings.end(),
+                    [&rule](const Finding& f) { return f.rule == rule; }));
+}
+
+}  // namespace
+
+TEST_F(LintSemanticTest, LayeringFlagsIllegalEdgeWithIncludeChain) {
+  write("src/util/helper.hpp", "#pragma once\n#include \"net/thing.hpp\"\n");
+  write("src/net/thing.hpp", "#pragma once\n");
+  const auto findings = check_layering(root_);
+  ASSERT_EQ(count_rule(findings, "layering"), 1u);
+  EXPECT_EQ(findings[0].file, "src/util/helper.hpp");
+  EXPECT_EQ(findings[0].line, 2u);
+  EXPECT_NE(findings[0].message.find("src/net/thing.hpp"), std::string::npos);
+}
+
+TEST_F(LintSemanticTest, LayeringFlagsIncludeCycleOnce) {
+  // A deliberate two-file cycle inside one layer: legal edges, still broken.
+  write("src/net/a.hpp", "#pragma once\n#include \"net/b.hpp\"\n");
+  write("src/net/b.hpp", "#pragma once\n#include \"net/a.hpp\"\n");
+  const auto findings = check_layering(root_);
+  ASSERT_EQ(count_rule(findings, "layering"), 1u);
+  EXPECT_NE(findings[0].message.find("include cycle"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("src/net/a.hpp"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("src/net/b.hpp"), std::string::npos);
+}
+
+TEST_F(LintSemanticTest, LayeringForbidsSrcDependingOnTools) {
+  write("src/core/x.cpp", "#include \"telea_lint/lint.hpp\"\n");
+  write("tools/telea_lint/lint.hpp", "#pragma once\n");
+  const auto findings = check_layering(root_);
+  ASSERT_EQ(count_rule(findings, "layering"), 1u);
+  EXPECT_NE(findings[0].message.find("tools"), std::string::npos);
+}
+
+TEST_F(LintSemanticTest, LayeringQuietOnLegalEdgesAndSystemIncludes) {
+  write("src/util/ids.hpp",
+        "#pragma once\n"
+        "#include <cstdint>\n"
+        "// #include \"net/ctp.hpp\" (commented out: not an edge)\n"
+        "/* #include \"net/ctp.hpp\" */\n");
+  write("src/radio/medium.hpp", "#pragma once\n#include \"util/ids.hpp\"\n");
+  write("src/net/ctp.hpp", "#pragma once\n#  include \"radio/medium.hpp\"\n");
+  EXPECT_TRUE(check_layering(root_).empty());
+}
+
+TEST_F(LintSemanticTest, LayeringFlagsDirectoryAbsentFromSpec) {
+  write("src/newlayer/x.hpp", "#pragma once\n");
+  const auto findings = check_layering(root_);
+  ASSERT_EQ(count_rule(findings, "layering"), 1u);
+  EXPECT_NE(findings[0].message.find("newlayer"), std::string::npos);
+}
+
+// --- wire-format (serialize/parse pairs) ------------------------------------
+
+namespace {
+
+// The rule checks a fixed list of pairs; a mini-tree holds only the pair a
+// test is about, so the others report "not found" and are filtered out.
+std::vector<Finding> pair_findings(const std::vector<Finding>& findings,
+                                   const std::string& pair) {
+  std::vector<Finding> out;
+  for (const Finding& f : findings) {
+    if (f.message.find("serde pair '" + pair + "'") != std::string::npos) {
+      out.push_back(f);
+    }
+  }
+  return out;
+}
+
+const char* kTraceCodecWriter =
+    "void append_trace_record_json(std::string& out, const R& r) {\n"
+    "  out += \"{\\\"t\\\":1,\\\"node\\\":2}\";  // {\\\"commented\\\":0}\n"
+    "}\n";
+
+}  // namespace
+
+TEST_F(LintSemanticTest, WireFormatFlagsReaderKeyNeverWritten) {
+  write("src/stats/table.cpp",
+        "std::string TextTable::render_json(const std::string& name) const {\n"
+        "  out += \"{\\\"t\\\":1,\\\"node\\\":2}\";\n"
+        "}\n");
+  write("tools/bench_compare/compare.cpp",
+        "std::optional<Table> parse_table_json(std::string_view text) {\n"
+        "  (void)v.number_or(\"t\", 0);\n"
+        "  (void)v.number_or(\"seq\", 0);\n"  // never written
+        "}\n");
+  const auto findings = pair_findings(check_wire_format(root_), "bench-table");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "wire-format");
+  EXPECT_EQ(findings[0].file, "tools/bench_compare/compare.cpp");
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_NE(findings[0].message.find("\"seq\""), std::string::npos);
+}
+
+TEST_F(LintSemanticTest, WireFormatStrictPairRequiresEveryKeyReadBack) {
+  write("src/stats/trace.cpp",
+        std::string(kTraceCodecWriter) +
+            "std::optional<R> trace_record_from_json(const JsonValue& v) {\n"
+            "  (void)v.number_or(\"t\", 0);\n"  // "node" written, never read
+            "}\n");
+  const auto findings = pair_findings(check_wire_format(root_), "trace-jsonl");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/stats/trace.cpp");
+  EXPECT_NE(findings[0].message.find("\"node\""), std::string::npos);
+}
+
+TEST_F(LintSemanticTest, WireFormatQuietOnSymmetricStrictPair) {
+  write("src/stats/trace.cpp",
+        std::string(kTraceCodecWriter) +
+            "void use() { trace_record_from_json(doc); }\n"  // a call, not the body
+            "std::optional<R> trace_record_from_json(const JsonValue& v) {\n"
+            "  (void)v.number_or(\"t\", 0);\n"
+            "  if (const auto n = v.find(\"node\")) {}\n"
+            "}\n");
+  EXPECT_TRUE(pair_findings(check_wire_format(root_), "trace-jsonl").empty());
+}
+
+// --- mechanical fixes -------------------------------------------------------
+
+TEST_F(LintInfraTest, FixAppendsTraceDocRowAndMetricBullet) {
+  write("src/stats/trace.hpp", "enum class TraceEvent { kPing };\n");
+  write("src/stats/trace.cpp",
+        "const char* trace_event_name(TraceEvent e) {\n"
+        "  switch (e) {\n"
+        "    case TraceEvent::kPing: return \"ping\";\n"
+        "  }\n"
+        "  return \"?\";\n"
+        "}\n");
+  write("src/stats/metrics.cpp",
+        "void reg(MetricsRegistry& m) { m.counter(\"telea_ping_total\"); }\n");
+  write("docs/OBSERVABILITY.md",
+        "# Observability\n"
+        "\n"
+        "| event | a | b | emitted by |\n"
+        "|---|---|---|---|\n"
+        "\n"
+        "Exported names:\n"
+        "\n"
+        "- `telea_other_total` — something else\n");
+
+  auto findings = run_all(root_);
+  std::vector<Finding> fixable;
+  for (const Finding& f : findings) {
+    if (!f.fix_kind.empty()) fixable.push_back(f);
+  }
+  ASSERT_EQ(fixable.size(), 2u);
+  EXPECT_EQ(apply_fixes(root_, fixable), 2u);
+
+  const std::string doc = read("docs/OBSERVABILITY.md");
+  EXPECT_NE(doc.find("| `ping` |"), std::string::npos);
+  EXPECT_NE(doc.find("- `telea_ping_total`"), std::string::npos);
+  EXPECT_TRUE(check_trace_docs(root_).empty());
+  EXPECT_TRUE(check_metric_docs(root_).empty());
+}
+
+// --- registry / dispatch ----------------------------------------------------
+
+TEST(RuleRegistryTest, CoversAllSixRulesAndDispatches) {
+  const auto& rules = rule_registry();
+  ASSERT_EQ(rules.size(), 6u);
+  const fs::path root = ::testing::TempDir();
+  for (const RuleInfo& r : rules) {
+    EXPECT_TRUE(run_rule(r.name, root).has_value()) << r.name;
+  }
+  EXPECT_FALSE(run_rule("no-such-rule", root).has_value());
 }
 
 // --- run_all against the real repository ------------------------------------
 
 TEST(LintRepoTest, CommittedTreeIsClean) {
-  // The build runs from <root>/build; the driver sets TELEA_LINT_ROOT when
-  // the layout differs.
-  const char* env = std::getenv("TELEA_LINT_ROOT");
-  Options opts;
-  opts.root = env != nullptr ? fs::path(env) : fs::path(TELEA_SOURCE_ROOT);
-  if (!fs::exists(opts.root / "src" / "stats" / "trace.hpp")) {
+  const fs::path root = TELEA_SOURCE_ROOT;
+  if (!fs::exists(root / "src" / "stats" / "trace.hpp")) {
     GTEST_SKIP() << "repository root not found";
   }
-  const auto findings = run_all(opts);
+  const auto findings = run_all(root);
   for (const auto& f : findings) {
     ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
                   << f.message;

@@ -13,8 +13,94 @@ namespace fs = std::filesystem;
 
 namespace {
 
+constexpr std::size_t npos = std::string::npos;
+
+// --- what the rules scan ----------------------------------------------------
+
+const char* const kObservabilityDoc = "docs/OBSERVABILITY.md";
+const std::vector<std::string> kMetricScanDirs = {"src", "tools"};
+// trace-docs: where TraceEvent lives and its name mapping.
+const char* const kTraceHeader = "src/stats/trace.hpp";
+const char* const kTraceSource = "src/stats/trace.cpp";
+const std::vector<std::string> kRngScanDirs = {"src", "examples", "bench",
+                                               "tools"};
+const std::vector<std::string> kRngExempt = {"src/util/rng.hpp",
+                                             "src/util/rng.cpp"};
+const std::vector<std::string> kFieldScanDirs = {"src/proto", "src/net",
+                                                 "src/core"};
+
+/// One layer of the intended src/ dependency DAG: files under
+/// src/<dir> may include src/<dir> itself plus src/<d> for d in deps.
+struct LayerSpec {
+  std::string dir;
+  std::vector<std::string> deps;
+};
+
+// The realized architecture (docs/STATIC_ANALYSIS.md carries the diagram):
+// util and sim are foundations; radio sits on them; stats (trace/metrics) is
+// observability plumbing below every protocol layer; mac, then net, then the
+// TeleAdjusting core and the baseline protos; check audits core state;
+// harness composes everything. tools/tests/examples/bench may depend on
+// anything — nothing in src/ may depend on them.
+const std::vector<LayerSpec> kLayers = {
+    {"util", {}},
+    {"sim", {"util"}},
+    {"radio", {"util", "sim"}},
+    {"topo", {"util", "sim", "radio"}},
+    {"stats", {"util", "sim", "radio"}},
+    {"mac", {"util", "sim", "radio", "stats"}},
+    {"net", {"util", "sim", "radio", "stats", "mac"}},
+    {"proto", {"util", "sim", "radio", "stats", "mac", "net"}},
+    {"core", {"util", "sim", "radio", "stats", "mac", "net"}},
+    {"check", {"util", "sim", "radio", "stats", "mac", "net", "core"}},
+    {"harness",
+     {"util", "sim", "radio", "stats", "mac", "net", "proto", "core", "check",
+      "topo"}},
+};
+const char* const kLayeringRoot = "src";  // the tree the DAG governs
+
+/// One serialize/parse pair under the wire-format rule: the JSON keys the
+/// writer emits versus the keys the reader consumes. The reader's keys must
+/// always be a subset of the writer's (a key read but never written is a
+/// silent-default bug); `strict` additionally requires the writer's keys to
+/// all be read back (a full round-trip codec).
+struct SerdeSpec {
+  const char* name;  // for messages, e.g. "trace-jsonl"
+  const char* writer_file;
+  const char* writer_fn;
+  const char* reader_file;
+  const char* reader_fn;
+  bool strict;
+};
+
+const SerdeSpec kSerdePairs[] = {
+    // The trace stream is a full round-trip codec: telea_report and the span
+    // engine reload exactly what the tracer wrote.
+    {"trace-jsonl", "src/stats/trace.cpp", "append_trace_record_json",
+     "src/stats/trace.cpp", "trace_record_from_json", /*strict=*/true},
+    // Snapshot/report renderers feed readers that may ignore informational
+    // keys, but must never read a key the writer does not emit.
+    {"health-snapshot", "src/stats/health.cpp", "render_snapshot_json",
+     "tools/telea_top.cpp", "render_snapshot", /*strict=*/false},
+    {"flight-dump", "src/stats/trace.cpp", "render_flight_dump_json",
+     "tools/telea_top.cpp", "render_flight_file", /*strict=*/false},
+    {"bench-table", "src/stats/table.cpp", "render_json",
+     "tools/bench_compare/compare.cpp", "parse_table_json",
+     /*strict=*/false},
+};
+
+// --- text helpers -----------------------------------------------------------
+
 bool is_word(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space(std::string_view text, std::size_t i) {
+  while (i < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[i])) != 0) {
+    ++i;
+  }
+  return i;
 }
 
 std::string read_file(const fs::path& path) {
@@ -23,6 +109,12 @@ std::string read_file(const fs::path& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+bool write_file(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return static_cast<bool>(out);
 }
 
 std::size_t line_of(std::string_view text, std::size_t pos) {
@@ -60,82 +152,39 @@ std::vector<std::string> collect_sources(const fs::path& root,
   return files;
 }
 
-bool exempt(const std::string& file, const std::vector<std::string>& list) {
-  return std::find(list.begin(), list.end(), file) != list.end();
+bool contains(const std::vector<std::string>& list, const std::string& s) {
+  return std::find(list.begin(), list.end(), s) != list.end();
 }
 
 /// First occurrence of `word` in `text` at word boundaries, from `from`.
 std::size_t find_word(std::string_view text, std::string_view word,
                       std::size_t from = 0) {
-  for (std::size_t pos = text.find(word, from); pos != std::string_view::npos;
+  for (std::size_t pos = text.find(word, from); pos != npos;
        pos = text.find(word, pos + 1)) {
     const bool left_ok = pos == 0 || !is_word(text[pos - 1]);
     const std::size_t after = pos + word.size();
     const bool right_ok = after >= text.size() || !is_word(text[after]);
     if (left_ok && right_ok) return pos;
   }
-  return std::string_view::npos;
+  return npos;
 }
 
-}  // namespace
-
-std::vector<EnumSpec> default_enum_specs() {
-  return {
-      {"TraceEvent", "src/stats/trace.hpp", "src/stats/trace.cpp",
-       "trace_event_name", "trace_event_from_name"},
-      {"TraceReason", "src/stats/trace.hpp", "src/stats/trace.cpp",
-       "trace_reason_name", "trace_reason_from_name"},
-      {"InvariantRule", "src/check/invariants.hpp", "src/check/invariants.cpp",
-       "invariant_rule_name", "invariant_rule_from_name"},
-      {"CommandOutcome", "src/harness/controller.hpp",
-       "src/harness/controller.cpp", "command_outcome_name", ""},
-  };
+/// Index of the bracket closing the one at `open` (same nesting level), or
+/// npos. Run it on stripped text so brackets in literals do not count.
+std::size_t matching_close(std::string_view text, std::size_t open) {
+  const char o = text[open];
+  const char c = o == '(' ? ')' : '}';
+  int depth = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (text[i] == o) ++depth;
+    if (text[i] == c && --depth == 0) return i;
+  }
+  return npos;
 }
 
-std::vector<LayerSpec> default_layer_specs() {
-  // The realized architecture (docs/STATIC_ANALYSIS.md carries the diagram):
-  // util and sim are foundations; radio sits on them; stats (trace/metrics)
-  // is observability plumbing below every protocol layer; mac, then net,
-  // then the TeleAdjusting core and the baseline protos; check audits core
-  // state; harness composes everything. tools/tests/examples/bench may
-  // depend on anything — nothing in src/ may depend on them.
-  return {
-      {"util", {}},
-      {"sim", {"util"}},
-      {"radio", {"util", "sim"}},
-      {"topo", {"util", "sim", "radio"}},
-      {"stats", {"util", "sim", "radio"}},
-      {"mac", {"util", "sim", "radio", "stats"}},
-      {"net", {"util", "sim", "radio", "stats", "mac"}},
-      {"proto", {"util", "sim", "radio", "stats", "mac", "net"}},
-      {"core", {"util", "sim", "radio", "stats", "mac", "net"}},
-      {"check", {"util", "sim", "radio", "stats", "mac", "net", "core"}},
-      {"harness",
-       {"util", "sim", "radio", "stats", "mac", "net", "proto", "core",
-        "check", "topo"}},
-  };
-}
-
-std::vector<SerdeSpec> default_serde_specs() {
-  return {
-      // The trace stream is a full round-trip codec: telea_report and the
-      // span engine reload exactly what the tracer wrote.
-      {"trace-jsonl", "src/stats/trace.cpp", "append_trace_record_json",
-       "src/stats/trace.cpp", "trace_record_from_json", /*strict=*/true},
-      // Snapshot/report renderers feed readers that may ignore informational
-      // keys, but must never read a key the writer does not emit.
-      {"health-snapshot", "src/stats/health.cpp", "render_snapshot_json",
-       "tools/telea_top.cpp", "render_snapshot", /*strict=*/false},
-      {"flight-dump", "src/stats/trace.cpp", "render_flight_dump_json",
-       "tools/telea_top.cpp", "render_flight_file",
-       /*strict=*/false},
-      {"bench-table", "src/stats/table.cpp", "render_json",
-       "tools/bench_compare/compare.cpp", "parse_table_json",
-       /*strict=*/false},
-  };
-}
-
-std::string strip_comments_and_strings(std::string_view src) {
+/// Blanks comments, and string/char literal contents too when
+/// `blank_literals`, keeping every newline and every quote character.
+std::string blank_comments(std::string_view src, bool blank_literals) {
   std::string out(src);
   enum class State {
     kCode,
@@ -179,28 +228,16 @@ std::string strip_comments_and_strings(std::string_view src) {
         }
         break;
       case State::kString:
-        if (c == '\\') {
-          out[i] = ' ';
-          if (next != '\n') {
-            if (i + 1 < out.size()) out[i + 1] = ' ';
-            ++i;
-          }
-        } else if (c == '"') {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
       case State::kChar:
         if (c == '\\') {
-          out[i] = ' ';
-          if (next != '\n') {
-            if (i + 1 < out.size()) out[i + 1] = ' ';
-            ++i;
+          if (blank_literals) {
+            out[i] = ' ';
+            if (next != '\n' && i + 1 < out.size()) out[i + 1] = ' ';
           }
-        } else if (c == '\'') {
+          if (next != '\n') ++i;  // skip the escaped character
+        } else if (c == (state == State::kString ? '"' : '\'')) {
           state = State::kCode;
-        } else if (c != '\n') {
+        } else if (c != '\n' && blank_literals) {
           out[i] = ' ';
         }
         break;
@@ -209,132 +246,47 @@ std::string strip_comments_and_strings(std::string_view src) {
   return out;
 }
 
-std::vector<std::string> parse_enumerators(std::string_view header_text,
-                                           std::string_view enum_name) {
-  const std::string stripped = strip_comments_and_strings(header_text);
-  const std::string needle = "enum class " + std::string(enum_name);
-  std::size_t pos = find_word(stripped, needle);
-  if (pos == std::string::npos) return {};
-  const std::size_t open = stripped.find('{', pos);
-  const std::size_t close = stripped.find('}', open);
-  if (open == std::string::npos || close == std::string::npos) return {};
+}  // namespace
 
-  std::vector<std::string> names;
-  std::size_t i = open + 1;
-  while (i < close) {
-    // Each enumerator: identifier [ = initializer ] up to ',' or '}'.
-    while (i < close && !is_word(stripped[i])) ++i;
-    std::size_t start = i;
-    while (i < close && is_word(stripped[i])) ++i;
-    if (i > start) names.emplace_back(stripped.substr(start, i - start));
-    // Skip any initializer expression to the enumerator separator.
-    while (i < close && stripped[i] != ',') ++i;
-    ++i;
-  }
-  return names;
+std::string strip_comments_and_strings(std::string_view src) {
+  return blank_comments(src, /*blank_literals=*/true);
 }
 
-std::vector<Finding> check_enum_strings(const Options& opts) {
-  std::vector<Finding> findings;
-  for (const EnumSpec& spec : opts.enums) {
-    const std::string header = read_file(opts.root / spec.header);
-    if (header.empty()) {
-      findings.push_back({spec.header, 0, "enum-string",
-                          "cannot read header declaring enum " +
-                              spec.enum_name});
-      continue;
-    }
-    const std::vector<std::string> names =
-        parse_enumerators(header, spec.enum_name);
-    if (names.empty()) {
-      findings.push_back({spec.header, 0, "enum-string",
-                          "enum " + spec.enum_name + " not found"});
-      continue;
-    }
-    const std::string source_raw = read_file(opts.root / spec.source);
-    const std::string source = strip_comments_and_strings(source_raw);
-    const std::size_t fn_pos = find_word(source, spec.name_fn);
-    if (fn_pos == std::string::npos) {
-      findings.push_back({spec.source, 0, "enum-string",
-                          "mapping function " + spec.name_fn + " not found"});
-      continue;
-    }
-    for (const std::string& name : names) {
-      const std::string case_label =
-          "case " + spec.enum_name + "::" + name + ":";
-      if (source.find(case_label) == std::string::npos) {
-        Finding f{spec.source, line_of(source, fn_pos), "enum-string",
-                  spec.enum_name + "::" + name + " has no case in " +
-                      spec.name_fn + "() — its string mapping is missing"};
-        f.fix_kind = "insert-enum-case";
-        f.fix_args = {spec.source, spec.enum_name, name, spec.name_fn};
-        findings.push_back(std::move(f));
-      }
-    }
-    if (!spec.from_name_fn.empty()) {
-      // The probe loop must be bounded on the LAST enumerator; anything else
-      // means values appended later silently fail to round-trip by name.
-      const std::size_t from_pos = find_word(source, spec.from_name_fn);
-      if (from_pos == std::string::npos) {
-        findings.push_back({spec.source, 0, "enum-string",
-                            "probe function " + spec.from_name_fn +
-                                " not found"});
-        continue;
-      }
-      const std::size_t body_end = source.find("\n}", from_pos);
-      const std::string_view body =
-          std::string_view(source).substr(from_pos,
-                                          body_end == std::string::npos
-                                              ? std::string::npos
-                                              : body_end - from_pos);
-      const std::string bound = spec.enum_name + "::" + names.back();
-      if (body.find(bound) == std::string_view::npos) {
-        findings.push_back(
-            {spec.source, line_of(source, from_pos), "enum-string",
-             spec.from_name_fn + "() loop bound does not name the last " +
-                 spec.enum_name + " enumerator (" + bound +
-                 ") — newly appended values will not round-trip"});
-      }
-    }
-  }
-  return findings;
-}
+// ---------------------------------------------------------------------------
+// metric-docs
+// ---------------------------------------------------------------------------
 
-std::vector<Finding> check_metric_docs(const Options& opts) {
+std::vector<Finding> check_metric_docs(const fs::path& root) {
   std::vector<Finding> findings;
-  const std::string doc = read_file(opts.root / opts.metrics_doc);
+  const std::string doc = read_file(root / kObservabilityDoc);
   if (doc.empty()) {
     findings.push_back(
-        {opts.metrics_doc, 0, "metric-docs", "metrics document missing"});
+        {kObservabilityDoc, 0, "metric-docs", "metrics document missing"});
     return findings;
   }
   // First registered occurrence of every metric literal, for the report.
   std::set<std::string> reported;
   static const char* kCalls[] = {".describe(", ".counter(", ".gauge(",
                                  ".histogram("};
-  for (const std::string& file :
-       collect_sources(opts.root, opts.metric_scan_dirs)) {
-    const std::string raw = read_file(opts.root / file);
+  for (const std::string& file : collect_sources(root, kMetricScanDirs)) {
+    const std::string raw = read_file(root / file);
     for (const char* call : kCalls) {
-      for (std::size_t pos = raw.find(call); pos != std::string::npos;
+      for (std::size_t pos = raw.find(call); pos != npos;
            pos = raw.find(call, pos + 1)) {
-        std::size_t i = pos + std::string_view(call).size();
-        while (i < raw.size() &&
-               std::isspace(static_cast<unsigned char>(raw[i])) != 0) {
-          ++i;
-        }
+        const std::size_t i =
+            skip_space(raw, pos + std::string_view(call).size());
         if (i >= raw.size() || raw[i] != '"') continue;  // non-literal name
         const std::size_t end = raw.find('"', i + 1);
-        if (end == std::string::npos) continue;
+        if (end == npos) continue;
         const std::string name = raw.substr(i + 1, end - i - 1);
         if (name.rfind("telea_", 0) != 0) continue;
         if (!reported.insert(name).second) continue;
-        if (doc.find(name) == std::string::npos) {
+        if (doc.find(name) == npos) {
           Finding f{file, line_of(raw, pos), "metric-docs",
                     "metric " + name + " is not documented in " +
-                        opts.metrics_doc};
+                        kObservabilityDoc};
           f.fix_kind = "insert-metric-doc";
-          f.fix_args = {opts.metrics_doc, name};
+          f.fix_args = {kObservabilityDoc, name};
           findings.push_back(std::move(f));
         }
       }
@@ -343,98 +295,98 @@ std::vector<Finding> check_metric_docs(const Options& opts) {
   return findings;
 }
 
-std::vector<Finding> check_trace_docs(const Options& opts) {
+// ---------------------------------------------------------------------------
+// trace-docs
+// ---------------------------------------------------------------------------
+
+std::vector<Finding> check_trace_docs(const fs::path& root) {
   std::vector<Finding> findings;
-  const std::string header = read_file(opts.root / opts.trace_header);
-  const std::vector<std::string> enumerators =
-      parse_enumerators(header, "TraceEvent");
-  if (enumerators.empty()) {
-    findings.push_back({opts.trace_header, 0, "trace-docs",
-                        "enum TraceEvent not found"});
+  // -Werror=switch keeps trace_event_name()'s switch complete, so its
+  // `case TraceEvent::kX: return "x";` pairs are the full event list. Labels
+  // come from the stripped source (commented-out cases do not count); the
+  // name literals from the raw text at the same offsets.
+  const std::string raw = read_file(root / kTraceSource);
+  const std::string source = strip_comments_and_strings(raw);
+  std::vector<std::pair<std::string, std::string>> events;  // enumerator,name
+  std::set<std::string> seen;
+  const std::string_view label = "case TraceEvent::";
+  for (std::size_t pos = source.find(label); pos != npos;
+       pos = source.find(label, pos + 1)) {
+    const std::size_t start = pos + label.size();
+    std::size_t i = start;
+    while (i < source.size() && is_word(source[i])) ++i;
+    const std::string enumerator = source.substr(start, i - start);
+    i = skip_space(source, i);
+    if (i >= source.size() || source[i] != ':') continue;
+    i = skip_space(source, i + 1);
+    if (find_word(source, "return", i) != i) continue;
+    i = skip_space(source, i + 6);
+    if (i >= source.size() || source[i] != '"') continue;
+    const std::size_t close = raw.find('"', i + 1);
+    if (close == npos || !seen.insert(enumerator).second) continue;
+    events.emplace_back(enumerator, raw.substr(i + 1, close - i - 1));
+  }
+  if (events.empty()) {
+    findings.push_back({kTraceSource, 0, "trace-docs",
+                        "no `case TraceEvent::...: return \"...\"` name "
+                        "mapping found"});
     return findings;
   }
-  // Name strings come from the *raw* source: the case labels survive
-  // stripping but the returned literals do not.
-  const std::string source = read_file(opts.root / opts.trace_source);
-  std::vector<std::pair<std::string, std::string>> events;  // enumerator,name
-  for (const std::string& e : enumerators) {
-    const std::string label = "case TraceEvent::" + e + ":";
-    const std::size_t pos = source.find(label);
-    if (pos == std::string::npos) continue;  // enum-string reports this
-    const std::size_t open = source.find('"', pos);
-    const std::size_t close =
-        open == std::string::npos ? open : source.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    events.emplace_back(e, source.substr(open + 1, close - open - 1));
-  }
 
-  const std::string doc = read_file(opts.root / opts.trace_doc);
+  const std::string doc = read_file(root / kObservabilityDoc);
   if (doc.empty()) {
     findings.push_back(
-        {opts.trace_doc, 0, "trace-docs", "trace document missing"});
+        {kObservabilityDoc, 0, "trace-docs", "trace document missing"});
     return findings;
   }
   // The event table: starts at the markdown header row "| event ..."; rows
   // are every following line beginning with '|'. Documented names are the
   // backticked tokens of each row's first column (a cell may hold several,
   // e.g. `kill` / `revive`).
-  std::set<std::string> documented;
-  std::map<std::string, std::size_t> documented_line;
+  std::map<std::string, std::size_t> documented;  // name -> doc line
   const std::size_t table = doc.find("\n| event");
-  if (table == std::string::npos) {
-    findings.push_back({opts.trace_doc, 0, "trace-docs",
+  if (table == npos) {
+    findings.push_back({kObservabilityDoc, 0, "trace-docs",
                         "event table (header row '| event ...') not found"});
     return findings;
   }
   std::size_t pos = doc.find('\n', table + 1);
-  while (pos != std::string::npos && pos + 1 < doc.size() &&
-         doc[pos + 1] == '|') {
+  while (pos != npos && pos + 1 < doc.size() && doc[pos + 1] == '|') {
     const std::size_t eol = doc.find('\n', pos + 1);
-    const std::string_view line =
-        std::string_view(doc).substr(pos + 1, eol == std::string::npos
-                                                  ? std::string::npos
-                                                  : eol - pos - 1);
+    const std::string_view line = std::string_view(doc).substr(
+        pos + 1, eol == npos ? npos : eol - pos - 1);
     const std::size_t cell_end = line.find('|', 1);
     const std::string_view cell =
-        line.substr(1, cell_end == std::string_view::npos ? std::string_view::npos
-                                                          : cell_end - 1);
-    for (std::size_t tick = cell.find('`'); tick != std::string_view::npos;
+        line.substr(1, cell_end == npos ? npos : cell_end - 1);
+    for (std::size_t tick = cell.find('`'); tick != npos;
          tick = cell.find('`', tick + 1)) {
       const std::size_t end = cell.find('`', tick + 1);
-      if (end == std::string_view::npos) break;
+      if (end == npos) break;
       const std::string token(cell.substr(tick + 1, end - tick - 1));
-      if (!token.empty()) {
-        documented.insert(token);
-        documented_line.emplace(token, line_of(doc, pos + 1));
-      }
+      if (!token.empty()) documented.emplace(token, line_of(doc, pos + 1));
       tick = end;
     }
     pos = eol;
   }
 
-  for (const auto& [enumerator, name] : events) {
-    if (!documented.contains(name)) {
-      const std::size_t at = find_word(header, enumerator);
-      Finding f{opts.trace_header,
-                at == std::string::npos ? 0 : line_of(header, at),
-                "trace-docs",
-                "TraceEvent::" + enumerator + " (\"" + name +
-                    "\") is missing from the event table in " +
-                    opts.trace_doc};
-      f.fix_kind = "insert-doc-row";
-      f.fix_args = {opts.trace_doc, name};
-      findings.push_back(std::move(f));
-    }
-  }
+  const std::string header = read_file(root / kTraceHeader);
   std::set<std::string> known;
   for (const auto& [enumerator, name] : events) {
-    (void)enumerator;
     known.insert(name);
+    if (documented.contains(name)) continue;
+    const std::size_t at = find_word(header, enumerator);
+    Finding f{kTraceHeader, at == npos ? 0 : line_of(header, at), "trace-docs",
+              "TraceEvent::" + enumerator + " (\"" + name +
+                  "\") is missing from the event table in " +
+                  kObservabilityDoc};
+    f.fix_kind = "insert-doc-row";
+    f.fix_args = {kObservabilityDoc, name};
+    findings.push_back(std::move(f));
   }
-  for (const std::string& token : documented) {
+  for (const auto& [token, line] : documented) {
     if (!known.contains(token)) {
       findings.push_back(
-          {opts.trace_doc, documented_line[token], "trace-docs",
+          {kObservabilityDoc, line, "trace-docs",
            "event table lists `" + token +
                "` which is not a TraceEvent name string — stale doc row?"});
     }
@@ -442,7 +394,11 @@ std::vector<Finding> check_trace_docs(const Options& opts) {
   return findings;
 }
 
-std::vector<Finding> check_rng_discipline(const Options& opts) {
+// ---------------------------------------------------------------------------
+// rng
+// ---------------------------------------------------------------------------
+
+std::vector<Finding> check_rng_discipline(const fs::path& root) {
   std::vector<Finding> findings;
   static const struct {
     const char* token;
@@ -454,22 +410,16 @@ std::vector<Finding> check_rng_discipline(const Options& opts) {
       {"srand", "unseeded C RNG"},
       {"time", "wall-clock entropy"},
   };
-  for (const std::string& file :
-       collect_sources(opts.root, opts.rng_scan_dirs)) {
-    if (exempt(file, opts.rng_exempt)) continue;
-    const std::string text =
-        strip_comments_and_strings(read_file(opts.root / file));
+  for (const std::string& file : collect_sources(root, kRngScanDirs)) {
+    if (contains(kRngExempt, file)) continue;
+    const std::string text = strip_comments_and_strings(read_file(root / file));
     for (const auto& ban : kBans) {
       const std::string_view token = ban.token;
-      for (std::size_t pos = find_word(text, token);
-           pos != std::string::npos; pos = find_word(text, token, pos + 1)) {
+      for (std::size_t pos = find_word(text, token); pos != npos;
+           pos = find_word(text, token, pos + 1)) {
         // Only *calls* are entropy: require an open paren after the token
         // (so SimTime fields named `time` and the like stay legal).
-        std::size_t i = pos + token.size();
-        while (i < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-          ++i;
-        }
+        const std::size_t i = skip_space(text, pos + token.size());
         if (i >= text.size() || text[i] != '(') continue;
         // Qualified names other than std:: (e.g. sim.time(...)) are member
         // calls on our own types, not libc.
@@ -478,11 +428,8 @@ std::vector<Finding> check_rng_discipline(const Options& opts) {
         }
         if (pos >= 2 && text[pos - 1] == ':' && text[pos - 2] == ':') {
           const std::size_t qual_end = pos - 2;
-          const std::size_t qual_start = [&] {
-            std::size_t s = qual_end;
-            while (s > 0 && is_word(text[s - 1])) --s;
-            return s;
-          }();
+          std::size_t qual_start = qual_end;
+          while (qual_start > 0 && is_word(text[qual_start - 1])) --qual_start;
           if (text.substr(qual_start, qual_end - qual_start) != "std") {
             continue;
           }
@@ -498,19 +445,20 @@ std::vector<Finding> check_rng_discipline(const Options& opts) {
   return findings;
 }
 
-std::vector<Finding> check_field_widths(const Options& opts) {
+// ---------------------------------------------------------------------------
+// field-width
+// ---------------------------------------------------------------------------
+
+std::vector<Finding> check_field_widths(const fs::path& root) {
   std::vector<Finding> findings;
   static const char* kCasts[] = {"static_cast<std::uint8_t>",
                                  "static_cast<std::uint16_t>",
                                  "static_cast<uint8_t>",
                                  "static_cast<uint16_t>"};
-  for (const std::string& file :
-       collect_sources(opts.root, opts.field_scan_dirs)) {
-    if (exempt(file, opts.field_exempt)) continue;
-    const std::string text =
-        strip_comments_and_strings(read_file(opts.root / file));
+  for (const std::string& file : collect_sources(root, kFieldScanDirs)) {
+    const std::string text = strip_comments_and_strings(read_file(root / file));
     for (const char* cast : kCasts) {
-      for (std::size_t pos = text.find(cast); pos != std::string::npos;
+      for (std::size_t pos = text.find(cast); pos != npos;
            pos = text.find(cast, pos + 1)) {
         findings.push_back(
             {file, line_of(text, pos), "field-width",
@@ -524,65 +472,459 @@ std::vector<Finding> check_field_widths(const Options& opts) {
   return findings;
 }
 
+// ---------------------------------------------------------------------------
+// layering
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The directory component `n` (0-based) of a root-relative path:
+/// ("src/net/x.hpp", 1) -> "net". Empty when the path has no such component.
+std::string component(std::string_view path, int n) {
+  std::size_t begin = 0;
+  for (int i = 0; i < n; ++i) {
+    begin = path.find('/', begin);
+    if (begin == npos) return {};
+    ++begin;
+  }
+  const std::size_t end = path.find('/', begin);
+  return std::string(path.substr(begin, end == npos ? npos : end - begin));
+}
+
+struct QuotedInclude {
+  std::string target;
+  std::size_t line;
+};
+
+/// Every `#include "..."` directive outside comments; system (<...>)
+/// includes are outside the DAG and skipped.
+std::vector<QuotedInclude> quoted_includes(const std::string& raw) {
+  const std::string text = strip_comments_and_strings(raw);
+  std::vector<QuotedInclude> out;
+  std::size_t line = 1;
+  for (std::size_t bol = 0; bol < text.size(); ++line) {
+    std::size_t eol = text.find('\n', bol);
+    if (eol == npos) eol = text.size();
+    const std::string_view l = std::string_view(text).substr(bol, eol - bol);
+    std::size_t i = skip_space(l, 0);
+    if (i < l.size() && l[i] == '#') {
+      i = skip_space(l, i + 1);
+      if (find_word(l, "include", i) == i) {
+        i = skip_space(l, i + 7);
+        const std::size_t close = i < l.size() && l[i] == '"'
+                                      ? raw.find('"', bol + i + 1)
+                                      : npos;
+        if (close < eol) {
+          out.push_back({raw.substr(bol + i + 1, close - bol - i - 1), line});
+        }
+      }
+    }
+    bol = eol + 1;
+  }
+  return out;
+}
+
+/// Which tree a quoted include lands in: targets resolve against root/src
+/// first (the include dir every src target exports), then tools/, then
+/// tests/, then the repo root.
+struct ResolvedInclude {
+  std::string tree;  // "src" | "tools" | "tests" | "" (not a project header)
+  std::string path;  // root-relative path when resolved
+};
+
+ResolvedInclude resolve_include(const fs::path& root,
+                                const std::string& target) {
+  static const char* kTrees[] = {"src", "tools", "tests"};
+  std::error_code ec;
+  for (const char* tree : kTrees) {
+    if (fs::exists(root / tree / target, ec)) {
+      return {tree, std::string(tree) + "/" + target};
+    }
+  }
+  if (fs::exists(root / target, ec)) return {component(target, 0), target};
+  return {};
+}
+
+}  // namespace
+
+std::vector<Finding> check_layering(const fs::path& root) {
+  std::vector<Finding> findings;
+  std::map<std::string, const LayerSpec*> layer_of;
+  for (const LayerSpec& l : kLayers) layer_of[l.dir] = &l;
+
+  // File-level include graph over the governed tree, for cycle detection.
+  std::map<std::string, std::vector<std::string>> graph;
+
+  const std::string prefix = std::string(kLayeringRoot) + "/";
+  for (const std::string& path : collect_sources(root, {kLayeringRoot})) {
+    const std::string dir = component(path, 1);
+    const auto layer = layer_of.find(dir);
+    if (layer == layer_of.end()) {
+      findings.push_back(
+          {path, 0, "layering",
+           "directory " + prefix + dir +
+               " is not in the layering spec — add it to the DAG in "
+               "docs/STATIC_ANALYSIS.md and the lint layer table"});
+      continue;
+    }
+    for (const QuotedInclude& inc : quoted_includes(read_file(root / path))) {
+      const ResolvedInclude res = resolve_include(root, inc.target);
+      if (res.tree.empty()) continue;  // not a project header
+      if (res.tree != kLayeringRoot) {
+        findings.push_back(
+            {path, inc.line, "layering",
+             "include chain " + path + " -> " + res.path + ": " + prefix +
+                 dir + " must not depend on " + res.tree +
+                 "/ (nothing in " + prefix + " may depend on tools or tests)"});
+        continue;
+      }
+      const std::string dep_dir = component(res.path, 1);
+      graph[path].push_back(res.path);
+      if (dep_dir == dir) continue;
+      const std::vector<std::string>& allowed = layer->second->deps;
+      if (!contains(allowed, dep_dir)) {
+        std::string allowed_list;
+        for (const std::string& a : allowed) {
+          if (!allowed_list.empty()) allowed_list += ", ";
+          allowed_list += a;
+        }
+        findings.push_back(
+            {path, inc.line, "layering",
+             "include chain " + path + " -> " + res.path + ": layer '" + dir +
+                 "' may only depend on {" +
+                 (allowed_list.empty() ? "nothing" : allowed_list) +
+                 "} — this edge inverts the intended DAG"});
+      }
+    }
+  }
+
+  // Cycle detection (iterative DFS, three colors). Each cycle is reported
+  // once, keyed by its member set, with the full include chain printed.
+  std::map<std::string, int> color;  // 0 white, 1 gray, 2 black
+  std::set<std::set<std::string>> seen_cycles;
+  std::vector<std::string> stack;
+
+  struct StackFrame {
+    std::string node;
+    std::size_t next = 0;
+  };
+  for (const auto& [start, _] : graph) {
+    if (color[start] != 0) continue;
+    std::vector<StackFrame> dfs;
+    dfs.push_back({start, 0});
+    color[start] = 1;
+    stack.push_back(start);
+    while (!dfs.empty()) {
+      StackFrame& frame = dfs.back();
+      const auto it = graph.find(frame.node);
+      if (it == graph.end() || frame.next >= it->second.size()) {
+        color[frame.node] = 2;
+        stack.pop_back();
+        dfs.pop_back();
+        continue;
+      }
+      const std::string& next = it->second[frame.next++];
+      if (color[next] == 1) {
+        // Back edge: the cycle is the stack suffix from `next`.
+        const auto at = std::find(stack.begin(), stack.end(), next);
+        std::set<std::string> members(at, stack.end());
+        if (seen_cycles.insert(members).second) {
+          std::string chain;
+          for (auto m = at; m != stack.end(); ++m) chain += *m + " -> ";
+          chain += next;
+          findings.push_back(
+              {next, 0, "layering",
+               "include cycle: " + chain +
+                   " — break the cycle with a forward declaration or by "
+                   "moving the shared type down a layer"});
+        }
+        continue;
+      }
+      if (color[next] == 0) {
+        color[next] = 1;
+        stack.push_back(next);
+        dfs.push_back({next, 0});
+      }
+    }
+  }
+
+  return findings;
+}
+
+// ---------------------------------------------------------------------------
+// wire-format (serialize/parse pairs)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The body of the first definition of function `name` in stripped `text`:
+/// `name (...) [const|noexcept|override|final]* {...}`. `begin`/`end` span
+/// the braces; `line` is the line of the name.
+struct FunctionBody {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t line = 0;
+};
+
+std::optional<FunctionBody> find_function_body(std::string_view text,
+                                               std::string_view name) {
+  static const char* kSpecifiers[] = {"const", "noexcept", "override",
+                                      "final"};
+  for (std::size_t pos = find_word(text, name); pos != npos;
+       pos = find_word(text, name, pos + 1)) {
+    std::size_t i = skip_space(text, pos + name.size());
+    if (i >= text.size() || text[i] != '(') continue;
+    const std::size_t params_end = matching_close(text, i);
+    if (params_end == npos) continue;
+    i = skip_space(text, params_end + 1);
+    for (bool more = true; more;) {
+      more = false;
+      for (const std::string_view spec : kSpecifiers) {
+        if (find_word(text, spec, i) == i) {
+          i = skip_space(text, i + spec.size());
+          more = true;
+        }
+      }
+    }
+    if (i >= text.size() || text[i] != '{') continue;  // a call or declaration
+    const std::size_t close = matching_close(text, i);
+    if (close == npos) continue;
+    return FunctionBody{i, close + 1, line_of(text, pos)};
+  }
+  return std::nullopt;
+}
+
+/// JSON keys a writer emits: every `\"key\":` sequence in the body's string
+/// literals (the writers build escaped JSON text). `code` is the source with
+/// only its comments blanked.
+std::set<std::string> writer_keys(std::string_view code,
+                                  const FunctionBody& fn) {
+  std::set<std::string> keys;
+  const std::string_view body = code.substr(fn.begin, fn.end - fn.begin);
+  for (std::size_t p = body.find("\\\""); p != npos;
+       p = body.find("\\\"", p + 1)) {
+    const std::size_t start = p + 2;
+    std::size_t q = start;
+    while (q < body.size() && is_word(body[q])) ++q;
+    if (q == start || q + 2 >= body.size()) continue;
+    if (body.compare(q, 2, "\\\"") != 0 || body[q + 2] != ':') continue;
+    keys.emplace(body.substr(start, q - start));
+  }
+  return keys;
+}
+
+/// JSON keys a reader consumes: the literal first argument of every
+/// `find(" / number_or(" / string_or(" / bool_or("` call in the body. Calls
+/// are found in the stripped text, the literal read from the raw text.
+std::set<std::string> reader_keys(std::string_view raw, std::string_view text,
+                                  const FunctionBody& fn) {
+  static const char* kAccessors[] = {"find", "number_or", "string_or",
+                                     "bool_or"};
+  std::set<std::string> keys;
+  const std::string_view body = text.substr(0, fn.end);
+  for (const std::string_view accessor : kAccessors) {
+    for (std::size_t pos = find_word(body, accessor, fn.begin); pos != npos;
+         pos = find_word(body, accessor, pos + 1)) {
+      std::size_t i = skip_space(body, pos + accessor.size());
+      if (i >= body.size() || body[i] != '(') continue;
+      i = skip_space(body, i + 1);
+      if (i >= body.size() || body[i] != '"') continue;
+      const std::size_t close = raw.find('"', i + 1);
+      if (close < fn.end) keys.emplace(raw.substr(i + 1, close - i - 1));
+    }
+  }
+  return keys;
+}
+
+std::string join_keys(const std::set<std::string>& keys) {
+  std::string out;
+  for (const std::string& k : keys) {
+    if (!out.empty()) out += ", ";
+    out += k;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<Finding> check_wire_format(const fs::path& root) {
+  std::vector<Finding> findings;
+  for (const SerdeSpec& spec : kSerdePairs) {
+    const std::string pair = std::string("serde pair '") + spec.name + "'";
+    const std::string wraw = read_file(root / spec.writer_file);
+    const std::string rraw = read_file(root / spec.reader_file);
+    const std::string wtext = strip_comments_and_strings(wraw);
+    const std::string rtext = strip_comments_and_strings(rraw);
+    const auto wfn = find_function_body(wtext, spec.writer_fn);
+    const auto rfn = find_function_body(rtext, spec.reader_fn);
+    if (!wfn) {
+      findings.push_back({spec.writer_file, 0, "wire-format",
+                          pair + ": writer " + spec.writer_fn +
+                              "() not found"});
+      continue;
+    }
+    if (!rfn) {
+      findings.push_back({spec.reader_file, 0, "wire-format",
+                          pair + ": reader " + spec.reader_fn +
+                              "() not found"});
+      continue;
+    }
+    const std::set<std::string> written =
+        writer_keys(blank_comments(wraw, /*blank_literals=*/false), *wfn);
+    const std::set<std::string> read = reader_keys(rraw, rtext, *rfn);
+    if (written.empty()) {
+      findings.push_back({spec.writer_file, wfn->line, "wire-format",
+                          pair + ": writer " + spec.writer_fn +
+                              "() emits no recognizable JSON keys"});
+      continue;
+    }
+    for (const std::string& k : read) {
+      if (!written.contains(k)) {
+        findings.push_back(
+            {spec.reader_file, rfn->line, "wire-format",
+             pair + ": reader " + spec.reader_fn + "() reads key \"" + k +
+                 "\" which writer " + spec.writer_fn +
+                 "() never writes (writes: " + join_keys(written) +
+                 ") — the reader silently sees its fallback value"});
+      }
+    }
+    if (spec.strict) {
+      for (const std::string& k : written) {
+        if (!read.contains(k)) {
+          findings.push_back(
+              {spec.writer_file, wfn->line, "wire-format",
+               pair + " (strict): writer " + spec.writer_fn +
+                   "() writes key \"" + k + "\" that reader " +
+                   spec.reader_fn +
+                   "() never reads — the round-trip drops a field"});
+        }
+      }
+    }
+  }
+  return findings;
+}
+
+// ---------------------------------------------------------------------------
+// registry
+// ---------------------------------------------------------------------------
+
 const std::vector<RuleInfo>& rule_registry() {
   static const std::vector<RuleInfo> kRules = {
-      {"enum-string", true,
-       "name-mapped enums: every enumerator has a *_name() case; the "
-       "*_from_name() probe loop is bounded on the last enumerator"},
       {"metric-docs", true,
        "every telea_* metric registered in src/ is documented in "
-       "docs/OBSERVABILITY.md"},
+       "docs/OBSERVABILITY.md",
+       check_metric_docs},
       {"trace-docs", true,
        "TraceEvent name strings match the docs/OBSERVABILITY.md event table "
-       "in both directions"},
+       "in both directions",
+       check_trace_docs},
       {"rng", false,
        "no unseeded entropy (rand/srand/time/std::random_device) outside "
-       "src/util/rng.*"},
+       "src/util/rng.*",
+       check_rng_discipline},
       {"field-width", false,
        "packet-field narrowing uses util/field.hpp helpers, never raw "
-       "static_cast<uint8_t|uint16_t>"},
+       "static_cast<uint8_t|uint16_t>",
+       check_field_widths},
       {"layering", false,
        "the src/ include graph matches the intended layer DAG: no cycles, "
-       "no illegal edges, nothing depends on tools/tests"},
+       "no illegal edges, nothing depends on tools/tests",
+       check_layering},
       {"wire-format", false,
-       "size-pinned wire structs sum to their k<Name>Bytes constant, fixed "
-       "headers fit kMaxPayloadBytes, serialize/parse pairs agree on keys"},
-      {"code-arith", false,
-       "BitString/path-code capacity mutators outside path_code/addressing "
-       "must consume their overflow result (static addr.code_bounds)"},
+       "serialize/parse pairs agree on their JSON keys; strict pairs read "
+       "back every key written",
+       check_wire_format},
   };
   return kRules;
 }
 
-SourceIndex build_semantic_index(const Options& opts) {
-  return build_source_index(opts.root, {"src", "tools", "examples", "bench"});
-}
-
 std::optional<std::vector<Finding>> run_rule(std::string_view rule,
-                                             const Options& opts) {
-  if (rule == "enum-string") return check_enum_strings(opts);
-  if (rule == "metric-docs") return check_metric_docs(opts);
-  if (rule == "trace-docs") return check_trace_docs(opts);
-  if (rule == "rng") return check_rng_discipline(opts);
-  if (rule == "field-width") return check_field_widths(opts);
-  if (rule == "layering") return check_layering(opts);
-  if (rule == "wire-format") return check_wire_format(opts);
-  if (rule == "code-arith") return check_code_arith(opts);
+                                             const fs::path& root) {
+  for (const RuleInfo& r : rule_registry()) {
+    if (rule == r.name) return r.check(root);
+  }
   return std::nullopt;
 }
 
-std::vector<Finding> run_all(const Options& opts) {
-  std::vector<Finding> all = check_enum_strings(opts);
-  for (auto&& f : check_metric_docs(opts)) all.push_back(std::move(f));
-  for (auto&& f : check_trace_docs(opts)) all.push_back(std::move(f));
-  for (auto&& f : check_rng_discipline(opts)) all.push_back(std::move(f));
-  for (auto&& f : check_field_widths(opts)) all.push_back(std::move(f));
-  // The semantic families share one index build.
-  const SourceIndex index = build_semantic_index(opts);
-  for (auto&& f : check_layering(opts, index)) all.push_back(std::move(f));
-  for (auto&& f : check_wire_format(opts, index)) all.push_back(std::move(f));
-  for (auto&& f : check_code_arith(opts, index)) all.push_back(std::move(f));
+std::vector<Finding> run_all(const fs::path& root) {
+  std::vector<Finding> all;
+  for (const RuleInfo& r : rule_registry()) {
+    for (Finding& f : r.check(root)) all.push_back(std::move(f));
+  }
   return all;
+}
+
+// ---------------------------------------------------------------------------
+// mechanical fixes: the remedies that are a pure insertion. Anything needing
+// judgment (layering, serde keys) stays manual.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Appends a row to the trace event table (first column backticked name).
+bool fix_doc_row(const fs::path& root, const std::vector<std::string>& args) {
+  if (args.size() != 2) return false;
+  const std::string& doc = args[0];
+  const std::string& event = args[1];
+  std::string text = read_file(root / doc);
+  const std::size_t table = text.find("\n| event");
+  if (table == npos) return false;
+  std::size_t pos = text.find('\n', table + 1);
+  std::size_t insert_at = pos;
+  while (pos != npos && pos + 1 < text.size() && text[pos + 1] == '|') {
+    insert_at = text.find('\n', pos + 1);
+    if (insert_at == npos) insert_at = text.size();
+    pos = insert_at;
+  }
+  const std::string row =
+      "\n| `" + event + "` | — | — | TODO(--fix): describe the new event |";
+  text.insert(insert_at, row);
+  return write_file(root / doc, text);
+}
+
+/// Appends a bullet to the "Exported names:" metric list.
+bool fix_metric_doc(const fs::path& root,
+                    const std::vector<std::string>& args) {
+  if (args.size() != 2) return false;
+  const std::string& doc = args[0];
+  const std::string& metric = args[1];
+  std::string text = read_file(root / doc);
+  const std::size_t anchor = text.find("Exported names:");
+  if (anchor == npos) return false;
+  // Walk the bullet list (lines starting "- " or indented continuations).
+  std::size_t pos = text.find('\n', anchor);
+  std::size_t insert_at = pos;
+  while (pos != npos && pos + 1 < text.size()) {
+    const char next = text[pos + 1];
+    const bool list_line = next == '-' || next == ' ' || next == '\n';
+    if (!list_line) break;
+    if (next != '\n') {
+      insert_at = text.find('\n', pos + 1);
+      if (insert_at == npos) insert_at = text.size();
+    }
+    pos = text.find('\n', pos + 1);
+  }
+  const std::string bullet =
+      "\n- `" + metric + "` — TODO(--fix): describe the new metric";
+  text.insert(insert_at, bullet);
+  return write_file(root / doc, text);
+}
+
+}  // namespace
+
+std::size_t apply_fixes(const fs::path& root,
+                        const std::vector<Finding>& findings) {
+  std::size_t applied = 0;
+  for (const Finding& f : findings) {
+    bool ok = false;
+    if (f.fix_kind == "insert-doc-row") {
+      ok = fix_doc_row(root, f.fix_args);
+    } else if (f.fix_kind == "insert-metric-doc") {
+      ok = fix_metric_doc(root, f.fix_args);
+    }
+    if (ok) ++applied;
+  }
+  return applied;
 }
 
 }  // namespace telea::lint

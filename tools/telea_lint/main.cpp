@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -13,7 +14,7 @@ void usage() {
       << "  --root DIR    repository root to analyze (default: .)\n"
       << "  --rule NAME   run one rule family only (see --list-rules)\n"
       << "  --list-rules  print the rule table and exit\n"
-      << "  --fix         apply mechanical fixes (enum cases, doc rows), then\n"
+      << "  --fix         apply mechanical fixes (doc rows, metric bullets), then\n"
       << "                re-run and report what remains\n"
       << "Exits 0 when the tree is clean, 1 when any rule fires, 2 on bad\n"
       << "invocation. Catalog: docs/STATIC_ANALYSIS.md\n";
@@ -22,13 +23,13 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  telea::lint::Options opts;
+  std::filesystem::path root = ".";
   std::string rule;
   bool fix = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
-      opts.root = argv[++i];
+      root = argv[++i];
     } else if (arg == "--rule" && i + 1 < argc) {
       rule = argv[++i];
     } else if (arg == "--fix") {
@@ -52,8 +53,8 @@ int main(int argc, char** argv) {
   }
 
   const auto run = [&] {
-    return rule.empty() ? std::optional(telea::lint::run_all(opts))
-                        : telea::lint::run_rule(rule, opts);
+    return rule.empty() ? std::optional(telea::lint::run_all(root))
+                        : telea::lint::run_rule(rule, root);
   };
   auto findings = run();
   if (!findings.has_value()) {
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   }
 
   if (fix) {
-    const std::size_t applied = telea::lint::apply_fixes(opts.root, *findings);
+    const std::size_t applied = telea::lint::apply_fixes(root, *findings);
     if (applied > 0) {
       std::cout << "telea_lint: applied " << applied << " fix"
                 << (applied == 1 ? "" : "es") << ", re-checking\n";
