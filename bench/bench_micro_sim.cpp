@@ -135,9 +135,7 @@ void BM_ChannelBusy(benchmark::State& state) {
   const CpmNoiseModel noise(generate_heavy_noise_trace({}, 13), 3);
   WifiInterferer wifi(WifiInterfererConfig{}, kNodes, 5);
   Simulator sim;
-  MediumConfig cfg;
-  cfg.tx_power_dbm = 0.0;
-  RadioMedium medium(sim, gains, noise, cfg, 7);
+  RadioMedium medium(sim, gains, noise, /*tx_power_dbm=*/0.0, 7);
   medium.set_interferer(&wifi);
   std::vector<std::unique_ptr<Resender>> nodes;
   for (NodeId i = 0; i < kNodes; ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/addressing.hpp"
 #include "util/enum_name.hpp"
 #include "util/logging.hpp"
 
@@ -162,7 +163,7 @@ void InvariantEngine::check_addressing(const InvariantNodeView& v) {
 
   // --- parent-side allocation table (positions + derived codes) ------------
   if (v.children.empty()) return;
-  const std::uint32_t first = v.reserve_zero_position ? 1u : 0u;
+  const std::uint32_t first = kFirstPosition;
   std::set<std::uint32_t> positions;
   for (const auto& e : v.children) {
     if (v.space_bits > 0) {
@@ -313,7 +314,7 @@ void InvariantEngine::check_ctp_loops(
     std::sort(sorted.begin(), sorted.end());
     // The fingerprint carries each member's advertised cost: a cycle whose
     // costs rise between checkpoints is count-to-infinity repair in motion
-    // (the costs climb until one crosses max_path_etx10 and the cycle tears
+    // (the costs climb until one crosses kMaxPathEtx10 and the cycle tears
     // itself down) — only a cycle *frozen* in both shape and cost is stuck.
     std::string fp = "loop:";
     std::string path;

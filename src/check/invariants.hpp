@@ -114,7 +114,6 @@ struct InvariantNodeView {
   PathCode old_code;
   NodeId code_parent = kInvalidNode;
   std::uint8_t space_bits = 0;
-  bool reserve_zero_position = true;
   std::vector<ChildEntry> children;
   std::vector<NeighborEntry> neighbors;
   NodeId ctp_parent = kInvalidNode;
@@ -125,7 +124,7 @@ struct InvariantNodeView {
   SimTime ctp_parent_heard = 0;
   /// Advertised path cost (ETX*10). Part of the loop fingerprint: a cycle
   /// whose member costs rise between checkpoints is count-to-infinity repair
-  /// in motion (the costs climb until one crosses max_path_etx10 and the
+  /// in motion (the costs climb until one crosses kMaxPathEtx10 and the
   /// cycle tears itself down); only a cycle with *frozen* costs is stuck.
   std::uint16_t ctp_cost = 0;
 };

@@ -7,6 +7,15 @@
 
 namespace telea {
 
+namespace {
+/// Pacing of position-request retries while unpositioned (Sec. III-B4).
+constexpr SimTime kRequestRetry = 3 * kSecond;
+/// Debounce for TeleAdjusting beacon broadcasts when code changes ripple.
+/// Also paces the level-by-level code cascade, so keep it well under a
+/// wake interval.
+constexpr SimTime kBeaconCoalesce = 150 * kMillisecond;
+}  // namespace
+
 Addressing::Addressing(Simulator& sim, LplMac& mac, CtpNode& ctp,
                        const AddressingConfig& config)
     : sim_(&sim),
@@ -25,8 +34,8 @@ Addressing::Addressing(Simulator& sim, LplMac& mac, CtpNode& ctp,
 }
 
 void Addressing::start() {
-  stability_timer_.start_periodic(config_.wake_interval);
-  request_timer_.start_periodic(config_.request_retry);
+  stability_timer_.start_periodic(mac_->config().wake_interval);
+  request_timer_.start_periodic(kRequestRetry);
 }
 
 void Addressing::reset() {
@@ -151,7 +160,7 @@ void Addressing::stability_check() {
   if (!trigger_at_.has_value()) return;
   const SimTime quiet_since = std::max(last_new_child_, *trigger_at_);
   const SimTime window =
-      static_cast<SimTime>(config_.stable_rounds) * config_.wake_interval;
+      static_cast<SimTime>(kStableRounds) * mac_->config().wake_interval;
   if (sim_->now() >= quiet_since + window) {
     do_initial_allocation();
   }
@@ -161,11 +170,10 @@ void Addressing::do_initial_allocation() {
   // Algorithm 1: size the space for discovered plus potential hidden
   // children, then allocate deterministic positions in node-id order.
   const auto n = static_cast<std::uint32_t>(discovered_.size());
-  space_bits_ = space_bits_for(n, config_.headroom,
-                               config_.reserve_zero_position);
+  space_bits_ = space_bits_for(n, config_.headroom, kReserveZeroPosition);
   std::vector<NodeId> ordered = discovered_;
   std::sort(ordered.begin(), ordered.end());
-  std::uint32_t pos = first_position();
+  std::uint32_t pos = kFirstPosition;
   for (NodeId child : ordered) {
     // Codes derive only once our own prefix exists; positions stand alone.
     child_table_.upsert(child, pos,
@@ -186,8 +194,7 @@ void Addressing::allocate_and_ack(NodeId child) {
     // sized for what we know now (the incremental path handles growth).
     const auto n = static_cast<std::uint32_t>(
         std::max<std::size_t>(discovered_.size(), 1));
-    space_bits_ = space_bits_for(n, config_.headroom,
-                                 config_.reserve_zero_position);
+    space_bits_ = space_bits_for(n, config_.headroom, kReserveZeroPosition);
     allocated_ = true;
   }
   ChildTable::Entry* e = child_table_.find(child);
@@ -196,10 +203,10 @@ void Addressing::allocate_and_ack(NodeId child) {
     pos = e->position;
     e->confirmed = false;
   } else {
-    auto free = child_table_.free_position(space_bits_, first_position());
+    auto free = child_table_.free_position(space_bits_, kFirstPosition);
     if (!free.has_value()) {
       extend_space();
-      free = child_table_.free_position(space_bits_, first_position());
+      free = child_table_.free_position(space_bits_, kFirstPosition);
       if (!free.has_value()) return;  // space exhausted even after extension
     }
     pos = *free;
@@ -249,7 +256,7 @@ void Addressing::schedule_tele_beacon() {
   if (beacon_pending_) return;
   beacon_pending_ = true;
   if (pending_beacon_repeats_ == 0) pending_beacon_repeats_ = 1;
-  beacon_timer_.start_one_shot(config_.beacon_coalesce);
+  beacon_timer_.start_one_shot(kBeaconCoalesce);
 }
 
 void Addressing::send_tele_beacon() {
@@ -282,7 +289,7 @@ void Addressing::send_tele_beacon() {
       // must not be dropped silently (children would keep stale codes, e.g.
       // after a space extension) — retry after a backoff.
       beacon_pending_ = true;
-      beacon_timer_.start_one_shot(4 * config_.beacon_coalesce);
+      beacon_timer_.start_one_shot(4 * kBeaconCoalesce);
       return;
     }
     ++stats_.tele_beacons_sent;
@@ -291,7 +298,7 @@ void Addressing::send_tele_beacon() {
   if (pending_beacon_repeats_ > 1) {
     --pending_beacon_repeats_;
     beacon_pending_ = true;
-    beacon_timer_.start_one_shot(config_.beacon_coalesce);
+    beacon_timer_.start_one_shot(kBeaconCoalesce);
   } else {
     pending_beacon_repeats_ = 0;
   }
@@ -419,7 +426,7 @@ void Addressing::request_position_check() {
   if (parent == kInvalidNode) return;
   // Paced: beacon-triggered requests must not flood the parent.
   if (last_request_at_ != 0 &&
-      sim_->now() < last_request_at_ + config_.request_retry) {
+      sim_->now() < last_request_at_ + kRequestRetry) {
     return;
   }
   last_request_at_ = sim_->now();

@@ -15,23 +15,19 @@
 namespace telea {
 
 struct AddressingConfig {
-  /// "10 rounds of routing beacons (the duration is 10×wake-up interval)"
-  /// after the parent-found event with no new child triggers the initial
-  /// allocation (Sec. III-B2).
-  unsigned stable_rounds = 10;
-  SimTime wake_interval = 512 * kMillisecond;
   HeadroomPolicy headroom{};
-  /// Reserve the all-zero position so a child code never equals its parent's
-  /// code extended by zeros (matches the Fig. 2 example, where the first
-  /// child gets position 01, not 00).
-  bool reserve_zero_position = true;
-  /// Pacing of position-request retries while unpositioned (Sec. III-B4).
-  SimTime request_retry = 3 * kSecond;
-  /// Debounce for TeleAdjusting beacon broadcasts when code changes ripple.
-  /// Also paces the level-by-level code cascade, so keep it well under a
-  /// wake interval.
-  SimTime beacon_coalesce = 150 * kMillisecond;
 };
+
+/// "10 rounds of routing beacons (the duration is 10×wake-up interval)"
+/// after the parent-found event with no new child triggers the initial
+/// allocation (Sec. III-B2). The wake interval is the MAC's.
+inline constexpr unsigned kStableRounds = 10;
+
+/// Reserve the all-zero position so a child code never equals its parent's
+/// code extended by zeros (matches the Fig. 2 example, where the first
+/// child gets position 01, not 00).
+inline constexpr bool kReserveZeroPosition = true;
+inline constexpr std::uint32_t kFirstPosition = kReserveZeroPosition ? 1u : 0u;
 
 /// The path-code construction half of TeleAdjusting (paper Sec. III-B,
 /// Algorithms 1-3): builds and maintains this node's path code, allocates
@@ -103,10 +99,6 @@ class Addressing final : public BeaconPiggyback {
   /// tree* (may lag the live CTP parent; Fig. 6(d) compares the two trees).
   [[nodiscard]] NodeId code_parent() const noexcept { return code_parent_; }
 
-  [[nodiscard]] const AddressingConfig& config() const noexcept {
-    return config_;
-  }
-
   // --- fault injection (tests / FaultPlan only) ----------------------------
   /// Flips bit `bit` of this node's own code (modulo its length) without any
   /// beacon or table update — the silent memory corruption the invariant
@@ -147,9 +139,6 @@ class Addressing final : public BeaconPiggyback {
   void send_confirm();
   void send_to_parent(Frame frame);
   void request_position_check();
-  [[nodiscard]] std::uint32_t first_position() const noexcept {
-    return config_.reserve_zero_position ? 1u : 0u;
-  }
   [[nodiscard]] msg::TeleBeacon build_tele_beacon() const;
 
   Simulator* sim_;

@@ -7,6 +7,18 @@
 
 namespace telea {
 
+namespace {
+/// Candidate relays must look usable to the link estimator (ETX in tenths
+/// at most this) — prefix knowledge from a single lucky TeleBeacon does
+/// not make a node a neighbor worth addressing. Falls back to ungated
+/// candidates when none qualify.
+constexpr std::uint16_t kRelayQualityEtx10 = 45;
+/// If the upstream sender keeps repeating this many copies past our
+/// (re-)acknowledgements, our acks are not landing — yield the claim (the
+/// sender will pick, or has picked, another relay).
+constexpr unsigned kClaimYieldDups = 8;
+}  // namespace
+
 Forwarding::Forwarding(Simulator& sim, LplMac& mac, CtpNode& ctp,
                        Addressing& addressing, const ForwardingConfig& config)
     : sim_(&sim),
@@ -40,11 +52,10 @@ std::size_t Forwarding::own_match_toward(const PathCode& route) const {
   std::size_t best = 0;
   const PathCode& code = addressing_->code();
   if (!code.empty() && code.is_prefix_of(route)) best = code.size();
-  if (config_.match_old_codes) {
-    const PathCode& old = addressing_->old_code();
-    if (!old.empty() && old.is_prefix_of(route)) {
-      best = std::max(best, old.size());
-    }
+  // Also match our retained old code (Sec. III-B6).
+  const PathCode& old = addressing_->old_code();
+  if (!old.empty() && old.is_prefix_of(route)) {
+    best = std::max(best, old.size());
   }
   return best;
 }
@@ -69,19 +80,20 @@ std::optional<Forwarding::Candidate> Forwarding::pick_for_route(
     }
     // Prefer candidates the link estimator vouches for: a code learned from
     // one lucky TeleBeacon does not make a usable relay.
-    if (ctp_->estimator().etx10(id) <= config_.relay_quality_etx10 &&
+    if (ctp_->estimator().etx10(id) <= kRelayQualityEtx10 &&
         (!best_gated.has_value() || code.size() < best_gated->code_len)) {
       best_gated = Candidate{id, code.size()};
     }
   };
 
+  // Also match against neighbors' retained old codes (Sec. III-B6).
   for (const auto& e : addressing_->children().entries()) {
     consider(e.child, e.new_code);
-    if (config_.match_old_codes) consider(e.child, e.old_code);
+    consider(e.child, e.old_code);
   }
   for (const auto& e : neighbors.entries()) {
     consider(e.neighbor, e.new_code);
-    if (config_.match_old_codes) consider(e.neighbor, e.old_code);
+    consider(e.neighbor, e.old_code);
   }
   return best_gated.has_value() ? best_gated : best_any;
 }
@@ -91,7 +103,7 @@ bool Forwarding::neighbor_can_progress(const msg::ControlPacket& p) const {
   // of a neighbor the link estimator vouches for.
   const auto candidate = pick_expected_relay(p, p.expected_relay_code_len);
   return candidate.has_value() &&
-         ctp_->estimator().etx10(candidate->id) <= config_.relay_quality_etx10;
+         ctp_->estimator().etx10(candidate->id) <= kRelayQualityEtx10;
 }
 
 std::optional<std::uint32_t> Forwarding::send_control(NodeId dest,
@@ -281,7 +293,7 @@ void Forwarding::defer_check(std::uint32_t seqno) {
                       "fwd.defer");
     return;
   }
-  if (st.dup_acks >= config_.claim_yield_dups) {
+  if (st.dup_acks >= kClaimYieldDups) {
     // The sender never took any of our acknowledgements: the reverse link
     // is effectively one-way and another relay has (or will get) the
     // packet. Yield.

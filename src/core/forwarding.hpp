@@ -26,15 +26,6 @@ struct ForwardingConfig {
   /// the upstream sender — whose ack got lost — recruits a second claimant,
   /// spawning duplicate delivery chains.
   SimTime claim_defer = 40 * kMillisecond;
-  /// Candidate relays must look usable to the link estimator (ETX in tenths
-  /// at most this) — prefix knowledge from a single lucky TeleBeacon does
-  /// not make a node a neighbor worth addressing. Falls back to ungated
-  /// candidates when none qualify.
-  std::uint16_t relay_quality_etx10 = 45;
-  /// If the upstream sender keeps repeating this many copies past our
-  /// (re-)acknowledgements, our acks are not landing — yield the claim (the
-  /// sender will pick, or has picked, another relay).
-  unsigned claim_yield_dups = 8;
   /// After backtracking exhausts the origin's candidates, the origin tries
   /// again this many times (clearing the unreachable marks the failed
   /// attempt set) before declaring the destination unreachable — the
@@ -55,8 +46,6 @@ struct ForwardingConfig {
   bool backtracking = true;
   /// Safety expiry for unreachable marks if the neighbor's beacon is lost.
   SimTime unreachable_timeout = 120 * kSecond;
-  /// Also match against neighbors' retained old codes (Sec. III-B6).
-  bool match_old_codes = true;
 };
 
 /// Observer interface for the runtime invariant engine (src/check): the

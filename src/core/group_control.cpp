@@ -9,15 +9,21 @@
 
 namespace telea {
 
+namespace {
+/// Anycast send operations per sub-packet before falling back to
+/// per-destination unicast control via the ordinary forwarding plane.
+constexpr unsigned kRetries = 2;
+/// Guard delay after claiming, mirroring the unicast plane.
+constexpr SimTime kClaimDefer = 40 * kMillisecond;
+}  // namespace
+
 GroupControl::GroupControl(Simulator& sim, LplMac& mac, CtpNode& ctp,
-                           Addressing& addressing, Forwarding& forwarding,
-                           const GroupControlConfig& config)
+                           Addressing& addressing, Forwarding& forwarding)
     : sim_(&sim),
       mac_(&mac),
       ctp_(&ctp),
       addressing_(&addressing),
-      forwarding_(&forwarding),
-      config_(config) {}
+      forwarding_(&forwarding) {}
 
 std::uint32_t GroupControl::send_group(const std::vector<msg::GroupDest>& dests,
                                        std::uint16_t command) {
@@ -71,7 +77,7 @@ AckDecision GroupControl::handle(NodeId from, const msg::GroupControlPacket& pac
   // Defer like the unicast plane: stay receptive while the upstream sender
   // finishes.
   sim_->schedule_in(
-      config_.claim_defer,
+      kClaimDefer,
       [this, group, command, hops, dests = std::move(fresh)] {
         dispatch(group, command, hops, dests);
       },
@@ -164,7 +170,7 @@ void GroupControl::send_branch(std::uint32_t group_seqno, std::uint16_t command,
       [this, group_seqno, command, hops, relay, dests,
        attempt](const SendResult& result) {
         if (result.success) return;
-        if (attempt + 1 < config_.retries) {
+        if (attempt + 1 < kRetries) {
           send_branch(group_seqno, command, hops, relay, dests, attempt + 1);
           return;
         }

@@ -13,14 +13,6 @@
 
 namespace telea {
 
-struct GroupControlConfig {
-  /// Anycast send operations per sub-packet before falling back to
-  /// per-destination unicast control via the ordinary forwarding plane.
-  unsigned retries = 2;
-  /// Guard delay after claiming, mirroring the unicast plane.
-  SimTime claim_defer = 40 * kMillisecond;
-};
-
 /// One-to-many remote control — the extension the paper claims TeleAdjusting
 /// admits "easily" (Sec. I). A group packet carries every destination whose
 /// encoded path still shares the segment being traversed; each claiming
@@ -32,8 +24,7 @@ struct GroupControlConfig {
 class GroupControl {
  public:
   GroupControl(Simulator& sim, LplMac& mac, CtpNode& ctp,
-               Addressing& addressing, Forwarding& forwarding,
-               const GroupControlConfig& config);
+               Addressing& addressing, Forwarding& forwarding);
 
   GroupControl(const GroupControl&) = delete;
   GroupControl& operator=(const GroupControl&) = delete;
@@ -84,7 +75,6 @@ class GroupControl {
   CtpNode* ctp_;
   Addressing* addressing_;
   Forwarding* forwarding_;
-  GroupControlConfig config_;
   std::unordered_map<std::uint32_t, GroupState> groups_;
   std::uint32_t next_group_seqno_ = 1;
   Stats stats_;

@@ -41,7 +41,7 @@ struct HeadroomPolicy {
 /// Derives a child's path code: parent's code with `position` appended in a
 /// `space_bits`-wide field (Fig. 3: position 2 in a 5-bit space under prefix
 /// p yields "p:00010"). Returns an empty code when it would overflow the
-/// 128-bit capacity or the position does not fit the space.
+/// 256-bit capacity or the position does not fit the space.
 [[nodiscard]] PathCode make_child_code(const PathCode& parent_code,
                                        std::uint32_t position,
                                        std::uint8_t space_bits) noexcept;

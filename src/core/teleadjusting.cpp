@@ -11,10 +11,9 @@ TeleAdjusting::TeleAdjusting(Simulator& sim, LplMac& mac, CtpNode& ctp,
     : sim_(&sim),
       mac_(&mac),
       ctp_(&ctp),
-      config_(config),
       addressing_(sim, mac, ctp, config.addressing),
       forwarding_(sim, mac, ctp, addressing_, config.forwarding),
-      group_(sim, mac, ctp, addressing_, forwarding_, config.group) {
+      group_(sim, mac, ctp, addressing_, forwarding_) {
   forwarding_.on_delivered = [this](const msg::ControlPacket& packet,
                                     bool direct) {
     if (on_control_delivered) on_control_delivered(packet, direct);
@@ -133,7 +132,7 @@ void TeleAdjusting::handle_origin_stuck(const msg::ControlPacket& packet) {
   const bool tried =
       std::find(detour_tried_.begin(), detour_tried_.end(), packet.seqno) !=
       detour_tried_.end();
-  if (config_.retele && controller_hook_ && !tried) {
+  if (controller_hook_ && !tried) {
     if (auto detour = controller_hook_(packet.dest, packet.seqno);
         detour.has_value() && detour->via != kInvalidNode) {
       detour_tried_.push_back(packet.seqno);

@@ -23,10 +23,6 @@ struct DetourSuggestion {
 struct TeleConfig {
   AddressingConfig addressing{};
   ForwardingConfig forwarding{};
-  GroupControlConfig group{};
-  /// Enables the destination-unreachable countermeasure ("Re-Tele" in the
-  /// paper's plots). Requires a controller hook to supply detours.
-  bool retele = true;
 };
 
 /// The TeleAdjusting protocol: one instance per node, combining the path-code
@@ -80,7 +76,9 @@ class TeleAdjusting final : public CtpListener {
 
   using ControllerHook = std::function<std::optional<DetourSuggestion>(
       NodeId dest, std::uint32_t seqno)>;
-  /// Supplies Re-Tele detours. The paper assumes the remote controller knows
+  /// Supplies Re-Tele detours and so enables the destination-unreachable
+  /// countermeasure ("Re-Tele" in the paper's plots); without a hook a stuck
+  /// packet fails at once. The paper assumes the remote controller knows
   /// each node's local topology (Sec. III-C4); in the harness this is backed
   /// by the experiment's global view.
   void set_controller_hook(ControllerHook hook) {
@@ -98,7 +96,7 @@ class TeleAdjusting final : public CtpListener {
   /// At the sink: the destination's end-to-end acknowledgement arrived.
   std::function<void(std::uint32_t seqno, NodeId dest)> on_e2e_ack;
   /// At the sink: delivery failed even after the Re-Tele countermeasure (or
-  /// with Re-Tele disabled, after backtracking exhausted).
+  /// without a controller hook, after backtracking exhausted).
   std::function<void(std::uint32_t seqno)> on_delivery_failed;
 
   /// Attaches a decision tracer to this protocol instance (redirects and
@@ -129,7 +127,6 @@ class TeleAdjusting final : public CtpListener {
   Simulator* sim_;
   LplMac* mac_;
   CtpNode* ctp_;
-  TeleConfig config_;
   Addressing addressing_;
   Forwarding forwarding_;
   GroupControl group_;

@@ -6,6 +6,11 @@
 
 namespace telea {
 
+namespace {
+constexpr double kBackoffFactor = 2.0;  // exponential retry backoff
+constexpr double kJitter = 0.25;        // ± fraction of each retry delay
+}  // namespace
+
 const char* command_outcome_name(CommandOutcome o) noexcept {
   switch (o) {
     case CommandOutcome::kAcked:
@@ -154,13 +159,10 @@ void Controller::arm_timeout(std::uint64_t id, SimTime delay) {
   if (it == pending_.end()) return;
   PendingCommand& cmd = it->second;
   net_->sim().cancel(cmd.timeout);
-  // De-synchronize concurrent retries: scale by 1 ± jitter, deterministically.
-  SimTime jittered = delay;
-  if (retry_.jitter > 0.0) {
-    const double scale =
-        rng_.uniform_real(1.0 - retry_.jitter, 1.0 + retry_.jitter);
-    jittered = static_cast<SimTime>(static_cast<double>(delay) * scale);
-  }
+  // De-synchronize concurrent retries: scale by 1 ± kJitter, deterministically.
+  const double scale = rng_.uniform_real(1.0 - kJitter, 1.0 + kJitter);
+  const auto jittered =
+      static_cast<SimTime>(static_cast<double>(delay) * scale);
   cmd.timeout = net_->sim().schedule_in(
       jittered, [this, id] { on_timeout(id); }, "controller.retry");
 }
@@ -242,7 +244,7 @@ void Controller::on_timeout(std::uint64_t id) {
   }
   cmd.last_escalated = escalated;
 
-  const double next = static_cast<double>(cmd.backoff) * retry_.backoff_factor;
+  const double next = static_cast<double>(cmd.backoff) * kBackoffFactor;
   cmd.backoff = std::min<SimTime>(static_cast<SimTime>(next),
                                   retry_.max_backoff);
   arm_timeout(id, cmd.backoff);

@@ -23,17 +23,15 @@ enum class CommandOutcome : std::uint8_t {
 
 /// Reliable-delivery policy for Controller::send_command. With `enabled` the
 /// controller tracks every command until an e2e ack arrives: unacked commands
-/// are re-sent after `ack_timeout` with exponential backoff (factor
-/// `backoff_factor`, capped at `max_backoff`, de-synchronized by ±`jitter`),
-/// and after `escalate_after` plain retries the re-send goes through the
-/// Re-Tele redirect path (Sec. III-C4) instead of the plain encoded path.
-/// After `max_retries` re-sends the command is abandoned (kGaveUp).
+/// are re-sent after `ack_timeout` with exponential backoff (factor 2, capped
+/// at `max_backoff`, de-synchronized by ±25 %), and after `escalate_after`
+/// plain retries the re-send goes through the Re-Tele redirect path
+/// (Sec. III-C4) instead of the plain encoded path. After `max_retries`
+/// re-sends the command is abandoned (kGaveUp).
 struct ControllerRetryConfig {
   bool enabled = true;
   SimTime ack_timeout = 25 * kSecond;
-  double backoff_factor = 2.0;
   SimTime max_backoff = 2 * kMinute;
-  double jitter = 0.25;
   unsigned max_retries = 4;
   unsigned escalate_after = 2;
 };

@@ -6,6 +6,7 @@
 #include "harness/artifacts.hpp"
 #include "radio/phy.hpp"
 #include "stats/energy.hpp"
+#include "util/enum_name.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +27,7 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
                      const NetworkConfig& config, std::uint64_t seed)
     : estimator_(),
       mac_(sim, medium, id, config.lpl, seed),
-      ctp_(sim, mac_, estimator_, config.ctp, /*is_root=*/id == kSinkNode,
+      ctp_(sim, mac_, estimator_, /*is_root=*/id == kSinkNode,
            seed ^ (0x5EED0000ULL + id)),
       data_timer_(sim),
       sim_(&sim) {
@@ -35,17 +36,13 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
   data_timer_.set_tag("app.data");
 
   if (config.uses_tele()) {
-    TeleConfig tele_config = config.tele;
-    tele_config.retele = config.protocol == ControlProtocol::kReTele;
-    tele_config.addressing.wake_interval = config.lpl.wake_interval;
-    tele_ = std::make_unique<TeleAdjusting>(sim, mac_, ctp_, tele_config);
+    tele_ = std::make_unique<TeleAdjusting>(sim, mac_, ctp_, config.tele);
   } else if (config.protocol == ControlProtocol::kDrip) {
-    drip_ = std::make_unique<DripNode>(sim, mac_, config.drip,
-                                       seed ^ (0xD41B0000ULL + id));
+    drip_ = std::make_unique<DripNode>(sim, mac_, seed ^ (0xD41B0000ULL + id));
   } else if (config.protocol == ControlProtocol::kRpl) {
     rpl_ = std::make_unique<RplNode>(sim, mac_, ctp_, config.rpl);
   } else if (config.protocol == ControlProtocol::kOrpl) {
-    orpl_ = std::make_unique<OrplNode>(sim, mac_, ctp_, config.orpl);
+    orpl_ = std::make_unique<OrplNode>(sim, mac_, ctp_);
   }
 
   if (id == kSinkNode) {
@@ -194,7 +191,7 @@ void NodeStack::set_invariant_engine(InvariantEngine* engine) {
 }
 
 void NodeStack::enable_health_reporting(SimTime period,
-                                        const EnergyModelConfig& energy) {
+                                        const EnergyModel& energy) {
   if (ctp_.is_root() || health_reporter_ != nullptr) return;
   health_reporter_ = std::make_unique<HealthReporter>(period);
   health_energy_ = energy;
@@ -215,9 +212,8 @@ HealthSample NodeStack::sample_health() {
   s.mac_queue_hwm = mac_.send_queue_hwm();
   s.ctp_queue_hwm = ctp_.forward_queue_hwm();
   s.parent_changes = ctp_.stats().parent_changes;
-  const EnergyModel model(health_energy_);
-  s.energy_mj = model.energy_mj(mac_.radio_on_time(), mac_.tx_airtime(),
-                                mac_.accounting_window());
+  s.energy_mj = health_energy_.energy_mj(
+      mac_.radio_on_time(), mac_.tx_airtime(), mac_.accounting_window());
   return s;
 }
 
@@ -258,16 +254,12 @@ Network::Network(NetworkConfig config) : config_(std::move(config)) {
       generate_heavy_noise_trace(config_.noise_trace, config_.seed ^ 0x4015EULL);
   noise_model_ = std::make_unique<CpmNoiseModel>(trace, /*history=*/3);
 
-  MediumConfig medium_config = config_.medium;
-  medium_config.tx_power_dbm = topo.tx_power_dbm;
   medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_model_,
-                                          medium_config, config_.seed);
+                                          topo.tx_power_dbm, config_.seed);
 
   if (config_.wifi_interference) {
-    WifiInterfererConfig wifi = config_.wifi;
-    wifi.enabled = true;
-    interferer_ = std::make_unique<WifiInterferer>(wifi, topo.size(),
-                                                   config_.seed ^ 0x3F1ULL);
+    interferer_ = std::make_unique<WifiInterferer>(
+        WifiInterfererConfig{}, topo.size(), config_.seed ^ 0x3F1ULL);
     medium_->set_interferer(interferer_.get());
   }
 
@@ -407,18 +399,13 @@ double Network::average_duty_cycle() const {
   return sum / static_cast<double>(nodes_.size());
 }
 
-EnergyModelConfig Network::energy_config() const noexcept {
-  EnergyModelConfig cfg = config_.energy;
-  cfg.tx_power_dbm = config_.topology.tx_power_dbm;
-  return cfg;
+EnergyModel Network::energy_model() const noexcept {
+  return EnergyModel(config_.topology.tx_power_dbm);
 }
 
 SpanEnergyConfig Network::span_energy_config() const {
-  const EnergyModelConfig model = energy_config();
   SpanEnergyConfig cfg;
-  cfg.supply_volts = model.supply_volts;
-  cfg.tx_current_ma = EnergyModel::tx_current_ma(model.tx_power_dbm);
-  cfg.rx_current_ma = model.rx_current_ma;
+  cfg.tx_current_ma = energy_model().tx_current_ma();
   // The exact PHY airtime of one LPL copy of a control frame.
   Frame probe;
   probe.payload = msg::ControlPacket{};
@@ -432,7 +419,7 @@ std::vector<CommandSpan> Network::command_spans() const {
 }
 
 double Network::average_energy_mj() const {
-  const EnergyModel model(energy_config());
+  const EnergyModel model = energy_model();
   double sum = 0;
   for (const auto& n : nodes_) {
     sum += model.energy_mj(n->mac().radio_on_time(), n->mac().tx_airtime(),
@@ -442,7 +429,7 @@ double Network::average_energy_mj() const {
 }
 
 double Network::average_current_ma() const {
-  const EnergyModel model(energy_config());
+  const EnergyModel model = energy_model();
   double sum = 0;
   for (const auto& n : nodes_) {
     sum += model.average_current_ma(n->mac().radio_on_time(),
@@ -547,14 +534,12 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
         .set_total(tracer_->dropped());
   }
   if (invariants_ != nullptr) {
-    for (std::uint8_t i = 0;
-         i <= static_cast<std::uint8_t>(InvariantRule::kCtpNoLoop); ++i) {
-      const auto rule = static_cast<InvariantRule>(i);
+    for_each_enum(invariant_rule_name, [&](InvariantRule rule) {
       registry
           .counter("telea_invariant_violations_total",
                    {{"rule", invariant_rule_name(rule)}, {"sub", "check"}})
           .set_total(invariants_->violation_count(rule));
-    }
+    });
     registry.counter("telea_invariant_checkpoints_total", {{"sub", "check"}})
         .set_total(invariants_->checkpoints_run());
     registry
@@ -628,7 +613,7 @@ NetworkHealthModel& Network::enable_health(const NetworkHealthConfig& config) {
   health_ = std::make_unique<NetworkHealthModel>(health_config_.period);
   health_->set_expected_nodes(nodes_.empty() ? 0 : nodes_.size() - 1);
 
-  const EnergyModelConfig energy = energy_config();
+  const EnergyModel energy = energy_model();
   for (auto& n : nodes_) {
     n->enable_health_reporting(health_config_.period, energy);
   }
@@ -761,7 +746,6 @@ std::vector<InvariantNodeView> Network::invariant_views() const {
       v.old_code = addr.old_code();
       v.code_parent = addr.code_parent();
       v.space_bits = addr.space_bits();
-      v.reserve_zero_position = addr.config().reserve_zero_position;
       for (const auto& e : addr.children().entries()) {
         v.children.push_back({e.child, e.position, e.new_code, e.old_code,
                               e.confirmed});

@@ -41,18 +41,9 @@ struct NetworkConfig {
   ControlProtocol protocol = ControlProtocol::kReTele;
   bool wifi_interference = false;  // the paper's channel 19 vs 26 contrast
 
-  /// Radio energy model for duty-cycle -> mJ conversion and per-command
-  /// span attribution; tx_power_dbm is overridden from the topology.
-  EnergyModelConfig energy{};
-
   LplConfig lpl{};
-  CtpConfig ctp{};
   TeleConfig tele{};
-  DripConfig drip{};
   RplConfig rpl{};
-  OrplConfig orpl{};
-  WifiInterfererConfig wifi{};
-  MediumConfig medium{};  // tx power is overridden from the topology
   SyntheticTraceConfig noise_trace{};
 
   [[nodiscard]] bool uses_tele() const noexcept {
@@ -102,10 +93,9 @@ class NodeStack final : public FrameHandler, public CtpListener {
   /// Turns on in-band health reporting: every locally-originated upward CTP
   /// frame is offered to a HealthReporter rate-limited to one report per
   /// `period` through the CTP origin hook. No-op on the sink (it never
-  /// reports to itself). The energy config is used for the report's
+  /// reports to itself). The energy model is used for the report's
   /// energy-spent estimate.
-  void enable_health_reporting(SimTime period,
-                               const EnergyModelConfig& energy);
+  void enable_health_reporting(SimTime period, const EnergyModel& energy);
   [[nodiscard]] HealthReporter* health_reporter() noexcept {
     return health_reporter_.get();
   }
@@ -168,7 +158,7 @@ class NodeStack final : public FrameHandler, public CtpListener {
   Tracer* tracer_ = nullptr;
   InvariantEngine* invariants_ = nullptr;
   std::unique_ptr<HealthReporter> health_reporter_;
-  EnergyModelConfig health_energy_{};
+  EnergyModel health_energy_{};
   std::unique_ptr<Tracer> flight_;
   std::function<void(NodeId, const char*)> flight_trigger_;
   // Remembered so a state-loss reboot restarts the application workload.
@@ -257,9 +247,9 @@ class Network {
   /// Mean per-node battery current (mA) since the last accounting reset.
   [[nodiscard]] double average_current_ma() const;
 
-  /// This deployment's energy model (config_.energy with the topology's TX
-  /// power applied) — what the averages above and span attribution use.
-  [[nodiscard]] EnergyModelConfig energy_config() const noexcept;
+  /// This deployment's energy model (at the topology's TX power) — what
+  /// the averages above and span attribution use.
+  [[nodiscard]] EnergyModel energy_model() const noexcept;
 
   /// Span-attribution energy model: the deployment's currents/voltage plus
   /// the exact PHY airtime of one LPL control-frame copy, ready to hand to

@@ -10,6 +10,14 @@
 namespace telea {
 
 namespace {
+constexpr SimTime kLingerTime = 25 * kMillisecond;  // stay awake after a reception
+constexpr SimTime kCopyGap = 500;                 // pause between repeated copies
+constexpr double kCcaThresholdDbm = -85.0;
+constexpr unsigned kMaxCsmaBackoffs = 5;
+constexpr SimTime kBackoffUnit = 320;  // CC2420 backoff slot (us)
+/// Sender keeps repeating copies for this many wake intervals before
+/// declaring a unicast/anycast send failed (1.0 covers every wake phase).
+constexpr double kMaxSendIntervals = 1.2;
 constexpr SimTime kQuietRecheck = 1 * kMillisecond;
 constexpr unsigned kQuietSamplesToSleep = 3;
 
@@ -24,7 +32,7 @@ LplMac::LplMac(Simulator& sim, RadioMedium& medium, NodeId id,
       medium_(&medium),
       id_(id),
       config_(config),
-      cca_(config.cca_threshold_dbm),
+      cca_(kCcaThresholdDbm),
       rng_(seed ^ (0xACDCULL + id), /*stream=*/id),
       wake_timer_(sim),
       window_timer_(sim),
@@ -83,7 +91,7 @@ void LplMac::on_wake() {
   // between a sender's back-to-back copies don't cause a premature sleep
   // (same trick as TinyOS LPL's multi-sample CCA).
   quiet_samples_ = 0;
-  window_timer_.start_one_shot(config_.cca_window);
+  window_timer_.start_one_shot(kCcaWindow);
 }
 
 void LplMac::wake_window_check() {
@@ -181,7 +189,7 @@ void LplMac::csma_attempt() {
     return;
   }
   const bool clear = !medium_->channel_busy(id_, cca_);
-  if (clear || csma_backoffs_ >= config_.max_csma_backoffs) {
+  if (clear || csma_backoffs_ >= kMaxCsmaBackoffs) {
     // After exhausting backoffs, transmit anyway (congestion then shows up
     // as reduced PRR, not a silent local drop) — TinyOS CC2420 behaviour.
     transmit_copy();
@@ -189,7 +197,7 @@ void LplMac::csma_attempt() {
   }
   ++csma_backoffs_;
   const std::uint32_t slots = rng_.uniform_in(1, 1u << std::min(csma_backoffs_, 5u));
-  csma_timer_.start_one_shot(config_.backoff_unit * slots);
+  csma_timer_.start_one_shot(kBackoffUnit * slots);
 }
 
 void LplMac::transmit_copy() {
@@ -231,7 +239,7 @@ void LplMac::continue_send() {
   const SimTime elapsed = sim_->now() - send_start_;
   const auto limit = static_cast<SimTime>(
       static_cast<double>(config_.wake_interval) *
-      (wants_ack ? config_.max_send_intervals : 1.05));
+      (wants_ack ? kMaxSendIntervals : 1.05));
   if (elapsed >= limit) {
     // A full sweep of every wake phase: broadcast is complete, while an
     // unacknowledged unicast/anycast is a link-layer failure.
@@ -247,7 +255,7 @@ void LplMac::continue_send() {
     gap_timer_.start_one_shot(kMillisecond + rng_.uniform(2000));
     return;
   }
-  gap_timer_.start_one_shot(config_.copy_gap);
+  gap_timer_.start_one_shot(kCopyGap);
 }
 
 void LplMac::finish_send(bool success, NodeId acker) {
@@ -304,7 +312,7 @@ AckDecision LplMac::on_frame(const Frame& frame, double rssi_dbm) {
   // next relay's copy we might suppress on) arrives right away. Acquire the
   // linger before releasing the window so the radio never flickers off.
   acquire(kRxLinger);
-  linger_timer_.start_one_shot(config_.rx_linger);
+  linger_timer_.start_one_shot(kLingerTime);
   release(kWakeWindow);
   window_timer_.stop();
 

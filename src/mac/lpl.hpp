@@ -39,17 +39,11 @@ class FrameHandler {
 
 struct LplConfig {
   SimTime wake_interval = 512 * kMillisecond;  // paper Sec. IV-A1 / IV-B1
-  SimTime cca_window = 11 * kMillisecond;      // listen window at each wakeup
-  SimTime rx_linger = 25 * kMillisecond;       // stay awake after a reception
-  SimTime copy_gap = 500;                      // pause between repeated copies
-  double cca_threshold_dbm = -85.0;
-  unsigned max_csma_backoffs = 5;
-  SimTime backoff_unit = 320;  // CC2420 backoff slot (us)
-  /// Sender keeps repeating copies for this many wake intervals before
-  /// declaring a unicast/anycast send failed (1.0 covers every wake phase).
-  double max_send_intervals = 1.2;
   std::size_t send_queue_limit = 8;
 };
+
+/// Listen window at each wakeup.
+inline constexpr SimTime kCcaWindow = 11 * kMillisecond;
 
 struct SendResult {
   bool success = false;
@@ -61,7 +55,7 @@ struct SendResult {
 /// MAC the paper's stack ("CTP built upon LPL") runs on:
 ///
 /// * Receivers sleep and wake every `wake_interval`, sampling the channel
-///   for `cca_window`; energy keeps them awake to catch a full frame copy.
+///   for `kCcaWindow`; energy keeps them awake to catch a full frame copy.
 /// * Senders repeat the frame back-to-back. Unicast/anycast stops at the
 ///   first decoded acknowledgement; broadcast runs a full wake interval so
 ///   every neighbor's window intersects a copy.
@@ -171,7 +165,7 @@ class LplMac final : public MediumListener {
   RadioMedium* medium_;
   NodeId id_;
   LplConfig config_;
-  const DbmThreshold cca_;  // config_.cca_threshold_dbm, for channel_busy
+  const DbmThreshold cca_;  // kCcaThresholdDbm, for channel_busy
   FrameHandler* handler_ = nullptr;
   Tracer* tracer_ = nullptr;
   Pcg32 rng_;

@@ -9,14 +9,29 @@
 
 namespace telea {
 
+namespace {
+// TinyOS CTP beacon-timer defaults: Imin 128 ms doubling to ~512 s, no
+// suppression. The fast early beacons matter: parent selection, child
+// discovery and the TeleAdjusting trigger all ride them.
+constexpr TrickleTimer::Config kBeaconTimer{
+    /*i_min=*/128 * kMillisecond,
+    /*i_max=*/128 * kMillisecond * (1u << 12),
+    /*k=*/0};
+constexpr std::uint16_t kParentSwitchThreshold10 = 15;  // 1.5 ETX hysteresis
+constexpr std::uint16_t kMaxPathEtx10 = 2000;
+constexpr unsigned kDataRetx = 8;      // link-layer send ops per hop before drop
+constexpr unsigned kRerouteAfter = 3;  // failed sends before forcing reselection
+constexpr std::size_t kForwardQueueLimit = 12;
+constexpr std::size_t kDedupCache = 64;
+}  // namespace
+
 CtpNode::CtpNode(Simulator& sim, LplMac& mac, LinkEstimator& estimator,
-                 const CtpConfig& config, bool is_root, std::uint64_t seed)
+                 bool is_root, std::uint64_t seed)
     : sim_(&sim),
       mac_(&mac),
       estimator_(&estimator),
-      config_(config),
       is_root_(is_root),
-      beacon_timer_(sim, config.beacon_timer, seed ^ 0xC7B0ULL) {
+      beacon_timer_(sim, kBeaconTimer, seed ^ 0xC7B0ULL) {
   if (is_root_) {
     path_etx10_ = 0;
     hops_ = 0;
@@ -96,7 +111,7 @@ void CtpNode::recompute_route() {
   // for as long as the churn that created the race lasts.
   if (parent_ != kInvalidNode) {
     const auto cur = neighbor_route(parent_);
-    if (cur.has_value() && (cur->etx10 >= config_.max_path_etx10 ||
+    if (cur.has_value() && (cur->etx10 >= kMaxPathEtx10 ||
                             cur->parent == mac_->id())) {
       parent_ = kInvalidNode;
       path_etx10_ = 0xFFFF;
@@ -105,10 +120,10 @@ void CtpNode::recompute_route() {
   }
 
   NodeId best = kInvalidNode;
-  std::uint32_t best_cost = config_.max_path_etx10;
+  std::uint32_t best_cost = kMaxPathEtx10;
   std::uint8_t best_hops = 0xFF;
   for (const auto& e : routes_) {
-    if (e.route.etx10 >= config_.max_path_etx10) continue;
+    if (e.route.etx10 >= kMaxPathEtx10) continue;
     if (e.route.parent == mac_->id()) continue;  // obvious 1-hop loop
     const std::uint32_t link = estimator_->etx10(e.id);
     const std::uint32_t cost = e.route.etx10 + link;
@@ -123,7 +138,7 @@ void CtpNode::recompute_route() {
   const bool have_route = parent_ != kInvalidNode;
   const bool switch_worthy =
       !have_route ||
-      best_cost + config_.parent_switch_threshold10 <
+      best_cost + kParentSwitchThreshold10 <
           static_cast<std::uint32_t>(path_etx10_) ||
       // Our current parent's refreshed advertisement may have worsened the
       // route through it; always track the recomputed cost via the same
@@ -143,14 +158,14 @@ void CtpNode::recompute_route() {
     if (listener_ != nullptr) listener_->on_parent_changed(old_parent, parent_);
     beacon_timer_.reset();  // topology change: advertise promptly
   } else if (path_etx10_ > old_cost &&
-             path_etx10_ - old_cost >= config_.parent_switch_threshold10) {
+             path_etx10_ - old_cost >= kParentSwitchThreshold10) {
     // Cost through the unchanged parent jumped: the tree above us worsened,
     // or we are part of a routing loop counting itself up. Either way the
     // neighborhood's picture of us is now inconsistent — reset the beacon
     // interval (trickle's inconsistency rule) so the new cost propagates at
     // Imin. In a loop this is what turns count-to-infinity from hours (Imax
     // beacons) into seconds: each prompt beacon bumps the next member until
-    // the cost crosses max_path_etx10 and the cycle tears itself down.
+    // the cost crosses kMaxPathEtx10 and the cycle tears itself down.
     beacon_timer_.reset();
   }
   if (!route_announced_) {
@@ -169,7 +184,7 @@ bool CtpNode::send_to_sink(msg::CtpData data) {
     if (deliver_) deliver_(data);
     return true;
   }
-  if (forward_queue_.size() >= config_.forward_queue_limit) {
+  if (forward_queue_.size() >= kForwardQueueLimit) {
     ++stats_.data_dropped;
     return false;
   }
@@ -204,7 +219,7 @@ AckDecision CtpNode::handle_data(NodeId from, const msg::CtpData& data,
   if (dup) return AckDecision::kAcceptAndAck;  // ack, but don't re-forward
 
   seen_.push_back(SeenData{data.origin, data.origin_seqno});
-  while (seen_.size() > config_.dedup_cache) seen_.pop_front();
+  while (seen_.size() > kDedupCache) seen_.pop_front();
 
   if (is_root_) {
     ++stats_.data_delivered;
@@ -212,7 +227,7 @@ AckDecision CtpNode::handle_data(NodeId from, const msg::CtpData& data,
     return AckDecision::kAcceptAndAck;
   }
 
-  if (forward_queue_.size() >= config_.forward_queue_limit) {
+  if (forward_queue_.size() >= kForwardQueueLimit) {
     // No queue space: refuse the ack so the previous hop keeps trying.
     seen_.pop_back();
     return AckDecision::kIgnore;
@@ -272,12 +287,12 @@ void CtpNode::on_forward_done(const SendResult& result) {
 
   ++consecutive_failures_;
   ++front_attempts_;
-  if (front_attempts_ >= config_.data_retx) {
+  if (front_attempts_ >= kDataRetx) {
     forward_queue_.pop_front();  // give up on this packet
     front_attempts_ = 0;
     ++stats_.data_dropped;
   }
-  if (consecutive_failures_ >= config_.reroute_after &&
+  if (consecutive_failures_ >= kRerouteAfter &&
       forwarding_to_ == parent_) {
     consecutive_failures_ = 0;
     report_parent_trouble();

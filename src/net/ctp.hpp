@@ -41,22 +41,6 @@ class BeaconPiggyback {
   virtual void fill_beacon(msg::CtpBeacon& beacon) = 0;
 };
 
-struct CtpConfig {
-  // TinyOS CTP beacon-timer defaults: Imin 128 ms doubling to ~512 s, no
-  // suppression. The fast early beacons matter: parent selection, child
-  // discovery and the TeleAdjusting trigger all ride them.
-  TrickleTimer::Config beacon_timer{
-      /*i_min=*/128 * kMillisecond,
-      /*i_max=*/128 * kMillisecond * (1u << 12),
-      /*k=*/0};
-  std::uint16_t parent_switch_threshold10 = 15;  // 1.5 ETX hysteresis
-  std::uint16_t max_path_etx10 = 2000;
-  unsigned data_retx = 8;       // link-layer send ops per hop before drop
-  unsigned reroute_after = 3;   // failed sends before forcing reselection
-  std::size_t forward_queue_limit = 12;
-  std::size_t dedup_cache = 64;
-};
-
 /// The Collection Tree Protocol (Gnawali et al., SenSys'09): cost-optimal
 /// (minimum path-ETX) anycast collection to a root. This is the substrate
 /// TeleAdjusting's reverse-path coding is built on (paper Sec. III-B: the
@@ -69,7 +53,7 @@ struct CtpConfig {
 class CtpNode {
  public:
   CtpNode(Simulator& sim, LplMac& mac, LinkEstimator& estimator,
-          const CtpConfig& config, bool is_root, std::uint64_t seed);
+          bool is_root, std::uint64_t seed);
 
   CtpNode(const CtpNode&) = delete;
   CtpNode& operator=(const CtpNode&) = delete;
@@ -182,7 +166,6 @@ class CtpNode {
   Simulator* sim_;
   LplMac* mac_;
   LinkEstimator* estimator_;
-  CtpConfig config_;
   bool is_root_;
   CtpListener* listener_ = nullptr;
   BeaconPiggyback* piggyback_ = nullptr;

@@ -4,9 +4,15 @@
 
 namespace telea {
 
-DripNode::DripNode(Simulator& sim, LplMac& mac, const DripConfig& config,
-                   std::uint64_t seed)
-    : sim_(&sim), mac_(&mac), trickle_(sim, config.trickle, seed ^ 0xD419ULL) {
+namespace {
+constexpr TrickleTimer::Config kTrickle{
+    /*i_min=*/128 * kMillisecond,
+    /*i_max=*/64 * kSecond,
+    /*k=*/1};
+}  // namespace
+
+DripNode::DripNode(Simulator& sim, LplMac& mac, std::uint64_t seed)
+    : sim_(&sim), mac_(&mac), trickle_(sim, kTrickle, seed ^ 0xD419ULL) {
   trickle_.set_callback([this] { broadcast_value(); });
 }
 

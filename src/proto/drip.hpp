@@ -10,13 +10,6 @@
 
 namespace telea {
 
-struct DripConfig {
-  TrickleTimer::Config trickle{
-      /*i_min=*/128 * kMillisecond,
-      /*i_max=*/64 * kSecond,
-      /*k=*/1};
-};
-
 /// Drip (Tolle & Culler, EWSN'05): Trickle-paced reliable dissemination —
 /// the paper's *unstructured* baseline (Sec. IV-B). Remote control rides it
 /// as a network-wide flood: every node adopts and rebroadcasts the newest
@@ -25,8 +18,7 @@ struct DripConfig {
 /// network's worth of transmissions per control packet (Table III).
 class DripNode {
  public:
-  DripNode(Simulator& sim, LplMac& mac, const DripConfig& config,
-           std::uint64_t seed);
+  DripNode(Simulator& sim, LplMac& mac, std::uint64_t seed);
 
   DripNode(const DripNode&) = delete;
   DripNode& operator=(const DripNode&) = delete;

@@ -8,13 +8,19 @@
 
 namespace telea {
 
-OrplNode::OrplNode(Simulator& sim, LplMac& mac, CtpNode& ctp,
-                   const OrplConfig& config)
-    : sim_(&sim),
-      mac_(&mac),
-      ctp_(&ctp),
-      config_(config),
-      announce_timer_(sim) {
+namespace {
+/// Sub-DODAG announcement period (ORPL piggybacks on its beacons; we send
+/// a dedicated broadcast).
+constexpr SimTime kAnnounceInterval = 30 * kSecond;
+/// Anycast send operations per hop before the packet is dropped.
+constexpr unsigned kRetries = 3;
+/// Entries learned from neighbors expire after this long.
+constexpr SimTime kNeighborLifetime = 3 * kAnnounceInterval;
+constexpr std::size_t kQueueLimit = 12;
+}  // namespace
+
+OrplNode::OrplNode(Simulator& sim, LplMac& mac, CtpNode& ctp)
+    : sim_(&sim), mac_(&mac), ctp_(&ctp), announce_timer_(sim) {
   members_.insert(mac.id());
   announce_timer_.set_callback([this] { announce(); });
   announce_timer_.set_tag("orpl.announce");
@@ -24,8 +30,8 @@ void OrplNode::start() {
   // Random phase, as for every periodic protocol timer.
   Pcg32 rng(0x0B91ULL + mac_->id(), mac_->id());
   const SimTime phase = rng.uniform(static_cast<std::uint32_t>(
-      std::min<SimTime>(config_.announce_interval, 0xFFFFFFFFull)));
-  announce_timer_.start_periodic_at(phase + 1, config_.announce_interval);
+      std::min<SimTime>(kAnnounceInterval, 0xFFFFFFFFull)));
+  announce_timer_.start_periodic_at(phase + 1, kAnnounceInterval);
 }
 
 void OrplNode::announce() {
@@ -58,7 +64,7 @@ AckDecision OrplNode::handle_announce(NodeId from,
 bool OrplNode::believes_reachable(NodeId dest) const {
   const SimTime now = sim_->now();
   for (const auto& [id, nf] : neighbors_) {
-    if (nf.refreshed + config_.neighbor_lifetime < now) continue;
+    if (nf.refreshed + kNeighborLifetime < now) continue;
     if (nf.etx10 != 0xFFFF && nf.etx10 > ctp_->path_etx10() &&
         nf.members.contains(dest)) {
       return true;
@@ -107,7 +113,7 @@ AckDecision OrplNode::handle_data(NodeId from, const msg::OrplData& data) {
   seen_.push_back(data.seqno);
   while (seen_.size() > 32) seen_.pop_front();
 
-  if (queue_.size() >= config_.queue_limit) return AckDecision::kIgnore;
+  if (queue_.size() >= kQueueLimit) return AckDecision::kIgnore;
   ++stats_.claims;
   // Bloom false positive detector: we claimed because our *merged* filter
   // says the destination is below us, but if no deeper neighbor (nor we)
@@ -141,7 +147,7 @@ void OrplNode::forward_next() {
         if (result.success) {
           front_attempts_ = 0;
           queue_.pop_front();
-        } else if (++front_attempts_ >= config_.retries) {
+        } else if (++front_attempts_ >= kRetries) {
           // Nobody below us would take it: either a Bloom false positive
           // led us astray or the subtree is gone.
           ++stats_.drops;

@@ -13,17 +13,6 @@
 
 namespace telea {
 
-struct OrplConfig {
-  /// Sub-DODAG announcement period (ORPL piggybacks on its beacons; we send
-  /// a dedicated broadcast).
-  SimTime announce_interval = 30 * kSecond;
-  /// Anycast send operations per hop before the packet is dropped.
-  unsigned retries = 3;
-  /// Entries learned from neighbors expire after this long.
-  SimTime neighbor_lifetime = 3 * announce_interval;
-  std::size_t queue_limit = 12;
-};
-
 /// ORPL-lite: opportunistic downward routing over Bloom-filter sub-DODAG
 /// membership (Duquennoy, Landsiedel, Voigt — SenSys'13), the related-work
 /// baseline the paper singles out: "the inherent false positive of bloom
@@ -39,7 +28,7 @@ struct OrplConfig {
 ///   it burns retries and drops, the failure mode the paper critiques.
 class OrplNode {
  public:
-  OrplNode(Simulator& sim, LplMac& mac, CtpNode& ctp, const OrplConfig& config);
+  OrplNode(Simulator& sim, LplMac& mac, CtpNode& ctp);
 
   OrplNode(const OrplNode&) = delete;
   OrplNode& operator=(const OrplNode&) = delete;
@@ -86,7 +75,6 @@ class OrplNode {
   Simulator* sim_;
   LplMac* mac_;
   CtpNode* ctp_;
-  OrplConfig config_;
 
   OrplBloom members_;  // self + descendants (merged from children)
   std::unordered_map<NodeId, NeighborFilter> neighbors_;

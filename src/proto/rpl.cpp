@@ -6,6 +6,12 @@
 
 namespace telea {
 
+namespace {
+constexpr SimTime kDaoTriggerDelay = 5 * kSecond;  // debounce for triggered DAOs
+constexpr unsigned kDataRetx = 8;  // link-layer send ops per hop before drop
+constexpr std::size_t kQueueLimit = 12;
+}  // namespace
+
 RplNode::RplNode(Simulator& sim, LplMac& mac, CtpNode& ctp,
                  const RplConfig& config)
     : sim_(&sim),
@@ -31,20 +37,20 @@ void RplNode::start() {
     dao_timer_.start_periodic_at(phase + 1, config_.dao_interval);
     // First DAO goes out as soon as a parent exists; the periodic timer
     // covers the steady state, the trigger covers route formation.
-    trigger_timer_.start_one_shot(config_.dao_trigger_delay);
+    trigger_timer_.start_one_shot(kDaoTriggerDelay);
   }
 }
 
 void RplNode::on_parent_changed() {
   if (!ctp_->is_root()) {
-    trigger_timer_.start_one_shot(config_.dao_trigger_delay);
+    trigger_timer_.start_one_shot(kDaoTriggerDelay);
   }
 }
 
 void RplNode::send_dao() {
   const NodeId parent = ctp_->parent();
   if (parent == kInvalidNode) {
-    trigger_timer_.start_one_shot(config_.dao_trigger_delay);
+    trigger_timer_.start_one_shot(kDaoTriggerDelay);
     return;
   }
   expire_routes();
@@ -94,7 +100,7 @@ void RplNode::send_dao() {
         dao_failures_ = 0;
         ctp_->report_parent_trouble();
       }
-      trigger_timer_.start_one_shot(config_.dao_trigger_delay);
+      trigger_timer_.start_one_shot(kDaoTriggerDelay);
     });
   }
 }
@@ -147,7 +153,7 @@ AckDecision RplNode::handle_dao(NodeId from, const msg::RplDao& dao,
   }
   // Propagate new reachability up the DODAG promptly (storing mode).
   if (grew && !ctp_->is_root()) {
-    trigger_timer_.start_one_shot(config_.dao_trigger_delay);
+    trigger_timer_.start_one_shot(kDaoTriggerDelay);
   }
   return AckDecision::kAcceptAndAck;
 }
@@ -249,7 +255,7 @@ AckDecision RplNode::handle_data(NodeId from, const msg::RplData& data,
     if (on_drop) on_drop(data.seqno);
     return AckDecision::kAcceptAndAck;  // ack; the drop is ours to own
   }
-  if (queue_.size() >= config_.queue_limit) return AckDecision::kIgnore;
+  if (queue_.size() >= kQueueLimit) return AckDecision::kIgnore;
   if (on_relayed) on_relayed(data);
   enqueue(data);
   return AckDecision::kAcceptAndAck;
@@ -296,7 +302,7 @@ void RplNode::forward_next() {
           queue_.pop_front();
         } else {
           ++front_attempts_;
-          if (front_attempts_ >= config_.data_retx) {
+          if (front_attempts_ >= kDataRetx) {
             if (on_drop) on_drop(queue_.front().seqno);
             queue_.pop_front();
             front_attempts_ = 0;

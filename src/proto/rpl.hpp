@@ -22,14 +22,11 @@ enum class RplMode : std::uint8_t {
 struct RplConfig {
   RplMode mode = RplMode::kStoring;
   SimTime dao_interval = 60 * kSecond;   // periodic DAO refresh
-  SimTime dao_trigger_delay = 5 * kSecond;  // debounce for triggered DAOs
   /// Stale-route expiry. RFC 6550 deployments use generous lifetimes (tens
   /// of minutes); short lifetimes lose routes to a couple of missed DAO
   /// chains, long ones keep stale next-hops alive after churn — the
   /// deterministic-forwarding failure mode Fig. 7 punishes.
   SimTime route_lifetime = 15 * 60 * kSecond;
-  unsigned data_retx = 8;  // link-layer send ops per hop before drop
-  std::size_t queue_limit = 12;
 };
 
 /// RPL downward routing, storing mode (RFC 6550) — the paper's *structured*

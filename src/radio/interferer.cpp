@@ -34,20 +34,17 @@ void WifiInterferer::advance_to(SimTime t) {
 }
 
 double WifiInterferer::power_at(NodeId node, SimTime t) {
-  if (!config_.enabled) return kOffFloorDbm;
   advance_to(t);
   if (!on_) return kOffFloorDbm;
   return config_.base_power_dbm + node_offset_db_[node];
 }
 
 double WifiInterferer::power_mw_at(NodeId node, SimTime t) {
-  if (!config_.enabled) return off_mw_;
   advance_to(t);
   return on_ ? on_mw_[node] : off_mw_;
 }
 
 double WifiInterferer::expected_duty() const noexcept {
-  if (!config_.enabled) return 0.0;
   const double on = static_cast<double>(config_.mean_on);
   const double off = static_cast<double>(config_.mean_off);
   return on / (on + off);

@@ -22,7 +22,6 @@ struct WifiInterfererConfig {
   double node_offset_sigma_db = 5.0;
   SimTime mean_on = 6 * kMillisecond;    // WiFi frame bursts
   SimTime mean_off = 18 * kMillisecond;  // idle gaps (~25% duty)
-  bool enabled = true;
 };
 
 class WifiInterferer {
@@ -31,7 +30,7 @@ class WifiInterferer {
                  std::uint64_t seed);
 
   /// In-band interference power (dBm) seen by `node` at time `t`, or a
-  /// deeply negative floor when the interferer is off/disabled.
+  /// deeply negative floor when the interferer is off.
   /// Queries must be (weakly) monotone in `t` — true for event-driven use.
   [[nodiscard]] double power_at(NodeId node, SimTime t);
 

@@ -9,18 +9,34 @@
 
 namespace telea {
 
+namespace {
+/// Extra margin (dB) past sensitivity for the neighbor cutoff.
+constexpr double kCutoffMarginDb = 3.0;
+/// Capture threshold for colliding acknowledgements: the strongest acker
+/// must clear the sum of the others by this much to be decodable.
+constexpr double kAckCaptureDb = 3.0;
+/// Co-channel rejection: when structured interference (concurrent 802.15.4
+/// transmissions) dominates the noise floor, the signal must clear the
+/// floor by this margin or reception fails outright. The analytic DSSS BER
+/// formula alone is far too forgiving for collisions (~0.9 PRR at 0 dB
+/// SINR); the CC2420 datasheet puts co-channel rejection near 3 dB.
+constexpr double kCaptureThresholdDb = 3.0;
+}  // namespace
+
 RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
-                         const CpmNoiseModel& noise, const MediumConfig& config,
+                         const CpmNoiseModel& noise, double tx_power_dbm,
                          std::uint64_t seed)
     : sim_(&sim),
       gains_(&gains),
-      config_(config),
+      tx_power_dbm_(tx_power_dbm),
+      max_loss_db_(tx_power_dbm - Cc2420Phy::kSensitivityDbm + kCutoffMarginDb),
       nodes_(gains.node_count()),
+      candidates_(gains.neighbor_lists(max_loss_db_)),
       link_mw_(gains.node_count() * gains.node_count(), 0.0),
       // 1e-9 of slack (4.3e-9 dB) swamps the few-ulp error of every pow and
       // log10 on the way to the SINR.
       clear_rx_factor_(db_to_linear(std::max(Cc2420Phy::kSaturatedSinrDb,
-                                             config.capture_threshold_db)) *
+                                             kCaptureThresholdDb)) *
                        (1.0 + 1e-9)),
       rng_(seed, /*stream=*/0x4D454449ULL) {
   noise_.reserve(gains.node_count());
@@ -28,11 +44,6 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
     noise_.push_back(noise.make_generator(seed ^ (i * 0x9E3779B97F4A7C15ULL),
                                           /*stream=*/i + 1));
   }
-  if (config_.max_loss_db <= 0.0) {
-    config_.max_loss_db = config_.tx_power_dbm - Cc2420Phy::kSensitivityDbm +
-                          config_.cutoff_margin_db;
-  }
-  candidates_ = gains.neighbor_lists(config_.max_loss_db);
 }
 
 void RadioMedium::attach(NodeId id, MediumListener& listener) {
@@ -50,7 +61,7 @@ double RadioMedium::effective_loss_db(NodeId tx, NodeId rx) const {
 }
 
 double RadioMedium::rssi_dbm(NodeId tx, NodeId rx) const {
-  double rssi = gains_->rssi_dbm(tx, rx, config_.tx_power_dbm);
+  double rssi = gains_->rssi_dbm(tx, rx, tx_power_dbm_);
   if (!link_offsets_.empty()) {
     const auto it = link_offsets_.find(link_key(tx, rx));
     if (it != link_offsets_.end()) rssi -= it->second;
@@ -130,7 +141,7 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
     // An injected link fault can push a statically-in-range link below the
     // cutoff: such a receiver never even locks onto the preamble.
     if (!link_offsets_.empty() &&
-        effective_loss_db(src, nb) > config_.max_loss_db) {
+        effective_loss_db(src, nb) > max_loss_db_) {
       continue;
     }
     rx.locked_tx = id;
@@ -217,8 +228,8 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     if (!clear) {
       const double sinr = signal_dbm - mw_to_dbm(noise_mw + interf_mw);
       // Capture model: interference-limited receptions need to clear the
-      // co-channel rejection threshold (see MediumConfig).
-      if (interf_mw > noise_mw && sinr < config_.capture_threshold_db) {
+      // co-channel rejection threshold (kCaptureThresholdDb).
+      if (interf_mw > noise_mw && sinr < kCaptureThresholdDb) {
         continue;
       }
       prr = Cc2420Phy::packet_reception_ratio(sinr, signal_dbm, mpdu);
@@ -257,7 +268,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     const bool captured =
         others_mw <= 0.0 ||
         strongest->rssi_at_src_dbm - mw_to_dbm(others_mw) >=
-            config_.ack_capture_db;
+            kAckCaptureDb;
     if (captured) {
       const double sinr =
           strongest->rssi_at_src_dbm - mw_to_dbm(floor_mw + others_mw);

@@ -41,24 +41,6 @@ class MediumListener {
   virtual void on_tx_done(bool acked, NodeId acker) = 0;
 };
 
-struct MediumConfig {
-  double tx_power_dbm = -28.0;  // CC2420 PA level 2 (paper's testbed setting)
-  /// Candidate-receiver cutoff: links lossier than this are never considered
-  /// (guaranteed below sensitivity even at zero noise).
-  double max_loss_db = 0.0;  // 0 means derive from tx power and sensitivity
-  /// Extra margin (dB) past sensitivity for the neighbor cutoff derivation.
-  double cutoff_margin_db = 3.0;
-  /// Capture threshold for colliding acknowledgements: the strongest acker
-  /// must clear the sum of the others by this much to be decodable.
-  double ack_capture_db = 3.0;
-  /// Co-channel rejection: when structured interference (concurrent 802.15.4
-  /// transmissions) dominates the noise floor, the signal must clear the
-  /// floor by this margin or reception fails outright. The analytic DSSS BER
-  /// formula alone is far too forgiving for collisions (~0.9 PRR at 0 dB
-  /// SINR); the CC2420 datasheet puts co-channel rejection near 3 dB.
-  double capture_threshold_db = 3.0;
-};
-
 /// The shared wireless channel: packet-granularity SINR arbitration in the
 /// style of TOSSIM. A transmission locks every in-range listening radio at
 /// its start; at its end, each locked receiver samples CPM noise, sums the
@@ -66,8 +48,10 @@ struct MediumConfig {
 /// WiFi interference, and draws reception from the CC2420 PRR curve.
 class RadioMedium {
  public:
+  /// Every node transmits at `tx_power_dbm` (Topology::tx_power_dbm; the
+  /// paper's testbed runs the CC2420 at PA level 2).
   RadioMedium(Simulator& sim, const LinkGainTable& gains,
-              const CpmNoiseModel& noise, const MediumConfig& config,
+              const CpmNoiseModel& noise, double tx_power_dbm,
               std::uint64_t seed);
 
   RadioMedium(const RadioMedium&) = delete;
@@ -158,9 +142,7 @@ class RadioMedium {
   void clear_extra_noise(NodeId id);
 
   [[nodiscard]] const LinkGainTable& gains() const noexcept { return *gains_; }
-  [[nodiscard]] double tx_power_dbm() const noexcept {
-    return config_.tx_power_dbm;
-  }
+  [[nodiscard]] double tx_power_dbm() const noexcept { return tx_power_dbm_; }
 
  private:
   /// One transmission in the overlap history: plain data, no frame.
@@ -224,7 +206,10 @@ class RadioMedium {
 
   Simulator* sim_;
   const LinkGainTable* gains_;
-  MediumConfig config_;
+  double tx_power_dbm_;
+  /// Candidate-receiver cutoff: links lossier than this are never considered
+  /// (guaranteed below sensitivity even at zero noise).
+  double max_loss_db_;
   std::vector<NodeState> nodes_;
   std::vector<CpmNoiseModel::Generator> noise_;
   /// Candidate receivers per source, in id order: the only nodes a

@@ -9,6 +9,15 @@
 
 namespace telea {
 
+namespace {
+constexpr double kFloorMeanDbm = -98.0;
+constexpr double kFloorSigmaDb = 1.5;
+constexpr double kBurstMeanDbm = -72.0;
+constexpr double kBurstSigmaDb = 9.0;
+constexpr double kPEnterBurst = 0.02;  // per reading
+constexpr double kPLeaveBurst = 0.25;  // per reading
+}  // namespace
+
 std::vector<std::int8_t> generate_heavy_noise_trace(
     const SyntheticTraceConfig& config, std::uint64_t seed) {
   Pcg32 rng(seed, /*stream=*/0xC0FFEEULL);
@@ -17,14 +26,14 @@ std::vector<std::int8_t> generate_heavy_noise_trace(
   bool in_burst = false;
   for (std::size_t i = 0; i < config.length; ++i) {
     if (in_burst) {
-      if (rng.chance(config.p_leave_burst)) in_burst = false;
+      if (rng.chance(kPLeaveBurst)) in_burst = false;
     } else {
-      if (rng.chance(config.p_enter_burst)) in_burst = true;
+      if (rng.chance(kPEnterBurst)) in_burst = true;
     }
-    const double mean = in_burst ? config.burst_mean_dbm : config.floor_mean_dbm;
-    const double sigma = in_burst ? config.burst_sigma_db : config.floor_sigma_db;
+    const double mean = in_burst ? kBurstMeanDbm : kFloorMeanDbm;
+    const double sigma = in_burst ? kBurstSigmaDb : kFloorSigmaDb;
     const double v =
-        std::clamp(rng.normal(mean, sigma), config.min_dbm, config.max_dbm);
+        std::clamp(rng.normal(mean, sigma), kTraceMinDbm, kTraceMaxDbm);
     trace.push_back(static_cast<std::int8_t>(std::lround(v)));
   }
   return trace;

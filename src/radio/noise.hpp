@@ -16,16 +16,12 @@ namespace telea {
 /// process lifting readings into the -80…-45 dBm band, producing the
 /// heavy-tailed, temporally-correlated noise the paper's simulations rely on.
 struct SyntheticTraceConfig {
-  double floor_mean_dbm = -98.0;
-  double floor_sigma_db = 1.5;
-  double burst_mean_dbm = -72.0;
-  double burst_sigma_db = 9.0;
-  double p_enter_burst = 0.02;   // per reading
-  double p_leave_burst = 0.25;   // per reading
-  double min_dbm = -105.0;
-  double max_dbm = -40.0;
-  std::size_t length = 20000;    // readings
+  std::size_t length = 20000;  // readings
 };
+
+/// The range every synthetic reading is clamped to.
+inline constexpr double kTraceMinDbm = -105.0;
+inline constexpr double kTraceMaxDbm = -40.0;
 
 /// Generates a meyer-heavy-like trace of quantized dBm readings.
 [[nodiscard]] std::vector<std::int8_t> generate_heavy_noise_trace(

@@ -24,12 +24,6 @@ class Cc2420Phy {
   /// Radio turnaround (rx->tx) before an ACK is sent: 192 us (12 symbols).
   static constexpr SimTime kTurnaroundTime = 192;
 
-  // Typical CC2420 current draw (datasheet, 3V supply), used by the duty
-  // cycle / energy accounting in the MAC layer.
-  static constexpr double kRxCurrentMa = 18.8;
-  static constexpr double kTxCurrentMa0Dbm = 17.4;
-  static constexpr double kSleepCurrentUa = 0.02;
-
   /// Airtime of a frame whose MPDU is `mpdu_bytes` long, including the PHY
   /// synchronization header.
   [[nodiscard]] static constexpr SimTime airtime(std::size_t mpdu_bytes) noexcept {

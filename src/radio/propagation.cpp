@@ -6,6 +6,10 @@
 
 namespace telea {
 
+namespace {
+constexpr double kReferenceM = 1.0;  // d0
+}  // namespace
+
 double distance_m(const Position& a, const Position& b) noexcept {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;
@@ -18,18 +22,14 @@ LinkGainTable::LinkGainTable(const std::vector<Position>& positions,
       loss_(n_ * n_, 0.0),
       neighbors_(n_) {
   Pcg32 rng(seed, /*stream=*/0x9e3779b97f4a7c15ULL);
-  const double rho =
-      config.symmetric_shadowing ? 1.0
-                                 : std::clamp(config.shadowing_correlation,
-                                              0.0, 1.0);
-  const double resid = std::sqrt(std::max(0.0, 1.0 - rho * rho));
+  const double rho = kShadowingCorrelation;
+  const double resid = std::sqrt(1.0 - rho * rho);
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = i + 1; j < n_; ++j) {
       const double d =
-          std::max(distance_m(positions[i], positions[j]), config.reference_m);
+          std::max(distance_m(positions[i], positions[j]), kReferenceM);
       const double pl = config.loss_at_reference_db +
-                        10.0 * config.exponent *
-                            std::log10(d / config.reference_m);
+                        10.0 * config.exponent * std::log10(d / kReferenceM);
       // Correlated per-direction shadowing: one environmental component
       // shared by both directions plus small per-direction residuals.
       const double common = rng.normal(0.0, config.shadowing_sigma_db);

@@ -22,19 +22,16 @@ struct Position {
 /// X_sigma is log-normal shadowing sampled once per directed link (static
 /// per experiment, as in TOSSIM's gain files).
 struct PathLossConfig {
-  double exponent = 4.0;       // n
-  double reference_m = 1.0;    // d0
+  double exponent = 4.0;               // n
   double loss_at_reference_db = 55.0;  // PL(d0) for 2.4 GHz with antenna gains
   double shadowing_sigma_db = 3.2;     // per-link log-normal shadowing
-  /// Correlation between the two directions of a link's shadowing. Shadowing
-  /// is mostly environmental (obstructions affect both directions alike);
-  /// residual asymmetry comes from hardware/antenna differences. Measured
-  /// link studies put the correlation high — default 0.7. 1.0 makes links
-  /// perfectly symmetric, 0.0 fully independent.
-  double shadowing_correlation = 0.7;
-  bool symmetric_shadowing = false;  // shortcut for correlation = 1
-
 };
+
+/// Correlation between the two directions of a link's shadowing. Shadowing
+/// is mostly environmental (obstructions affect both directions alike);
+/// residual asymmetry comes from hardware/antenna differences. Measured
+/// link studies put the correlation high.
+inline constexpr double kShadowingCorrelation = 0.7;
 
 /// Precomputed per-link attenuation table: loss_db(tx, rx) such that
 /// rssi_dbm = tx_power_dbm - loss_db. Built once per topology from positions

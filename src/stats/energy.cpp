@@ -5,6 +5,11 @@
 
 namespace telea {
 
+namespace {
+constexpr double kSleepCurrentUa = 5.1;  // Telos module sleep (MCU LPM3 + radio off)
+constexpr double kMcuActiveMa = 1.8;     // MSP430 active alongside the radio
+}  // namespace
+
 double EnergyModel::tx_current_ma(double tx_power_dbm) noexcept {
   struct Point {
     double dbm;
@@ -18,7 +23,7 @@ double EnergyModel::tx_current_ma(double tx_power_dbm) noexcept {
                                                 {-5.0, 13.9},
                                                 {-3.0, 15.2},
                                                 {-1.0, 16.5},
-                                                {0.0, 17.4}}};
+                                                {0.0, kTxCurrentMa0Dbm}}};
   const double p = std::clamp(tx_power_dbm, kTable.front().dbm,
                               kTable.back().dbm);
   for (std::size_t i = 1; i < kTable.size(); ++i) {
@@ -39,18 +44,17 @@ double EnergyModel::average_current_ma(SimTime radio_on, SimTime tx_time,
   const double rx_s = to_seconds(radio_on) - tx_s;
   const double sleep_s = std::max(0.0, to_seconds(total) - to_seconds(radio_on));
   // While the radio is up, the MCU is active too.
-  const double awake_ma = config_.mcu_active_ma;
-  const double charge_mas =
-      rx_s * (config_.rx_current_ma + awake_ma) +
-      tx_s * (tx_current_ma(config_.tx_power_dbm) + awake_ma) +
-      sleep_s * (config_.sleep_current_ua / 1000.0);
+  const double awake_ma = kMcuActiveMa;
+  const double charge_mas = rx_s * (kRxCurrentMa + awake_ma) +
+                            tx_s * (tx_current_ma_ + awake_ma) +
+                            sleep_s * (kSleepCurrentUa / 1000.0);
   return charge_mas / to_seconds(total);
 }
 
 double EnergyModel::energy_mj(SimTime radio_on, SimTime tx_time,
                               SimTime total) const noexcept {
   return average_current_ma(radio_on, tx_time, total) * to_seconds(total) *
-         config_.supply_volts;
+         kSupplyVolts;
 }
 
 double EnergyModel::lifetime_days(double capacity_mah, SimTime radio_on,

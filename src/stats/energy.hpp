@@ -11,18 +11,15 @@ namespace telea {
 ///
 /// This extends the paper's duty-cycle metric (Fig. 9) to the quantity
 /// deployments actually budget: millijoules (and mAh) per node per day.
-struct EnergyModelConfig {
-  double supply_volts = 3.0;
-  double rx_current_ma = 18.8;       // CC2420 RX / idle listening
-  double sleep_current_ua = 5.1;     // Telos module sleep (MCU LPM3 + radio off)
-  double mcu_active_ma = 1.8;        // MSP430 active alongside the radio
-  double tx_power_dbm = 0.0;         // sets the TX current draw
-};
+inline constexpr double kSupplyVolts = 3.0;
+inline constexpr double kRxCurrentMa = 18.8;      // CC2420 RX / idle listening
+inline constexpr double kTxCurrentMa0Dbm = 17.4;  // CC2420 TX at 0 dBm
 
 class EnergyModel {
  public:
-  EnergyModel() : EnergyModel(EnergyModelConfig{}) {}
-  explicit EnergyModel(const EnergyModelConfig& config) : config_(config) {}
+  /// `tx_power_dbm` sets the TX current draw.
+  explicit EnergyModel(double tx_power_dbm = 0.0) noexcept
+      : tx_current_ma_(tx_current_ma(tx_power_dbm)) {}
 
   /// CC2420 TX current (mA) at the given output power (dBm), interpolated
   /// from the datasheet's PA table.
@@ -44,12 +41,11 @@ class EnergyModel {
                                      SimTime tx_time,
                                      SimTime total) const noexcept;
 
-  [[nodiscard]] const EnergyModelConfig& config() const noexcept {
-    return config_;
-  }
+  /// The TX current draw at this model's output power.
+  [[nodiscard]] double tx_current_ma() const noexcept { return tx_current_ma_; }
 
  private:
-  EnergyModelConfig config_;
+  double tx_current_ma_;
 };
 
 }  // namespace telea

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "stats/energy.hpp"
 #include "stats/table.hpp"
 #include "stats/trace.hpp"
 #include "util/ids.hpp"
@@ -87,9 +88,9 @@ struct CommandSpan {
 /// CC2420 datasheet at 3 V / 0 dBm; the harness overrides copy_airtime_s
 /// with the exact PHY airtime of the control frame it simulates.
 struct SpanEnergyConfig {
-  double supply_volts = 3.0;
-  double tx_current_ma = 17.4;    // CC2420 TX at 0 dBm
-  double rx_current_ma = 18.8;    // CC2420 RX / idle listening
+  double supply_volts = kSupplyVolts;
+  double tx_current_ma = kTxCurrentMa0Dbm;
+  double rx_current_ma = kRxCurrentMa;
   double copy_airtime_s = 0.002;  // one LPL copy's on-air time
 };
 

@@ -59,7 +59,7 @@ Topology make_sparse_linear(std::uint64_t seed) {
   topo.path_loss.exponent = 4.0;
   // "Low gain": shorter nominal range (30 m) over a 13.3 m row pitch — the
   // 600 m long field becomes a deep multi-hop chain (~20 hops) from the
-  // endpoint sink, without overflowing the 128-bit path-code capacity.
+  // endpoint sink, without overflowing the 256-bit path-code capacity.
   topo.path_loss.loss_at_reference_db =
       reference_loss_for_range(topo.tx_power_dbm, 4.0, 30.0);
   topo.path_loss.shadowing_sigma_db = 3.2;

@@ -4,6 +4,8 @@
 // carrying the right rule id and node.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/invariants.hpp"
 #include "harness/faults.hpp"
 #include "harness/network.hpp"
@@ -138,6 +140,27 @@ TEST(InvariantFaults, FailFastAbortsTheRunAtTheFirstViolation) {
   plan.apply(net);
   EXPECT_THROW(net.run_for(2 * icfg.checkpoint_interval),
                InvariantViolationError);
+}
+
+TEST(InvariantFaults, MetricsCarryASeriesForEveryRule) {
+  // Every rule invariant_rule_name knows must surface as a
+  // telea_invariant_violations_total{rule=...} series, so an appended rule
+  // cannot drop out of the metrics. Probe until the name falls back to "?".
+  Network net(line5_cfg(35));
+  net.enable_invariants();
+  MetricsRegistry registry;
+  net.collect_metrics(registry);
+  const std::string text = registry.render_prometheus();
+  std::size_t rules = 0;
+  for (std::uint8_t i = 0;; ++i, ++rules) {
+    const std::string name = invariant_rule_name(static_cast<InvariantRule>(i));
+    if (name == "?") break;
+    EXPECT_NE(text.find("telea_invariant_violations_total{rule=\"" + name +
+                        "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_GT(rules, 0u);
 }
 
 }  // namespace

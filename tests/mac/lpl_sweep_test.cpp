@@ -48,7 +48,7 @@ TEST_P(WakeIntervalSweep, IdleDutyScalesInversely) {
   net.run_for(5_min);
   const double duty = net.average_duty_cycle();
   const double expected =
-      to_millis(cfg.lpl.cca_window) / to_millis(GetParam());
+      to_millis(kCcaWindow) / to_millis(GetParam());
   // The wake window plus the multi-sample sleep check: within ~2.5x of the
   // ideal CCA/interval ratio, and always below 20%.
   EXPECT_GT(duty, expected * 0.8);

@@ -43,9 +43,8 @@ class LplTest : public ::testing::Test {
     pl.shadowing_sigma_db = 0.0;
     gains_ = std::make_unique<LinkGainTable>(pos, pl, 1);
     noise_ = std::make_unique<CpmNoiseModel>(quiet_noise());
-    MediumConfig cfg;
-    cfg.tx_power_dbm = 0.0;
-    medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_, cfg, 7);
+    medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_,
+                                            /*tx_power_dbm=*/0.0, 7);
     for (int i = 0; i < nodes; ++i) {
       handlers_.push_back(std::make_unique<FakeHandler>());
       macs_.push_back(std::make_unique<LplMac>(

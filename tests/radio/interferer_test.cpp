@@ -5,24 +5,12 @@
 namespace telea {
 namespace {
 
-TEST(WifiInterferer, DisabledIsSilent) {
-  WifiInterfererConfig cfg;
-  cfg.enabled = false;
-  WifiInterferer wifi(cfg, 4, 1);
-  for (SimTime t = 0; t < kSecond; t += 10 * kMillisecond) {
-    EXPECT_LT(wifi.power_at(0, t), -110.0);
-  }
-}
-
 TEST(WifiInterferer, ExpectedDutyMatchesConfig) {
   WifiInterfererConfig cfg;
   cfg.mean_on = 10 * kMillisecond;
   cfg.mean_off = 30 * kMillisecond;
   WifiInterferer wifi(cfg, 1, 1);
   EXPECT_NEAR(wifi.expected_duty(), 0.25, 1e-9);
-  cfg.enabled = false;
-  WifiInterferer off(cfg, 1, 1);
-  EXPECT_DOUBLE_EQ(off.expected_duty(), 0.0);
 }
 
 TEST(WifiInterferer, EmpiricalDutyNearExpected) {

@@ -35,10 +35,6 @@ TEST(WifiInterfererMw, PowerMwMatchesDbmConversionExactly) {
     }
   }
   EXPECT_GT(on_readings, 10'000u);  // both states were exercised
-
-  cfg.enabled = false;
-  WifiInterferer off(cfg, kNodes, 77);
-  EXPECT_EQ(off.power_mw_at(3, kSecond), dbm_to_mw(off.power_at(3, kSecond)));
 }
 
 /// A node of the golden scenario: random broadcasts, unicasts and
@@ -157,9 +153,7 @@ TEST(MediumGolden, TwelveNodeScenarioDigestIsPinned) {
   const CpmNoiseModel noise(generate_heavy_noise_trace(trace, 5), 2);
   WifiInterferer wifi(WifiInterfererConfig{}, kNodes, 19);
   Simulator sim;
-  MediumConfig cfg;
-  cfg.tx_power_dbm = 0.0;
-  RadioMedium medium(sim, gains, noise, cfg, 13);
+  RadioMedium medium(sim, gains, noise, /*tx_power_dbm=*/0.0, 13);
   medium.set_interferer(&wifi);
 
   std::uint64_t digest = 0xCBF29CE484222325ULL;

@@ -51,9 +51,8 @@ class MediumTest : public ::testing::Test {
     pl.shadowing_sigma_db = 0.0;
     gains_ = std::make_unique<LinkGainTable>(pos, pl, 1);
     noise_ = std::make_unique<CpmNoiseModel>(quiet_noise());
-    MediumConfig cfg;
-    cfg.tx_power_dbm = 0.0;
-    medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_, cfg, 7);
+    medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_,
+                                            /*tx_power_dbm=*/0.0, 7);
     listeners_.clear();
     for (int i = 0; i < nodes; ++i) {
       listeners_.push_back(std::make_unique<FakeListener>());
@@ -238,9 +237,8 @@ TEST_F(MediumTest, CaptureWhenInterfererIsWeak) {
   pl.shadowing_sigma_db = 0.0;
   gains_ = std::make_unique<LinkGainTable>(pos, pl, 1);
   noise_ = std::make_unique<CpmNoiseModel>(quiet_noise());
-  MediumConfig cfg;
-  cfg.tx_power_dbm = 0.0;
-  medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_, cfg, 7);
+  medium_ = std::make_unique<RadioMedium>(sim_, *gains_, *noise_,
+                                          /*tx_power_dbm=*/0.0, 7);
   listeners_.clear();
   for (int i = 0; i < 3; ++i) {
     listeners_.push_back(std::make_unique<FakeListener>());
@@ -463,9 +461,7 @@ std::vector<TrafficNode::Event> run_dense(bool fault_on_idle_link) {
   const LinkGainTable gains(pos, pl, 9);
   const CpmNoiseModel noise = quiet_noise();
   Simulator sim;
-  MediumConfig cfg;
-  cfg.tx_power_dbm = 0.0;
-  RadioMedium medium(sim, gains, noise, cfg, 3);
+  RadioMedium medium(sim, gains, noise, /*tx_power_dbm=*/0.0, 3);
   std::vector<TrafficNode::Event> log;
   std::vector<std::unique_ptr<TrafficNode>> nodes;
   for (NodeId i = 0; i <= kTraffic; ++i) {

@@ -20,8 +20,8 @@ TEST(SyntheticTrace, LengthAndBounds) {
   const auto trace = generate_heavy_noise_trace(cfg, 1);
   EXPECT_EQ(trace.size(), cfg.length);
   for (auto v : trace) {
-    EXPECT_GE(v, static_cast<std::int8_t>(cfg.min_dbm));
-    EXPECT_LE(v, static_cast<std::int8_t>(cfg.max_dbm));
+    EXPECT_GE(v, static_cast<std::int8_t>(kTraceMinDbm));
+    EXPECT_LE(v, static_cast<std::int8_t>(kTraceMaxDbm));
   }
 }
 
@@ -76,8 +76,8 @@ TEST(CpmNoiseModel, OutputStaysInTraceRange) {
   auto gen = model.make_generator(1, 1);
   for (SimTime t = 0; t < 2 * kSecond; t += kMillisecond) {
     const double v = gen.noise_dbm(t);
-    EXPECT_GE(v, cfg.min_dbm - 1);
-    EXPECT_LE(v, cfg.max_dbm + 1);
+    EXPECT_GE(v, kTraceMinDbm - 1);
+    EXPECT_LE(v, kTraceMaxDbm + 1);
   }
 }
 

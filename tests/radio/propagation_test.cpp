@@ -56,20 +56,6 @@ TEST(LinkGainTable, AsymmetricShadowingByDefault) {
   EXPECT_TRUE(any_asymmetric);
 }
 
-TEST(LinkGainTable, SymmetricShadowingOption) {
-  PathLossConfig cfg;
-  cfg.shadowing_sigma_db = 6.0;
-  cfg.symmetric_shadowing = true;
-  LinkGainTable table(line_positions(6, 9.0), cfg, 7);
-  for (NodeId i = 0; i < 6; ++i) {
-    for (NodeId j = 0; j < 6; ++j) {
-      if (i != j) {
-        EXPECT_DOUBLE_EQ(table.loss_db(i, j), table.loss_db(j, i));
-      }
-    }
-  }
-}
-
 TEST(LinkGainTable, DeterministicPerSeed) {
   PathLossConfig cfg;
   LinkGainTable a(line_positions(5, 8.0), cfg, 99);

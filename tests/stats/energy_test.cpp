@@ -48,9 +48,7 @@ TEST(EnergyModel, DutyCycledDrawScales) {
 }
 
 TEST(EnergyModel, TxTimeUsesTxCurrent) {
-  EnergyModelConfig cfg;
-  cfg.tx_power_dbm = -25.0;  // 8.5 mA, well below RX draw
-  EnergyModel model(cfg);
+  EnergyModel model(/*tx_power_dbm=*/-25.0);  // 8.5 mA, well below RX draw
   const double rx_only = model.average_current_ma(1_h, 0, 1_h);
   const double tx_heavy = model.average_current_ma(1_h, 1_h, 1_h);
   EXPECT_LT(tx_heavy, rx_only);  // TX at -25 dBm draws less than RX
