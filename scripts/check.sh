@@ -31,14 +31,13 @@
 #   scripts/check.sh --static     # static analysis only
 #   scripts/check.sh --lint-fix   # apply telea_lint's mechanical fixes
 #                                 # (doc rows, metric bullets), then report
-#   scripts/check.sh --bench      # bench regression gate only (pinned short
-#                                 # bench runs vs bench/baselines/, >10%
-#                                 # worsening on latency/duty columns fails)
 #
 # Long randomized soaks (ctest label "soak") are excluded from the fast
 # default pass and run once under ASan/UBSan. Plain `ctest` still runs
-# everything. Any bench_results/*.json the test runs produce must parse
-# (tools/json_lint) or the check fails.
+# everything. Tier-1 includes the exact pin of bench/baselines/ (ctest
+# bench_baselines_exact), so every stage that runs tier-1 checks it. Any
+# bench_results/*.json the test runs produce must parse (tools/json_lint) or
+# the check fails.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,7 +45,6 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 run_plain=1
 run_san=1
 run_static=1
-run_bench=0
 run_lint_fix=0
 for arg in "$@"; do
   case "$arg" in
@@ -54,7 +52,6 @@ for arg in "$@"; do
     --san-only) run_plain=0; run_static=0 ;;
     --static) run_plain=0; run_san=0 ;;
     --lint-fix) run_plain=0; run_san=0; run_static=0; run_lint_fix=1 ;;
-    --bench) run_plain=0; run_san=0; run_static=0; run_bench=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -129,33 +126,9 @@ static_stage() {
   fi
 }
 
-# Pinned short bench invocations (deterministic: virtual-time results depend
-# only on the seed and the code) diffed against the committed baseline set.
-# Refresh baselines after an intentional perf change with:
-#   TELEA_RESULTS_DIR=bench/baselines <the bench_stage invocations below>
-bench_stage() {
-  echo "== bench regression gate (bench/baselines) =="
-  cmake -S "$repo" -B "$repo/build" >/dev/null
-  cmake --build "$repo/build" -j "$jobs" \
-    --target bench_fig10_latency bench_fig9_dutycycle bench_compare
-  local tmp
-  tmp="$(mktemp -d)"
-  TELEA_RESULTS_DIR="$tmp" "$repo/build/bench/bench_fig10_latency" \
-    --runs 1 --warmup 10 --minutes 10 --seed 1
-  TELEA_RESULTS_DIR="$tmp" "$repo/build/bench/bench_fig9_dutycycle" \
-    --runs 1 --warmup 10 --minutes 10 --seed 1
-  "$repo/build/tools/bench_compare" \
-    baseline="$repo/bench/baselines" current="$tmp"
-  rm -rf "$tmp"
-}
-
 if [ "$run_plain" = 1 ]; then
   echo "== default build + tests (soak excluded) =="
   build_and_test "$repo/build" ""
-fi
-
-if [ "$run_bench" = 1 ]; then
-  bench_stage
 fi
 
 if [ "$run_lint_fix" = 1 ]; then

@@ -768,8 +768,6 @@ Tracer& Network::enable_tracing(std::size_t capacity) {
   if (timeline_ != nullptr) timeline_->set_tracer(tracer_.get());
   medium_->add_transmit_hook(
       [this](NodeId src, const Frame& frame, SimTime) {
-        tracer_->record(sim_.now(), src, TraceEvent::kTransmit,
-                        frame.payload.index(), frame.dst);
         if (const auto* cp = std::get_if<msg::ControlPacket>(&frame.payload)) {
           tracer_->record(sim_.now(), src, TraceEvent::kControlTx, cp->seqno,
                           cp->expected_relay);

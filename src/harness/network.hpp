@@ -263,9 +263,11 @@ class Network {
   /// Starts periodic data-collection traffic on every non-sink node.
   void start_data_collection(SimTime ipi);
 
-  /// Enables structured event tracing (transmissions, control relays,
-  /// parent/code changes, failures) into an in-memory ring of `capacity`
-  /// records. Idempotent; the tracer lives as long as the network.
+  /// Enables structured event tracing (control-packet copies and relay
+  /// decisions, parent/code changes, failures) into an in-memory ring of
+  /// `capacity` records. Other frames leave no record: per-copy traffic
+  /// would evict the control records the span engine needs. Idempotent; the
+  /// tracer lives as long as the network.
   Tracer& enable_tracing(std::size_t capacity = 1 << 16);
   [[nodiscard]] Tracer* tracer() noexcept { return tracer_.get(); }
 

@@ -103,12 +103,8 @@ class RadioMedium {
 
   using TransmitHook =
       std::function<void(NodeId src, const Frame& frame, SimTime airtime)>;
-  /// Stats hook invoked once per transmitted copy. Replaces all hooks.
-  void set_transmit_hook(TransmitHook hook) {
-    transmit_hooks_.clear();
-    if (hook) transmit_hooks_.push_back(std::move(hook));
-  }
-  /// Adds a hook alongside any existing ones (tracing + metrics coexist).
+  /// Adds a stats hook invoked once per transmitted copy, alongside any
+  /// existing ones (tracing + metrics coexist).
   void add_transmit_hook(TransmitHook hook) {
     if (hook) transmit_hooks_.push_back(std::move(hook));
   }

@@ -11,7 +11,6 @@ namespace telea {
 
 const char* trace_event_name(TraceEvent e) noexcept {
   switch (e) {
-    case TraceEvent::kTransmit: return "transmit";
     case TraceEvent::kControlTx: return "control_tx";
     case TraceEvent::kParentChange: return "parent_change";
     case TraceEvent::kCodeChange: return "code_change";
@@ -104,30 +103,11 @@ std::size_t Tracer::count(TraceEvent event) const {
 }
 
 std::vector<NodeId> Tracer::control_path(std::uint32_t seqno) const {
-  std::vector<NodeId> path;
-  for (const auto& r : snapshot()) {
-    if (r.event != TraceEvent::kControlTx || r.a != seqno) continue;
-    if (path.empty() || path.back() != r.node) path.push_back(r.node);
-  }
-  return path;
+  return relay_path(snapshot(), seqno);
 }
 
 std::string Tracer::explain(std::uint32_t seqno) const {
   return explain_control(snapshot(), seqno);
-}
-
-std::string Tracer::render_csv() const {
-  std::string out = "time_s,node,event,a,b,reason\n";
-  char buf[160];
-  for (const auto& r : snapshot()) {
-    std::snprintf(buf, sizeof(buf), "%.6f,%u,%s,%llu,%llu,%s\n",
-                  to_seconds(r.time), r.node, trace_event_name(r.event),
-                  static_cast<unsigned long long>(r.a),
-                  static_cast<unsigned long long>(r.b),
-                  trace_reason_name(r.reason));
-    out += buf;
-  }
-  return out;
 }
 
 std::string Tracer::render_jsonl() const {
@@ -214,6 +194,16 @@ std::string render_flight_dump_json(const FlightDump& dump) {
   }
   out += "]}";
   return out;
+}
+
+std::vector<NodeId> relay_path(const std::vector<TraceRecord>& records,
+                               std::uint32_t seqno) {
+  std::vector<NodeId> path;
+  for (const auto& r : records) {
+    if (r.event != TraceEvent::kControlTx || r.a != seqno) continue;
+    if (path.empty() || path.back() != r.node) path.push_back(r.node);
+  }
+  return path;
 }
 
 std::string explain_control(const std::vector<TraceRecord>& records,
@@ -311,13 +301,7 @@ std::string explain_control(const std::vector<TraceRecord>& records,
     out += "  (no records for this seqno at the selected node)\n";
   }
 
-  // Relay path summary: kControlTx transmissions with adjacent repeats
-  // collapsed, mirroring Tracer::control_path.
-  std::vector<NodeId> path;
-  for (const auto& r : records) {
-    if (r.event != TraceEvent::kControlTx || r.a != seqno) continue;
-    if (path.empty() || path.back() != r.node) path.push_back(r.node);
-  }
+  const std::vector<NodeId> path = relay_path(records, seqno);
   if (!path.empty()) {
     out += "  relay path:";
     for (const NodeId n : path) {

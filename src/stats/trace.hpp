@@ -24,7 +24,6 @@ class JsonValue;
 /// the decision concerns (expected relay, suppressing transmitter, backtrack
 /// target, detour relay, or ack next-hop).
 enum class TraceEvent : std::uint8_t {
-  kTransmit,         // a = frame kind index, b = link destination
   kControlTx,        // a = control seqno, b = expected relay
   kParentChange,     // a = old parent, b = new parent
   kCodeChange,       // a = new code length
@@ -99,7 +98,7 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
-/// Bounded in-memory event trace with CSV/JSONL export and simple analysis.
+/// Bounded in-memory event trace with JSONL export and simple analysis.
 /// Recording is cheap (append to a preallocated ring); when the capacity is
 /// exceeded the oldest records are dropped and `dropped()` counts them.
 ///
@@ -125,19 +124,12 @@ class Tracer {
   /// Number of records of one event type (cheaper than by_event).
   [[nodiscard]] std::size_t count(TraceEvent event) const;
 
-  /// The realized relay sequence of a control packet: every node that
-  /// transmitted it, in transmission order. Only *adjacent* repeats are
-  /// collapsed — a node that re-transmits later (e.g. after a backtrack
-  /// returned the task to it) appears again, so the trajectory keeps its
-  /// loops: A,A,B,A collapses to A,B,A, not A,B.
+  /// relay_path over the retained records.
   [[nodiscard]] std::vector<NodeId> control_path(std::uint32_t seqno) const;
 
   /// Human-readable reconstruction of one control packet's trajectory
   /// (relays, suppressions, backtracks, redirects, ack path) with reasons.
   [[nodiscard]] std::string explain(std::uint32_t seqno) const;
-
-  /// CSV export: time_s,node,event,a,b,reason.
-  [[nodiscard]] std::string render_csv() const;
 
   /// JSONL export: one {"t","node","event","a","b","reason"} object per line.
   [[nodiscard]] std::string render_jsonl() const;
@@ -196,6 +188,14 @@ struct ExplainOptions {
   bool deltas = false;         // elapsed time since the previous printed line
                                // instead of absolute timestamps
 };
+
+/// The realized relay sequence of a control packet: every node that
+/// transmitted it (kControlTx), in transmission order. Only *adjacent*
+/// repeats are collapsed — a node that re-transmits later (e.g. after a
+/// backtrack returned the task to it) appears again, so the trajectory keeps
+/// its loops: A,A,B,A collapses to A,B,A, not A,B.
+[[nodiscard]] std::vector<NodeId> relay_path(
+    const std::vector<TraceRecord>& records, std::uint32_t seqno);
 
 /// The engine behind Tracer::explain, usable on records re-loaded from a
 /// JSONL export (tools reconstruct trajectories without the live Tracer).

@@ -25,7 +25,6 @@ bool grow(BitString& code, const BitString& tail) {
 // every enumerator (this one must list each event, as trace_event_name does).
 bool is_event(TraceEvent e) {
   switch (e) {
-    case TraceEvent::kTransmit:
     case TraceEvent::kControlTx:
     case TraceEvent::kParentChange:
     case TraceEvent::kCodeChange:

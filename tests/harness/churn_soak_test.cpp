@@ -134,7 +134,7 @@ TEST(ChurnSoak, TimelineAlertsFireUnderFaultsAndStayQuietClean) {
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   // .jsonl on purpose: bench_results/*.json is reserved for TextTable JSON
-  // documents (json_lint / bench_compare walk that glob).
+  // documents (json_lint walks that glob).
   cfg.timeline_jsonl = (out_dir / "churn_soak.timeline.jsonl").string();
   cfg.flight_jsonl = (out_dir / "churn_soak.flight.jsonl").string();
 

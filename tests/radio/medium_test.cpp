@@ -259,7 +259,7 @@ TEST_F(MediumTest, CaptureWhenInterfererIsWeak) {
 TEST_F(MediumTest, TransmitHookSeesEveryCopy) {
   build(2, 5.0);
   int copies = 0;
-  medium_->set_transmit_hook(
+  medium_->add_transmit_hook(
       [&copies](NodeId, const Frame&, SimTime) { ++copies; });
   medium_->transmit(0, beacon_frame(0));
   sim_.run();

@@ -1,7 +1,7 @@
 // Whole-system determinism: the foundational property that makes every
 // experiment in this repository reproducible. Two networks built from the
 // same (config, seed) must evolve identically event for event — verified
-// through transmit traces, protocol counters and timing.
+// through every transmitted copy, trace counts, protocol counters and timing.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +36,11 @@ Fingerprint run_once(ControlProtocol proto, std::uint64_t seed) {
   cfg.protocol = proto;
   Network net(cfg);
   Tracer& tracer = net.enable_tracing(1 << 18);
+  Fingerprint fp;
+  net.medium().add_transmit_hook([&](NodeId, const Frame&, SimTime) {
+    ++fp.transmissions;
+    fp.last_tx_time = net.sim().now();
+  });
   net.start();
   net.run_for(6_min);
   net.start_data_collection(1_min);
@@ -50,15 +55,10 @@ Fingerprint run_once(ControlProtocol proto, std::uint64_t seed) {
   }
   net.run_for(2_min);
 
-  Fingerprint fp;
-  fp.transmissions = tracer.count(TraceEvent::kTransmit);
   fp.control_txs = tracer.count(TraceEvent::kControlTx);
   fp.parent_changes = tracer.count(TraceEvent::kParentChange);
   for (NodeId i = 0; i < net.size(); ++i) {
     fp.per_node_ops.push_back(net.node(i).mac().send_ops());
-  }
-  for (const auto& r : tracer.snapshot()) {
-    if (r.event == TraceEvent::kTransmit) fp.last_tx_time = r.time;
   }
   return fp;
 }

@@ -13,7 +13,7 @@ using namespace time_literals;
 
 TEST(Tracer, RecordsAndSnapshotsInOrder) {
   Tracer t(8);
-  t.record(10, 1, TraceEvent::kTransmit, 3, 4);
+  t.record(10, 1, TraceEvent::kCodeChange, 3, 4);
   t.record(20, 2, TraceEvent::kKill);
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 2u);
@@ -33,7 +33,7 @@ TEST(Tracer, RecordsAndSnapshotsInOrder) {
 TEST(Tracer, RingDropsOldestBeyondCapacity) {
   Tracer t(4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    t.record(i, 0, TraceEvent::kTransmit, i);
+    t.record(i, 0, TraceEvent::kCodeChange, i);
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 6u);
@@ -44,10 +44,10 @@ TEST(Tracer, RingDropsOldestBeyondCapacity) {
 
 TEST(Tracer, CountAndByEventFilter) {
   Tracer t(16);
-  t.record(1, 0, TraceEvent::kTransmit);
+  t.record(1, 0, TraceEvent::kCodeChange);
   t.record(2, 0, TraceEvent::kParentChange, 1, 2);
-  t.record(3, 0, TraceEvent::kTransmit);
-  EXPECT_EQ(t.count(TraceEvent::kTransmit), 2u);
+  t.record(3, 0, TraceEvent::kCodeChange);
+  EXPECT_EQ(t.count(TraceEvent::kCodeChange), 2u);
   EXPECT_EQ(t.by_event(TraceEvent::kParentChange).size(), 1u);
 }
 
@@ -61,18 +61,6 @@ TEST(Tracer, ControlPathCollapsesRepeats) {
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], 0);
   EXPECT_EQ(path[1], 5);
-}
-
-TEST(Tracer, CsvRendering) {
-  Tracer t(4);
-  t.record(1500000, 3, TraceEvent::kCodeChange, 12);
-  t.record(1600000, 4, TraceEvent::kBacktrack, 7, 2,
-           TraceReason::kRetryExhausted);
-  const std::string csv = t.render_csv();
-  EXPECT_NE(csv.find("time_s,node,event,a,b,reason"), std::string::npos);
-  EXPECT_NE(csv.find("1.500000,3,code_change,12,0,none"), std::string::npos);
-  EXPECT_NE(csv.find("1.600000,4,backtrack,7,2,retry_exhausted"),
-            std::string::npos);
 }
 
 TEST(Tracer, NamesRoundTripThroughLookups) {
@@ -108,12 +96,12 @@ TEST(Tracer, NamesRoundTripThroughLookups) {
 TEST(TracerRing, ExactlyAtCapacityKeepsEverything) {
   Tracer t(4);
   for (std::uint64_t i = 0; i < 4; ++i) {
-    t.record(i, 0, TraceEvent::kTransmit, i);
+    t.record(i, 0, TraceEvent::kCodeChange, i);
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(t.count(TraceEvent::kTransmit), 4u);
-  EXPECT_EQ(t.by_event(TraceEvent::kTransmit).size(), 4u);
+  EXPECT_EQ(t.count(TraceEvent::kCodeChange), 4u);
+  EXPECT_EQ(t.by_event(TraceEvent::kCodeChange).size(), 4u);
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(snap[i].a, i);
@@ -132,14 +120,14 @@ TEST(TracerRing, CapacityFloorsAtOne) {
 TEST(TracerRing, CapacityPlusOneDropsExactlyTheOldest) {
   Tracer t(4);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    t.record(i, 0, TraceEvent::kTransmit, i);
+    t.record(i, 0, TraceEvent::kCodeChange, i);
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 1u);
   // count() and by_event() must agree with each other and with snapshot()
   // right after the wrap.
-  EXPECT_EQ(t.count(TraceEvent::kTransmit), 4u);
-  const auto filtered = t.by_event(TraceEvent::kTransmit);
+  EXPECT_EQ(t.count(TraceEvent::kCodeChange), 4u);
+  const auto filtered = t.by_event(TraceEvent::kCodeChange);
   ASSERT_EQ(filtered.size(), 4u);
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 4u);
@@ -152,7 +140,7 @@ TEST(TracerRing, CapacityPlusOneDropsExactlyTheOldest) {
 TEST(TracerRing, SnapshotStaysChronologicalAcrossManyWraps) {
   Tracer t(3);
   for (std::uint64_t i = 0; i < 11; ++i) {
-    t.record(i * 10, 0, TraceEvent::kTransmit, i);
+    t.record(i * 10, 0, TraceEvent::kCodeChange, i);
   }
   EXPECT_EQ(t.dropped(), 8u);
   const auto snap = t.snapshot();
@@ -398,8 +386,12 @@ TEST(TracerIntegration, NetworkTracesControlPath) {
   Tracer& tracer = net.enable_tracing();
   net.start();
   net.run_for(4_min);
-  EXPECT_GT(tracer.count(TraceEvent::kTransmit), 10u);
   EXPECT_GT(tracer.count(TraceEvent::kCodeChange), 0u);
+  // Beacon and data copies leave no record: before the first command the
+  // ring holds only protocol-state events.
+  EXPECT_EQ(tracer.count(TraceEvent::kParentChange) +
+                tracer.count(TraceEvent::kCodeChange),
+            tracer.size());
 
   const auto seq = net.sink().tele()->send_control(
       3, net.node(3).tele()->addressing().code(), 1);

@@ -111,7 +111,7 @@ namespace {
 
 const char* kTraceHeader =
     "enum class TraceEvent : std::uint8_t {\n"
-    "  kTransmit,\n"
+    "  kControlTx,\n"
     "  kKill,\n"
     "  kRevive,\n"
     "};\n";
@@ -119,7 +119,7 @@ const char* kTraceHeader =
 const char* kTraceSource =
     "const char* trace_event_name(TraceEvent e) {\n"
     "  switch (e) {\n"
-    "    case TraceEvent::kTransmit: return \"transmit\";\n"
+    "    case TraceEvent::kControlTx: return \"control_tx\";\n"
     "    case TraceEvent::kKill: return \"kill\";\n"
     "    case TraceEvent::kRevive: return \"revive\";\n"
     "  }\n"
@@ -131,7 +131,7 @@ const char* kTraceDocClean =
     "\n"
     "| event             | `a` | emitted by |\n"
     "|-------------------|-----|------------|\n"
-    "| `transmit`        | x   | phy        |\n"
+    "| `control_tx`      | x   | phy        |\n"
     "| `kill` / `revive` | —   | faults     |\n";
 
 }  // namespace
@@ -147,7 +147,7 @@ TEST_F(LintTreeTest, TraceDocsRuleFiresOnUndocumentedEvent) {
   // A new enumerator + name string ships without a doc table row.
   write("src/stats/trace.hpp",
         "enum class TraceEvent : std::uint8_t {\n"
-        "  kTransmit,\n"
+        "  kControlTx,\n"
         "  kKill,\n"
         "  kRevive,\n"
         "  kReboot,\n"
@@ -330,19 +330,21 @@ const char* kTraceCodecWriter =
 }  // namespace
 
 TEST_F(LintSemanticTest, WireFormatFlagsReaderKeyNeverWritten) {
-  write("src/stats/table.cpp",
-        "std::string TextTable::render_json(const std::string& name) const {\n"
-        "  out += \"{\\\"t\\\":1,\\\"node\\\":2}\";\n"
+  write("src/stats/health.cpp",
+        "std::string NetworkHealthModel::render_snapshot_json(SimTime now) "
+        "const {\n"
+        "  out += \"{\\\"t\\\":1,\\\"nodes\\\":[]}\";\n"
         "}\n");
-  write("tools/bench_compare/compare.cpp",
-        "std::optional<Table> parse_table_json(std::string_view text) {\n"
-        "  (void)v.number_or(\"t\", 0);\n"
-        "  (void)v.number_or(\"seq\", 0);\n"  // never written
+  write("tools/telea_top.cpp",
+        "void render_snapshot(const JsonValue& snap, std::size_t limit) {\n"
+        "  (void)snap.number_or(\"t\", 0);\n"
+        "  (void)snap.number_or(\"seq\", 0);\n"  // never written
         "}\n");
-  const auto findings = pair_findings(check_wire_format(root_), "bench-table");
+  const auto findings =
+      pair_findings(check_wire_format(root_), "health-snapshot");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "wire-format");
-  EXPECT_EQ(findings[0].file, "tools/bench_compare/compare.cpp");
+  EXPECT_EQ(findings[0].file, "tools/telea_top.cpp");
   EXPECT_EQ(findings[0].line, 1u);
   EXPECT_NE(findings[0].message.find("\"seq\""), std::string::npos);
 }

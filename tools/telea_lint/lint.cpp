@@ -84,9 +84,6 @@ const SerdeSpec kSerdePairs[] = {
      "tools/telea_top.cpp", "render_snapshot", /*strict=*/false},
     {"flight-dump", "src/stats/trace.cpp", "render_flight_dump_json",
      "tools/telea_top.cpp", "render_flight_file", /*strict=*/false},
-    {"bench-table", "src/stats/table.cpp", "render_json",
-     "tools/bench_compare/compare.cpp", "parse_table_json",
-     /*strict=*/false},
 };
 
 // --- text helpers -----------------------------------------------------------
