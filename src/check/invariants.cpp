@@ -58,8 +58,9 @@ std::string format_violation(const InvariantViolation& v) {
 InvariantViolationError::InvariantViolationError(const InvariantViolation& v)
     : std::runtime_error(format_violation(v)), violation_(v) {}
 
-InvariantEngine::InvariantEngine(Simulator& sim, const InvariantConfig& config)
-    : sim_(&sim), config_(config), checkpoint_timer_(sim) {
+InvariantEngine::InvariantEngine(Simulator& sim, TraceRouter& router,
+                                 const InvariantConfig& config)
+    : sim_(&sim), router_(&router), config_(config), checkpoint_timer_(sim) {
   checkpoint_timer_.set_tag("check.invariants");
   checkpoint_timer_.set_callback([this] {
     if (provider_) run_checkpoint(provider_());
@@ -83,12 +84,13 @@ void InvariantEngine::report(NodeId node, InvariantRule rule,
   v.rule = rule;
   v.aux = aux;
   v.detail = std::move(detail);
-  TELEA_TRACE_EVENT(tracer_, v.time, v.node, TraceEvent::kInvariantViolation,
-                    static_cast<std::uint64_t>(rule), aux);
+  router_->record(v.node, TraceEvent::kInvariantViolation,
+                  static_cast<std::uint64_t>(rule), aux);
   TELEA_WARN("check.invariants") << format_violation(v);
   ++by_rule_[static_cast<std::uint8_t>(rule)];
   violations_.push_back(v);
-  if (on_violation) on_violation(violations_.back());
+  // Before fail_fast throws, so the post-mortem outlives an aborted run.
+  router_->dump(node, std::string("invariant:") + invariant_rule_name(rule));
   if (config_.fail_fast) throw InvariantViolationError(violations_.back());
 }
 

@@ -132,8 +132,9 @@ struct InvariantNodeView {
 /// The runtime invariant engine (tentpole of the correctness-tooling layer):
 /// a registry of named, subsystem-scoped checks evaluated at configurable
 /// checkpoints plus event-driven audits fed by the forwarding plane and the
-/// controller. Violations are reported through the Tracer (one
-/// `invariant_violation` record carrying the failing node and rule id), the
+/// controller. Violations are reported through the TraceRouter (one
+/// `invariant_violation` record carrying the failing node and rule id, and a
+/// dump of that node's flight ring with trigger `invariant:<rule>`), the
 /// metrics layer (Network::collect_metrics exports
 /// telea_invariant_violations_total per rule) and the log (a human-readable
 /// expected-vs-actual diff), and optionally abort the run (fail_fast).
@@ -141,18 +142,11 @@ class InvariantEngine final : public ForwardingAuditor {
  public:
   using ViewProvider = std::function<std::vector<InvariantNodeView>()>;
 
-  InvariantEngine(Simulator& sim, const InvariantConfig& config);
+  InvariantEngine(Simulator& sim, TraceRouter& router,
+                  const InvariantConfig& config);
 
   InvariantEngine(const InvariantEngine&) = delete;
   InvariantEngine& operator=(const InvariantEngine&) = delete;
-
-  /// Violations are trace-linked when a tracer is attached (nullptr detaches).
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Fired on every recorded violation, before fail_fast gets to throw —
-  /// the harness hooks the flight-recorder dump here so the post-mortem is
-  /// captured even when the run is about to abort.
-  std::function<void(const InvariantViolation&)> on_violation;
 
   /// Starts periodic checkpoints over `provider`'s snapshots.
   void start(ViewProvider provider);
@@ -218,8 +212,8 @@ class InvariantEngine final : public ForwardingAuditor {
                                             bool rescue, std::string* why);
 
   Simulator* sim_;
+  TraceRouter* router_;
   InvariantConfig config_;
-  Tracer* tracer_ = nullptr;
   ViewProvider provider_;
   Timer checkpoint_timer_;
 

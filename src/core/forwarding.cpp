@@ -19,9 +19,11 @@ constexpr std::uint16_t kRelayQualityEtx10 = 45;
 constexpr unsigned kClaimYieldDups = 8;
 }  // namespace
 
-Forwarding::Forwarding(Simulator& sim, LplMac& mac, CtpNode& ctp,
-                       Addressing& addressing, const ForwardingConfig& config)
+Forwarding::Forwarding(Simulator& sim, TraceRouter& router, LplMac& mac,
+                       CtpNode& ctp, Addressing& addressing,
+                       const ForwardingConfig& config)
     : sim_(&sim),
+      router_(&router),
       mac_(&mac),
       ctp_(&ctp),
       addressing_(&addressing),
@@ -188,10 +190,7 @@ AckDecision Forwarding::handle_control(NodeId from,
         from != me) {
       st.holding = false;
       ++stats_.suppressions;
-      for (Tracer* t : {tracer_, flight_}) {
-        TELEA_TRACE_EVENT(t, sim_->now(), me, TraceEvent::kSuppress,
-                          packet.seqno, from);
-      }
+      router_->record(me, TraceEvent::kSuppress, packet.seqno, from);
       if (st.mac_token.has_value()) {
         mac_->cancel_send(*st.mac_token);
         st.mac_token.reset();
@@ -237,17 +236,16 @@ AckDecision Forwarding::handle_control(NodeId from,
       return AckDecision::kIgnore;
     }
   }
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), me, TraceEvent::kForwardDecision,
-                    packet.seqno, from, claim_reason);
+  router_->record(me, TraceEvent::kForwardDecision, packet.seqno, from,
+                  claim_reason);
   if (auditor_ != nullptr) {
     auditor_->on_claim(me, packet, claim_reason, /*rescue=*/false);
   }
-  claim(from, packet, claim_reason);
+  claim(from, packet);
   return AckDecision::kAcceptAndAck;
 }
 
-void Forwarding::claim(NodeId from, const msg::ControlPacket& packet,
-                       TraceReason reason) {
+void Forwarding::claim(NodeId from, const msg::ControlPacket& packet) {
   PacketState& st = states_[packet.seqno];
   st.packet = packet;
   st.packet.hops_so_far = field::u8(packet.hops_so_far + 1);
@@ -270,8 +268,6 @@ void Forwarding::claim(NodeId from, const msg::ControlPacket& packet,
   st.dup_acks = 0;
   st.defer_deadline = sim_->now() + config_.claim_defer;
   ++stats_.claims;
-  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(),
-                    TraceEvent::kForwardDecision, packet.seqno, from, reason);
   if (on_claimed) on_claimed(st.packet);
   // Guard delay before forwarding: stay in receive so the upstream sender
   // (which may have missed our ack) hears a re-ack and stops, instead of
@@ -303,10 +299,8 @@ void Forwarding::defer_check(std::uint32_t seqno) {
     st.holding = false;
     st.done = false;
     ++stats_.yields;
-    for (Tracer* t : {tracer_, flight_}) {
-      TELEA_TRACE_EVENT(t, sim_->now(), mac_->id(), TraceEvent::kSuppress,
-                        seqno, st.came_from, TraceReason::kRetryExhausted);
-    }
+    router_->record(mac_->id(), TraceEvent::kSuppress, seqno, st.came_from,
+                    TraceReason::kRetryExhausted);
     return;
   }
   forward(seqno);
@@ -326,9 +320,8 @@ void Forwarding::note_duplicate(NodeId from, const msg::ControlPacket& packet) {
 void Forwarding::deliver(NodeId from, const msg::ControlPacket& packet,
                          bool direct) {
   ++stats_.deliveries;
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(),
-                    TraceEvent::kControlDelivered, packet.seqno,
-                    from == mac_->id() ? 0 : from);
+  router_->record(mac_->id(), TraceEvent::kControlDelivered, packet.seqno,
+                  from == mac_->id() ? 0 : from);
   if (auditor_ != nullptr) {
     auditor_->on_final_delivery(mac_->id(), packet, direct);
   }
@@ -429,8 +422,8 @@ void Forwarding::on_forward_result(std::uint32_t seqno,
   }
 
   ++st.attempts;
-  TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kAckTimeout,
-                    seqno, st.packet.expected_relay);
+  router_->record(mac_->id(), TraceEvent::kAckTimeout, seqno,
+                  st.packet.expected_relay);
   if (st.attempts < config_.forward_retries) {
     forward(seqno);
     return;
@@ -443,10 +436,8 @@ void Forwarding::backtrack(std::uint32_t seqno, TraceReason reason) {
   st.holding = false;
   TELEA_DEBUG("tele.fwd") << "node " << mac_->id() << " seq " << seqno
                           << " backtracks to " << st.came_from;
-  for (Tracer* t : {tracer_, flight_}) {
-    TELEA_TRACE_EVENT(t, sim_->now(), mac_->id(), TraceEvent::kBacktrack,
-                      seqno, st.came_from, reason);
-  }
+  router_->record(mac_->id(), TraceEvent::kBacktrack, seqno, st.came_from,
+                  reason);
 
   // Mark every on-path candidate we could not reach as unreachable until
   // their next routing beacon (Sec. III-C3).
@@ -484,8 +475,8 @@ void Forwarding::backtrack(std::uint32_t seqno, TraceReason reason) {
       return;
     }
     ++stats_.origin_failures;
-    TELEA_TRACE_EVENT(flight_, sim_->now(), mac_->id(), TraceEvent::kGiveUp,
-                      seqno, st.origin_retries);
+    router_->record(mac_->id(), TraceEvent::kGiveUp, seqno,
+                    st.origin_retries);
     if (on_origin_stuck) on_origin_stuck(st.packet);
     return;
   }
@@ -602,13 +593,12 @@ AckDecision Forwarding::handle_feedback(NodeId from,
           : (mine > 0 && mine >= packet.expected_relay_code_len)
                 ? TraceReason::kLongerPrefix
                 : TraceReason::kNeighborPrefix;
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(),
-                    TraceEvent::kForwardDecision, packet.seqno, from,
-                    rescue_reason);
+  router_->record(mac_->id(), TraceEvent::kForwardDecision, packet.seqno, from,
+                  rescue_reason);
   if (auditor_ != nullptr) {
     auditor_->on_claim(mac_->id(), packet, rescue_reason, /*rescue=*/true);
   }
-  claim(from, packet, rescue_reason);
+  claim(from, packet);
   return AckDecision::kAcceptAndAck;
 }
 

@@ -73,8 +73,9 @@ class ForwardingAuditor {
 /// of the Re-Tele detour.
 class Forwarding {
  public:
-  Forwarding(Simulator& sim, LplMac& mac, CtpNode& ctp, Addressing& addressing,
-             const ForwardingConfig& config);
+  /// `router` receives every forwarding decision, with its reason.
+  Forwarding(Simulator& sim, TraceRouter& router, LplMac& mac, CtpNode& ctp,
+             Addressing& addressing, const ForwardingConfig& config);
 
   Forwarding(const Forwarding&) = delete;
   Forwarding& operator=(const Forwarding&) = delete;
@@ -147,17 +148,9 @@ class Forwarding {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Attaches a decision tracer (claim/suppress/backtrack events with
-  /// reasons). Pass nullptr to detach; recording is a null-check when unset.
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Attaches the invariant auditor (claim/delivery re-checks). Pass nullptr
   /// to detach; auditing is a null-check when unset.
   void set_auditor(ForwardingAuditor* auditor) noexcept { auditor_ = auditor; }
-
-  /// Attaches this node's flight ring (claim / yield / backtrack /
-  /// ack-timeout / give-up records). Pass nullptr to detach.
-  void set_flight_recorder(Tracer* ring) noexcept { flight_ = ring; }
 
   struct Candidate {
     NodeId id = kInvalidNode;
@@ -221,8 +214,7 @@ class Forwarding {
   /// True when any known neighbor satisfies condition (3).
   [[nodiscard]] bool neighbor_can_progress(const msg::ControlPacket& p) const;
 
-  void claim(NodeId from, const msg::ControlPacket& packet,
-             TraceReason reason);
+  void claim(NodeId from, const msg::ControlPacket& packet);
   void deliver(NodeId from, const msg::ControlPacket& packet, bool direct);
   void forward(std::uint32_t seqno);
   void on_forward_result(std::uint32_t seqno, const SendResult& result);
@@ -233,6 +225,7 @@ class Forwarding {
   PacketState& state_for(const msg::ControlPacket& packet);
 
   Simulator* sim_;
+  TraceRouter* router_;
   LplMac* mac_;
   CtpNode* ctp_;
   Addressing* addressing_;
@@ -241,9 +234,7 @@ class Forwarding {
   std::unordered_map<std::uint32_t, PacketState> states_;
   std::uint32_t next_seqno_ = 1;
   Stats stats_;
-  Tracer* tracer_ = nullptr;
   ForwardingAuditor* auditor_ = nullptr;
-  Tracer* flight_ = nullptr;
 };
 
 }  // namespace telea

@@ -6,13 +6,13 @@
 
 namespace telea {
 
-TeleAdjusting::TeleAdjusting(Simulator& sim, LplMac& mac, CtpNode& ctp,
-                             const TeleConfig& config)
-    : sim_(&sim),
+TeleAdjusting::TeleAdjusting(Simulator& sim, TraceRouter& router, LplMac& mac,
+                             CtpNode& ctp, const TeleConfig& config)
+    : router_(&router),
       mac_(&mac),
       ctp_(&ctp),
       addressing_(sim, mac, ctp, config.addressing),
-      forwarding_(sim, mac, ctp, addressing_, config.forwarding),
+      forwarding_(sim, router, mac, ctp, addressing_, config.forwarding),
       group_(sim, mac, ctp, addressing_, forwarding_) {
   forwarding_.on_delivered = [this](const msg::ControlPacket& packet,
                                     bool direct) {
@@ -113,8 +113,8 @@ void TeleAdjusting::send_e2e_ack(const msg::ControlPacket& packet, bool direct,
   // the sink along *its* path (Sec. III-C5).
   ack.origin = mac_->id();
   ack.origin_seqno = ctp_->allocate_origin_seqno();
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kAckPath,
-                    packet.seqno, direct_from);
+  router_->record(mac_->id(), TraceEvent::kAckPath, packet.seqno,
+                  direct_from);
   Frame frame;
   frame.dst = direct_from;
   frame.payload = ack;
@@ -123,8 +123,8 @@ void TeleAdjusting::send_e2e_ack(const msg::ControlPacket& packet, bool direct,
 
 void TeleAdjusting::notify_root_delivery(const msg::CtpData& data) {
   if (!data.is_control_ack) return;
-  TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kAckPath,
-                    data.control_seqno, data.origin);
+  router_->record(mac_->id(), TraceEvent::kAckPath, data.control_seqno,
+                  data.origin);
   if (on_e2e_ack) on_e2e_ack(data.control_seqno, data.origin);
 }
 
@@ -136,9 +136,8 @@ void TeleAdjusting::handle_origin_stuck(const msg::ControlPacket& packet) {
     if (auto detour = controller_hook_(packet.dest, packet.seqno);
         detour.has_value() && detour->via != kInvalidNode) {
       detour_tried_.push_back(packet.seqno);
-      TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(),
-                        TraceEvent::kRedirect, packet.seqno, detour->via,
-                        TraceReason::kNeighborUnreachable);
+      router_->record(mac_->id(), TraceEvent::kRedirect, packet.seqno,
+                      detour->via, TraceReason::kNeighborUnreachable);
       forwarding_.send_control_detour(packet.dest, packet.dest_code,
                                       detour->via, detour->via_code,
                                       packet.command, packet.seqno);

@@ -38,8 +38,9 @@ struct TeleConfig {
 ///    (reported upward in deployments; read from the addressing plane here).
 class TeleAdjusting final : public CtpListener {
  public:
-  TeleAdjusting(Simulator& sim, LplMac& mac, CtpNode& ctp,
-                const TeleConfig& config);
+  /// `router` receives redirects, ack-path hops and forwarding decisions.
+  TeleAdjusting(Simulator& sim, TraceRouter& router, LplMac& mac,
+                CtpNode& ctp, const TeleConfig& config);
 
   TeleAdjusting(const TeleAdjusting&) = delete;
   TeleAdjusting& operator=(const TeleAdjusting&) = delete;
@@ -99,13 +100,6 @@ class TeleAdjusting final : public CtpListener {
   /// without a controller hook, after backtracking exhausted).
   std::function<void(std::uint32_t seqno)> on_delivery_failed;
 
-  /// Attaches a decision tracer to this protocol instance (redirects and
-  /// ack-path hops here, claim/suppress/backtrack in the forwarding plane).
-  void set_tracer(Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    forwarding_.set_tracer(tracer);
-  }
-
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] Addressing& addressing() noexcept { return addressing_; }
   [[nodiscard]] const Addressing& addressing() const noexcept {
@@ -124,14 +118,13 @@ class TeleAdjusting final : public CtpListener {
                     NodeId direct_from);
   void handle_origin_stuck(const msg::ControlPacket& packet);
 
-  Simulator* sim_;
+  TraceRouter* router_;
   LplMac* mac_;
   CtpNode* ctp_;
   Addressing addressing_;
   Forwarding forwarding_;
   GroupControl group_;
   ControllerHook controller_hook_;
-  Tracer* tracer_ = nullptr;
   // Track which seqnos already used their Re-Tele attempt so a second
   // failure reports up instead of looping.
   std::vector<std::uint32_t> detour_tried_;

@@ -98,8 +98,7 @@ std::optional<std::uint32_t> Controller::send_command(NodeId node,
     }
     ++no_code_;
     const SimTime now = net_->sim().now();
-    TELEA_TRACE_EVENT(net_->tracer(), now, kSinkNode,
-                      TraceEvent::kCommandResolve, 0, node);
+    net_->router().record(kSinkNode, TraceEvent::kCommandResolve, 0, node);
     if (on_command_resolved) {
       CommandResolution res;
       res.dest = node;
@@ -209,9 +208,8 @@ void Controller::on_timeout(std::uint64_t id) {
           << "t=" << to_seconds(net_->sim().now()) << "s command to node "
           << cmd.dest << " (seq " << cmd.last_seqno
           << ") escalating to Re-Tele detour via " << detour->via;
-      TELEA_TRACE_EVENT(net_->tracer(), net_->sim().now(), kSinkNode,
-                        TraceEvent::kCommandRetry, cmd.last_seqno, cmd.dest,
-                        TraceReason::kEscalated);
+      net_->router().record(kSinkNode, TraceEvent::kCommandRetry,
+                            cmd.last_seqno, cmd.dest, TraceReason::kEscalated);
       sink_tele->forwarding().send_control_detour(cmd.dest, cmd.code,
                                                   detour->via,
                                                   detour->via_code,
@@ -230,9 +228,8 @@ void Controller::on_timeout(std::uint64_t id) {
           << "t=" << to_seconds(net_->sim().now()) << "s command to node "
           << cmd.dest << " unacked; retry " << retries_done + 1 << "/"
           << retry_.max_retries << " as seq " << *seq;
-      TELEA_TRACE_EVENT(net_->tracer(), net_->sim().now(), kSinkNode,
-                        TraceEvent::kCommandRetry, *seq, cmd.dest,
-                        TraceReason::kAckTimeout);
+      net_->router().record(kSinkNode, TraceEvent::kCommandRetry, *seq,
+                            cmd.dest, TraceReason::kAckTimeout);
       seqno_to_cmd_[*seq] = id;
       cmd.last_seqno = *seq;
       ++cmd.attempts;
@@ -305,11 +302,11 @@ void Controller::resolve(std::uint64_t id, CommandOutcome outcome) {
     // would pull the node's log.
     net_->dump_flight(res.dest, "command_give_up");
   }
-  TELEA_TRACE_EVENT(net_->tracer(), res.resolved_at, kSinkNode,
-                    TraceEvent::kCommandResolve, res.last_seqno, res.dest,
-                    outcome == CommandOutcome::kGaveUp
-                        ? TraceReason::kBudgetExhausted
-                        : TraceReason::kNone);
+  net_->router().record(kSinkNode, TraceEvent::kCommandResolve,
+                        res.last_seqno, res.dest,
+                        outcome == CommandOutcome::kGaveUp
+                            ? TraceReason::kBudgetExhausted
+                            : TraceReason::kNone);
 
   for (auto sit = seqno_to_cmd_.begin(); sit != seqno_to_cmd_.end();) {
     sit = sit->second == id ? seqno_to_cmd_.erase(sit) : std::next(sit);

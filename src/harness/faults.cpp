@@ -167,8 +167,8 @@ void FaultPlan::apply(Network& net) const {
               << event.peer << " " << (event.value >= 0 ? "+" : "")
               << event.value << " dB loss";
           net.medium().add_link_loss_db(event.node, event.peer, event.value);
-          TELEA_TRACE_EVENT(
-              net.tracer(), when, event.node, TraceEvent::kLinkFault,
+          net.router().record(
+              event.node, TraceEvent::kLinkFault,
               static_cast<std::uint64_t>(std::llround(std::abs(event.value))),
               event.peer);
           break;
@@ -177,10 +177,9 @@ void FaultPlan::apply(Network& net) const {
               << "t=" << to_seconds(when) << "s noise burst at node "
               << event.node << ": " << event.value << " dBm";
           net.medium().set_extra_noise_dbm(event.node, event.value);
-          TELEA_TRACE_EVENT(
-              net.tracer(), when, event.node, TraceEvent::kNoiseBurst,
-              static_cast<std::uint64_t>(std::llround(std::abs(event.value))),
-              0);
+          net.router().record(
+              event.node, TraceEvent::kNoiseBurst,
+              static_cast<std::uint64_t>(std::llround(std::abs(event.value))));
           break;
         case Action::kNoiseOff:
           TELEA_INFO("harness.faults")

@@ -23,20 +23,23 @@ const char* protocol_name(ControlProtocol p) noexcept {
   return "?";
 }
 
-NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
-                     const NetworkConfig& config, std::uint64_t seed)
+NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, TraceRouter& router,
+                     NodeId id, const NetworkConfig& config,
+                     std::uint64_t seed)
     : estimator_(),
-      mac_(sim, medium, id, config.lpl, seed),
-      ctp_(sim, mac_, estimator_, /*is_root=*/id == kSinkNode,
+      mac_(sim, medium, router, id, config.lpl, seed),
+      ctp_(sim, router, mac_, estimator_, /*is_root=*/id == kSinkNode,
            seed ^ (0x5EED0000ULL + id)),
       data_timer_(sim),
-      sim_(&sim) {
+      sim_(&sim),
+      router_(&router) {
   mac_.set_handler(*this);
   ctp_.set_listener(this);
   data_timer_.set_tag("app.data");
 
   if (config.uses_tele()) {
-    tele_ = std::make_unique<TeleAdjusting>(sim, mac_, ctp_, config.tele);
+    tele_ = std::make_unique<TeleAdjusting>(sim, router, mac_, ctp_,
+                                            config.tele);
   } else if (config.protocol == ControlProtocol::kDrip) {
     drip_ = std::make_unique<DripNode>(sim, mac_, seed ^ (0xD41B0000ULL + id));
   } else if (config.protocol == ControlProtocol::kRpl) {
@@ -55,17 +58,11 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
     });
   }
 
-  // Permanent code-change fan-out: tracing and the flight recorder both
-  // listen, either may be enabled at any time.
   if (tele_) {
-    tele_->addressing().on_code_changed = [this] { note_code_changed(); };
-  }
-}
-
-void NodeStack::note_code_changed() {
-  for (Tracer* t : {tracer_, flight_.get()}) {
-    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kCodeChange,
+    tele_->addressing().on_code_changed = [this, id] {
+      router_->record(id, TraceEvent::kCodeChange,
                       tele_->addressing().code().size());
+    };
   }
 }
 
@@ -131,10 +128,7 @@ void NodeStack::on_route_found() {
 }
 
 void NodeStack::on_parent_changed(NodeId old_parent, NodeId new_parent) {
-  for (Tracer* t : {tracer_, flight_.get()}) {
-    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kParentChange,
-                      old_parent, new_parent);
-  }
+  router_->record(id(), TraceEvent::kParentChange, old_parent, new_parent);
   if (tele_) tele_->on_parent_changed(old_parent, new_parent);
   if (rpl_) rpl_->on_parent_changed();
 }
@@ -144,15 +138,13 @@ void NodeStack::on_beacon_heard(NodeId from, const msg::CtpBeacon& beacon) {
 }
 
 void NodeStack::kill() {
-  if (tracer_ != nullptr) tracer_->record(sim_->now(), id(), TraceEvent::kKill);
+  router_->record(id(), TraceEvent::kKill);
   data_timer_.stop();
   mac_.stop();
 }
 
 void NodeStack::revive() {
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_->now(), id(), TraceEvent::kRevive);
-  }
+  router_->record(id(), TraceEvent::kRevive);
   mac_.restart();
   // kill() stopped the application workload along with the radio; a revived
   // node resumes originating (health telemetry made the omission visible:
@@ -161,12 +153,10 @@ void NodeStack::revive() {
 }
 
 void NodeStack::reboot_with_state_loss() {
-  for (Tracer* t : {tracer_, flight_.get()}) {
-    TELEA_TRACE_EVENT(t, sim_->now(), id(), TraceEvent::kReboot);
-  }
+  router_->record(id(), TraceEvent::kReboot);
   // The flight ring survives the reboot (noinit-RAM semantics): hand the
   // pre-reboot history out as a post-mortem.
-  if (flight_trigger_) flight_trigger_(id(), "reboot");
+  router_->dump(id(), "reboot");
   if (invariants_ != nullptr) invariants_->note_node_reset(id());
   data_timer_.stop();
   if (!mac_.stopped()) mac_.stop();  // flush queue + in-flight sends
@@ -176,13 +166,6 @@ void NodeStack::reboot_with_state_loss() {
   ctp_.start();  // trickle already at Imin from reset_routing
   if (tele_) tele_->start();
   if (data_ipi_ > 0) start_data_collection(data_ipi_, data_seed_);
-}
-
-void NodeStack::set_tracer(Tracer* tracer) {
-  tracer_ = tracer;
-  mac_.set_tracer(tracer);
-  ctp_.set_tracer(tracer);
-  if (tele_ != nullptr) tele_->set_tracer(tracer);
 }
 
 void NodeStack::set_invariant_engine(InvariantEngine* engine) {
@@ -215,14 +198,6 @@ HealthSample NodeStack::sample_health() {
   s.energy_mj = health_energy_.energy_mj(
       mac_.radio_on_time(), mac_.tx_airtime(), mac_.accounting_window());
   return s;
-}
-
-void NodeStack::enable_flight_recorder(
-    std::function<void(NodeId, const char*)> trigger_dump) {
-  if (flight_ != nullptr) return;
-  flight_ = std::make_unique<Tracer>(Network::kFlightCapacity);
-  flight_trigger_ = std::move(trigger_dump);
-  if (tele_ != nullptr) tele_->forwarding().set_flight_recorder(flight_.get());
 }
 
 void NodeStack::start_data_collection(SimTime ipi, std::uint64_t seed) {
@@ -266,7 +241,7 @@ Network::Network(NetworkConfig config) : config_(std::move(config)) {
   nodes_.reserve(topo.size());
   for (std::size_t i = 0; i < topo.size(); ++i) {
     nodes_.push_back(std::make_unique<NodeStack>(
-        sim_, *medium_, static_cast<NodeId>(i), config_,
+        sim_, *medium_, router_, static_cast<NodeId>(i), config_,
         config_.seed ^ (i * 0x9E3779B97F4A7C15ULL)));
   }
 
@@ -414,8 +389,9 @@ SpanEnergyConfig Network::span_energy_config() const {
 }
 
 std::vector<CommandSpan> Network::command_spans() const {
-  if (tracer_ == nullptr) return {};
-  return build_command_spans(tracer_->snapshot());
+  const Tracer* trace = router_.trace();
+  if (trace == nullptr) return {};
+  return build_command_spans(trace->snapshot());
 }
 
 double Network::average_energy_mj() const {
@@ -527,11 +503,11 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
       .set_total(medium_->total_transmissions());
   registry.gauge("telea_code_coverage", {{"sub", "teleadjusting"}})
       .set(code_coverage());
-  if (tracer_ != nullptr) {
+  if (const Tracer* trace = router_.trace()) {
     registry.gauge("telea_trace_records", {{"sub", "trace"}})
-        .set(static_cast<double>(tracer_->size()));
+        .set(static_cast<double>(trace->size()));
     registry.counter("telea_trace_dropped_total", {{"sub", "trace"}})
-        .set_total(tracer_->dropped());
+        .set_total(trace->dropped());
   }
   if (invariants_ != nullptr) {
     for_each_enum(invariant_rule_name, [&](InvariantRule rule) {
@@ -574,31 +550,23 @@ void Network::collect_metrics(MetricsRegistry& registry) const {
         .set_total(suppressed);
   }
   if (timeline_ != nullptr) timeline_->collect_metrics(registry);
-  if (flight_enabled_) {
+  if (router_.rings_armed()) {
     registry.describe("telea_flight_events_total",
                       "Events recorded into per-node flight-recorder rings");
     registry.describe("telea_flight_dumps_total",
                       "Flight-recorder rings dumped on a trigger");
-    std::uint64_t recorded = 0;
-    for (const auto& n : nodes_) {
-      if (const Tracer* ring = n->flight_recorder()) {
-        recorded += ring->size() + ring->dropped();
-      }
-    }
     registry.counter("telea_flight_events_total", {{"sub", "flight"}})
-        .set_total(recorded);
+        .set_total(router_.ring_records());
     registry.counter("telea_flight_dumps_total", {{"sub", "flight"}})
-        .set_total(flight_dumps_taken_);
+        .set_total(router_.dumps_taken());
   }
 }
 
 InvariantEngine& Network::enable_invariants(const InvariantConfig& config) {
   if (invariants_ != nullptr) return *invariants_;
-  invariants_ = std::make_unique<InvariantEngine>(sim_, config);
-  invariants_->set_tracer(tracer_.get());
+  invariants_ = std::make_unique<InvariantEngine>(sim_, router_, config);
   for (auto& n : nodes_) n->set_invariant_engine(invariants_.get());
   invariants_->start([this] { return invariant_views(); });
-  wire_flight_triggers();
   return *invariants_;
 }
 
@@ -647,79 +615,25 @@ bool Network::append_health_snapshot() {
 TimelineEngine& Network::enable_timeline(const NetworkTimelineConfig& config) {
   if (timeline_ != nullptr) return *timeline_;
   claim_artifact(config.jsonl);
-  timeline_ = std::make_unique<TimelineEngine>(sim_, config.timeline);
+  timeline_ = std::make_unique<TimelineEngine>(sim_, router_, config.timeline);
   // Self-inclusion is intentional: the engine's own telea_timeline_* /
   // telea_alert_* families ride in the same collector pass, one sample late
   // at worst and never recursive (the scratch registry is the engine's own).
   timeline_->set_collector(
       [this](MetricsRegistry& registry) { collect_metrics(registry); });
-  timeline_->set_tracer(tracer_.get());
   timeline_->set_rules(config.rules);
   if (!config.jsonl.empty() && !timeline_->set_jsonl(config.jsonl)) {
     TELEA_WARN("harness.network") << "cannot open " << config.jsonl;
   }
-  timeline_->on_alert_fired = [this](const AlertState& alert, NodeId node) {
-    if (!flight_enabled_) return;
-    // A rule naming a node="N" series dumps that node's ring — the alert is
-    // about it; network-wide rules dump the sink, the controller's vantage.
-    const NodeId target =
-        (node == kInvalidNode || node >= nodes_.size()) ? kSinkNode : node;
-    // The same (node, a, b) as the timeline's own alert_fired trace record.
-    TELEA_TRACE_EVENT(nodes_[target]->flight_recorder(), sim_.now(),
-                      node == kInvalidNode ? kSinkNode : node,
-                      TraceEvent::kAlertFired, alert.index,
-                      node == kInvalidNode ? 0 : node);
-    dump_flight(target, "alert:" + alert.rule.name);
-  };
   timeline_->start();
   return *timeline_;
 }
 
 void Network::enable_flight_recorders(const std::string& jsonl) {
-  if (flight_enabled_) return;
+  if (router_.rings_armed()) return;
   claim_artifact(jsonl);
-  if (!jsonl.empty() && !flight_jsonl_.open(jsonl)) {
+  if (!router_.arm_rings(nodes_.size(), jsonl)) {
     TELEA_WARN("harness.network") << "cannot open " << jsonl;
-  }
-  flight_enabled_ = true;
-  for (auto& n : nodes_) {
-    n->enable_flight_recorder(
-        [this](NodeId node, const char* trigger) { dump_flight(node, trigger); });
-  }
-  wire_flight_triggers();
-}
-
-void Network::wire_flight_triggers() {
-  if (!flight_enabled_ || invariants_ == nullptr) return;
-  invariants_->on_violation = [this](const InvariantViolation& v) {
-    if (v.node == kInvalidNode || v.node >= nodes_.size()) return;
-    dump_flight(v.node,
-                std::string("invariant:") + invariant_rule_name(v.rule));
-  };
-}
-
-void Network::dump_flight(NodeId node, std::string trigger) {
-  if (node >= nodes_.size()) return;
-  const Tracer* ring = nodes_[node]->flight_recorder();
-  if (ring == nullptr) return;
-  FlightDump dump;
-  dump.time = sim_.now();
-  dump.node = node;
-  dump.trigger = std::move(trigger);
-  dump.events = ring->snapshot();
-  dump.dropped = ring->dropped();
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), node, TraceEvent::kFlightDump,
-                    dump.events.size(), flight_dumps_taken_);
-  }
-  ++flight_dumps_taken_;
-  constexpr std::size_t kMaxStoredDumps = 256;
-  if (flight_dumps_.size() >= kMaxStoredDumps) {
-    flight_dumps_.erase(flight_dumps_.begin());
-  }
-  flight_dumps_.push_back(std::move(dump));
-  if (flight_jsonl_.is_open()) {
-    flight_jsonl_.write_line(render_flight_dump_json(flight_dumps_.back()));
   }
 }
 
@@ -761,19 +675,17 @@ std::vector<InvariantNodeView> Network::invariant_views() const {
 }
 
 Tracer& Network::enable_tracing(std::size_t capacity) {
-  if (tracer_ != nullptr) return *tracer_;
-  tracer_ = std::make_unique<Tracer>(capacity);
-  for (auto& n : nodes_) n->set_tracer(tracer_.get());
-  if (invariants_ != nullptr) invariants_->set_tracer(tracer_.get());
-  if (timeline_ != nullptr) timeline_->set_tracer(tracer_.get());
+  if (Tracer* trace = router_.trace()) return *trace;
+  // Control-frame copies are recorded only here, so an untraced run adds no
+  // transmit hook.
   medium_->add_transmit_hook(
       [this](NodeId src, const Frame& frame, SimTime) {
         if (const auto* cp = std::get_if<msg::ControlPacket>(&frame.payload)) {
-          tracer_->record(sim_.now(), src, TraceEvent::kControlTx, cp->seqno,
-                          cp->expected_relay);
+          router_.record(src, TraceEvent::kControlTx, cp->seqno,
+                         cp->expected_relay);
         }
       });
-  return *tracer_;
+  return router_.enable_trace(capacity);
 }
 
 }  // namespace telea

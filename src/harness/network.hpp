@@ -56,10 +56,12 @@ struct NetworkConfig {
 /// TinyOS image is ("Drip, RPL, and TeleAdjusting integrated into the same
 /// protocol stack: CTP built upon LPL") — with the protocol under test
 /// instantiated. Also the node's frame dispatcher and CTP event fan-out.
+/// Every layer records its events (parent and code changes, kill/revive,
+/// reboots here) into the network's TraceRouter.
 class NodeStack final : public FrameHandler, public CtpListener {
  public:
-  NodeStack(Simulator& sim, RadioMedium& medium, NodeId id,
-            const NetworkConfig& config, std::uint64_t seed);
+  NodeStack(Simulator& sim, RadioMedium& medium, TraceRouter& router,
+            NodeId id, const NetworkConfig& config, std::uint64_t seed);
 
   void start();
 
@@ -104,17 +106,6 @@ class NodeStack final : public FrameHandler, public CtpListener {
   /// quantize). Public for tests.
   [[nodiscard]] HealthSample sample_health();
 
-  /// Attaches a flight ring — a Tracer of Network::kFlightCapacity records
-  /// only this node writes — fed by the forwarding plane and the
-  /// CTP/addressing event fan-out. It survives reboot_with_state_loss
-  /// (noinit-RAM semantics).
-  /// `trigger_dump` fires when this node's own machinery decides a
-  /// post-mortem is warranted (currently: a state-loss reboot); external
-  /// triggers go through Network::dump_flight.
-  void enable_flight_recorder(
-      std::function<void(NodeId, const char*)> trigger_dump);
-  [[nodiscard]] Tracer* flight_recorder() noexcept { return flight_.get(); }
-
   /// Starts this node's periodic data-collection traffic (CTP upward).
   void start_data_collection(SimTime ipi, std::uint64_t seed);
 
@@ -132,20 +123,15 @@ class NodeStack final : public FrameHandler, public CtpListener {
   /// the controller) still hold the node's *old* code, so commands sent in
   /// the repair window exercise the paper's stale-code delivery machinery.
   /// If data collection was running it resumes immediately (the application
-  /// restarts with the firmware).
+  /// restarts with the firmware). The node's flight ring survives the reboot
+  /// (noinit-RAM semantics) and is dumped with trigger "reboot".
   void reboot_with_state_loss();
-
-  /// Attaches a structured event tracer (parent changes, code changes,
-  /// kill/revive for this node). Pass nullptr to detach.
-  void set_tracer(Tracer* tracer);
 
   /// Attaches the invariant engine as this node's forwarding auditor and
   /// reset observer. Pass nullptr to detach.
   void set_invariant_engine(InvariantEngine* engine);
 
  private:
-  void note_code_changed();
-
   LinkEstimator estimator_;
   LplMac mac_;
   CtpNode ctp_;
@@ -155,12 +141,10 @@ class NodeStack final : public FrameHandler, public CtpListener {
   std::unique_ptr<OrplNode> orpl_;
   Timer data_timer_;
   Simulator* sim_;
-  Tracer* tracer_ = nullptr;
+  TraceRouter* router_;
   InvariantEngine* invariants_ = nullptr;
   std::unique_ptr<HealthReporter> health_reporter_;
   EnergyModel health_energy_{};
-  std::unique_ptr<Tracer> flight_;
-  std::function<void(NodeId, const char*)> flight_trigger_;
   // Remembered so a state-loss reboot restarts the application workload.
   SimTime data_ipi_ = 0;
   std::uint64_t data_seed_ = 0;
@@ -269,14 +253,20 @@ class Network {
   /// would evict the control records the span engine needs. Idempotent; the
   /// tracer lives as long as the network.
   Tracer& enable_tracing(std::size_t capacity = 1 << 16);
-  [[nodiscard]] Tracer* tracer() noexcept { return tracer_.get(); }
+  [[nodiscard]] Tracer* tracer() noexcept { return router_.trace(); }
+
+  /// The one path every layer records through: trace_event_sink's table
+  /// decides whether the trace, the node's flight ring, or both keep an
+  /// event, so the enable_* calls may run in any order.
+  [[nodiscard]] TraceRouter& router() noexcept { return router_; }
 
   /// Turns on the runtime invariant engine (src/check): periodic structural
   /// checkpoints over every node's addressing/table/routing state plus
   /// event-driven claim/delivery audits fed by each forwarding plane.
-  /// Violations land in the tracer (when tracing is enabled), the logs, and
-  /// collect_metrics (telea_invariant_violations_total). Idempotent — the
-  /// config of the first call wins; the engine lives as long as the network.
+  /// Violations land in the router (the trace, and a flight dump of the
+  /// node), the logs, and collect_metrics
+  /// (telea_invariant_violations_total). Idempotent — the config of the
+  /// first call wins; the engine lives as long as the network.
   InvariantEngine& enable_invariants(const InvariantConfig& config = {});
   [[nodiscard]] InvariantEngine* invariants() noexcept {
     return invariants_.get();
@@ -313,32 +303,33 @@ class Network {
   bool append_health_snapshot();
 
   /// Turns on the timeline engine: collect_metrics is sampled every
-  /// `config.timeline.interval` of simulated time into bounded series, the configured alert rules are evaluated each
-  /// sample (firings land in the tracer, the metrics, and — when flight
-  /// recorders are armed — a flight dump with trigger "alert:<rule>"), and
-  /// samples stream to `config.jsonl` when set. Idempotent — the config of
-  /// the first call wins; the engine lives as long as the network. A
-  /// non-empty jsonl path follows enable_health's stream policy.
+  /// `config.timeline.interval` of simulated time into bounded series, the
+  /// configured alert rules are evaluated each sample (firings land in the
+  /// router and the metrics), and samples stream to `config.jsonl` when
+  /// set. Idempotent — the config of the first call wins; the engine lives
+  /// as long as the network. A non-empty jsonl path follows enable_health's
+  /// stream policy.
   TimelineEngine& enable_timeline(const NetworkTimelineConfig& config = {});
   [[nodiscard]] TimelineEngine* timeline() noexcept { return timeline_.get(); }
 
-  /// Arms a flight recorder of kFlightCapacity records on every node
+  /// Arms a flight ring of TraceRouter::kRingCapacity records on every node
   /// (forward decisions, parent changes, backtracks, ack timeouts,
-  /// reboots...). Rings are dumped — to Network storage, the trace stream
-  /// and one line of `jsonl` when set — on invariant violation, command
-  /// give-up, alert firing, or node reboot. Idempotent — the first call
-  /// wins. A non-empty jsonl path follows enable_health's stream policy.
-  static constexpr std::size_t kFlightCapacity = 128;
+  /// reboots...). Rings are dumped — to the router's storage, the trace and
+  /// one line of `jsonl` when set — on invariant violation, command give-up,
+  /// alert firing, or node reboot. Idempotent — the first call wins. A
+  /// non-empty jsonl path follows enable_health's stream policy.
   void enable_flight_recorders(const std::string& jsonl = {});
   [[nodiscard]] bool flight_recorders_enabled() const noexcept {
-    return flight_enabled_;
+    return router_.rings_armed();
   }
 
   /// Snapshots `node`'s flight-recorder ring into a FlightDump tagged with
   /// `trigger`. No-op when recorders are off or the node id is bogus.
-  void dump_flight(NodeId node, std::string trigger);
+  void dump_flight(NodeId node, std::string trigger) {
+    router_.dump(node, std::move(trigger));
+  }
   [[nodiscard]] const std::vector<FlightDump>& flight_dumps() const noexcept {
-    return flight_dumps_;
+    return router_.dumps();
   }
 
   /// Mirrors every component's counters into `registry`, scoped per node
@@ -349,10 +340,6 @@ class Network {
   void collect_metrics(MetricsRegistry& registry) const;
 
  private:
-  /// Routes invariant violations into flight dumps once both subsystems
-  /// exist — callable from either enable_ path, whichever runs second.
-  void wire_flight_triggers();
-
   /// Claims `path` in the ArtifactRegistry until this network is destroyed
   /// (throws ArtifactConflictError when a live network holds it).
   void claim_artifact(const std::string& path);
@@ -368,12 +355,12 @@ class Network {
 
   NetworkConfig config_;
   Simulator sim_;
+  TraceRouter router_{sim_};
   std::unique_ptr<LinkGainTable> gains_;
   std::unique_ptr<CpmNoiseModel> noise_model_;
   std::unique_ptr<RadioMedium> medium_;
   std::unique_ptr<WifiInterferer> interferer_;
   std::vector<std::unique_ptr<NodeStack>> nodes_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<InvariantEngine> invariants_;
   std::unique_ptr<NetworkHealthModel> health_;
   NetworkHealthConfig health_config_;
@@ -382,10 +369,6 @@ class Network {
   // Sim time of the last snapshot line written; none before the first.
   std::optional<SimTime> last_health_snapshot_;
   std::unique_ptr<TimelineEngine> timeline_;
-  bool flight_enabled_ = false;
-  std::vector<FlightDump> flight_dumps_;  // bounded, newest kept
-  std::uint64_t flight_dumps_taken_ = 0;  // monotone, for metrics
-  LineWriter flight_jsonl_;
   // Artifact paths this network holds in the ArtifactRegistry.
   std::vector<std::string> artifact_claims_;
   mutable std::vector<NodeLabels> node_labels_;  // collect_metrics cache

@@ -26,10 +26,11 @@ std::uint64_t seen_key(NodeId src, std::uint32_t link_seq) noexcept {
 }
 }  // namespace
 
-LplMac::LplMac(Simulator& sim, RadioMedium& medium, NodeId id,
-               const LplConfig& config, std::uint64_t seed)
+LplMac::LplMac(Simulator& sim, RadioMedium& medium, TraceRouter& router,
+               NodeId id, const LplConfig& config, std::uint64_t seed)
     : sim_(&sim),
       medium_(&medium),
+      router_(&router),
       id_(id),
       config_(config),
       cca_(kCcaThresholdDbm),
@@ -272,12 +273,10 @@ void LplMac::finish_send(bool success, NodeId acker) {
       if (success) {
         // Span-engine boundary: the first kControlTx copy to this mark is
         // the hop's LPL wakeup wait + retransmission airtime.
-        TELEA_TRACE_EVENT(tracer_, sim_->now(), id_,
-                          TraceEvent::kControlTxDone, cp->seqno, acker);
+        router_->record(id_, TraceEvent::kControlTxDone, cp->seqno, acker);
       } else {
-        TELEA_TRACE_EVENT(tracer_, sim_->now(), id_, TraceEvent::kSuppress,
-                          cp->seqno, cp->expected_relay,
-                          TraceReason::kRetryExhausted);
+        router_->record(id_, TraceEvent::kSuppress, cp->seqno,
+                        cp->expected_relay, TraceReason::kRetryExhausted);
       }
     }
   }

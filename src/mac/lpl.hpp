@@ -62,7 +62,8 @@ struct SendResult {
 /// * Radio-on time is accounted for the paper's duty-cycle metric (Fig. 9).
 class LplMac final : public MediumListener {
  public:
-  LplMac(Simulator& sim, RadioMedium& medium, NodeId id,
+  /// `router` receives the end of each control frame's sweep, acked or not.
+  LplMac(Simulator& sim, RadioMedium& medium, TraceRouter& router, NodeId id,
          const LplConfig& config, std::uint64_t seed);
 
   LplMac(const LplMac&) = delete;
@@ -104,10 +105,6 @@ class LplMac final : public MediumListener {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] const LplConfig& config() const noexcept { return config_; }
 
-  /// Attaches a decision tracer: the MAC reports control packets whose
-  /// full-sweep transmission never drew an acknowledgement (the link-layer
-  /// evidence behind a forwarding-plane retry/backtrack).
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] bool radio_on() const noexcept { return awake_reasons_ != 0; }
 
   // --- energy / traffic accounting -------------------------------------
@@ -163,11 +160,11 @@ class LplMac final : public MediumListener {
 
   Simulator* sim_;
   RadioMedium* medium_;
+  TraceRouter* router_;
   NodeId id_;
   LplConfig config_;
   const DbmThreshold cca_;  // kCcaThresholdDbm, for channel_busy
   FrameHandler* handler_ = nullptr;
-  Tracer* tracer_ = nullptr;
   Pcg32 rng_;
 
   Timer wake_timer_;

@@ -25,9 +25,10 @@ constexpr std::size_t kForwardQueueLimit = 12;
 constexpr std::size_t kDedupCache = 64;
 }  // namespace
 
-CtpNode::CtpNode(Simulator& sim, LplMac& mac, LinkEstimator& estimator,
-                 bool is_root, std::uint64_t seed)
+CtpNode::CtpNode(Simulator& sim, TraceRouter& router, LplMac& mac,
+                 LinkEstimator& estimator, bool is_root, std::uint64_t seed)
     : sim_(&sim),
+      router_(&router),
       mac_(&mac),
       estimator_(&estimator),
       is_root_(is_root),
@@ -191,8 +192,8 @@ bool CtpNode::send_to_sink(msg::CtpData data) {
   ++stats_.data_originated;
   if (origin_hook_) origin_hook_(data);
   if (data.is_control_ack) {
-    TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kAckPath,
-                      data.control_seqno, parent_);
+    router_->record(mac_->id(), TraceEvent::kAckPath, data.control_seqno,
+                    parent_);
   }
   forward_queue_.push_back(data);
   forward_queue_hwm_ = std::max(forward_queue_hwm_, forward_queue_.size());
@@ -236,8 +237,8 @@ AckDecision CtpNode::handle_data(NodeId from, const msg::CtpData& data,
   fwd.thl = field::u8(data.thl + 1);
   ++stats_.data_forwarded;
   if (fwd.is_control_ack) {
-    TELEA_TRACE_EVENT(tracer_, sim_->now(), mac_->id(), TraceEvent::kAckPath,
-                      fwd.control_seqno, parent_);
+    router_->record(mac_->id(), TraceEvent::kAckPath, fwd.control_seqno,
+                    parent_);
   }
   forward_queue_.push_back(fwd);
   forward_queue_hwm_ = std::max(forward_queue_hwm_, forward_queue_.size());

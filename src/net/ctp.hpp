@@ -52,8 +52,9 @@ class BeaconPiggyback {
 /// duplicate suppression, datapath loop detection -> beacon reset).
 class CtpNode {
  public:
-  CtpNode(Simulator& sim, LplMac& mac, LinkEstimator& estimator,
-          bool is_root, std::uint64_t seed);
+  /// `router` receives each hop an e2e control ack takes toward the sink.
+  CtpNode(Simulator& sim, TraceRouter& router, LplMac& mac,
+          LinkEstimator& estimator, bool is_root, std::uint64_t seed);
 
   CtpNode(const CtpNode&) = delete;
   CtpNode& operator=(const CtpNode&) = delete;
@@ -136,10 +137,6 @@ class CtpNode {
     return forward_queue_hwm_;
   }
 
-  /// Attaches a decision tracer: CTP reports each hop a control-plane e2e
-  /// acknowledgement takes toward the sink (TraceEvent::kAckPath).
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Out-of-band report that unicasts to the current parent keep failing
   /// (e.g. TeleAdjusting's position requests on an asymmetric link): drops
   /// the parent and forces reselection, exactly as repeated data-plane
@@ -164,6 +161,7 @@ class CtpNode {
   void on_forward_done(const SendResult& result);
 
   Simulator* sim_;
+  TraceRouter* router_;
   LplMac* mac_;
   LinkEstimator* estimator_;
   bool is_root_;
@@ -171,7 +169,6 @@ class CtpNode {
   BeaconPiggyback* piggyback_ = nullptr;
   DeliverFn deliver_;
   OriginHook origin_hook_;
-  Tracer* tracer_ = nullptr;
   Stats stats_;
 
   TrickleTimer beacon_timer_;

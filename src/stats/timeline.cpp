@@ -397,8 +397,12 @@ std::optional<NodeId> series_node_label(std::string_view name) {
 
 // --- TimelineEngine ---------------------------------------------------------
 
-TimelineEngine::TimelineEngine(Simulator& sim, TimelineConfig cfg)
-    : sim_(&sim), interval_(std::max<SimTime>(cfg.interval, 1)), timer_(sim) {
+TimelineEngine::TimelineEngine(Simulator& sim, TraceRouter& router,
+                               TimelineConfig cfg)
+    : sim_(&sim),
+      router_(&router),
+      interval_(std::max<SimTime>(cfg.interval, 1)),
+      timer_(sim) {
   timer_.set_tag("timeline");
   timer_.set_callback([this] { sample_now(); });
 }
@@ -593,8 +597,8 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
         alert.active = true;
         ++alert.fired;
         alert.last_fired = now;
-        TELEA_TRACE_EVENT(tracer_, now, node.value_or(kSinkNode),
-                          TraceEvent::kAlertFired, i, node.value_or(0));
+        router_->record(node.value_or(kSinkNode), TraceEvent::kAlertFired, i,
+                        node.value_or(0));
         jsonl_.write_line(
             "{\"t\":" +
             fmt_double(static_cast<double>(now) /
@@ -603,9 +607,7 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
             "\",\"state\":\"fired\",\"signal\":" +
             fmt_double(alert.last_signal) + ",\"rule\":\"" +
             JsonValue::escape(render_alert_rule(rule)) + "\"}");
-        if (on_alert_fired) {
-          on_alert_fired(alert, node.value_or(kInvalidNode));
-        }
+        router_->dump(node.value_or(kSinkNode), "alert:" + rule.name);
       }
     } else {
       alert.consecutive = 0;
@@ -613,8 +615,8 @@ void TimelineEngine::evaluate_alerts(SimTime now) {
         alert.active = false;
         ++alert.resolved;
         alert.last_resolved = now;
-        TELEA_TRACE_EVENT(tracer_, now, node.value_or(kSinkNode),
-                          TraceEvent::kAlertResolved, i, node.value_or(0));
+        router_->record(node.value_or(kSinkNode), TraceEvent::kAlertResolved,
+                        i, node.value_or(0));
         jsonl_.write_line(
             "{\"t\":" +
             fmt_double(static_cast<double>(now) /

@@ -219,26 +219,23 @@ struct AlertState {
 /// series count, and sliding-window quantiles come from gauges.
 class TimelineEngine {
  public:
-  explicit TimelineEngine(Simulator& sim, TimelineConfig cfg = {});
+  /// Alert transitions are recorded into `router` as `alert_fired` /
+  /// `alert_resolved` events (a = rule index, b = node the rule's series
+  /// labels, or 0), and a firing dumps that node's flight ring (the sink's
+  /// for a network-wide rule) with trigger `alert:<rule>`.
+  TimelineEngine(Simulator& sim, TraceRouter& router, TimelineConfig cfg = {});
   TimelineEngine(const TimelineEngine&) = delete;
   TimelineEngine& operator=(const TimelineEngine&) = delete;
 
   void set_collector(std::function<void(MetricsRegistry&)> collector) {
     collector_ = std::move(collector);
   }
-  /// Alert transitions are recorded here as `alert_fired`/`alert_resolved`
-  /// trace events (a = rule index, b = node the rule's series labels, or 0).
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
   void set_rules(std::vector<AlertRule> rules);
   /// Streams one JSONL line per sample (plus alert-transition lines) to
   /// `path`. The first line is a meta object with the sampling interval and
   /// the rendered rules. The file is truncated here and each line is
   /// flushed as it is written.
   bool set_jsonl(const std::string& path);
-
-  /// Fired when an alert fires, after the trace event. The NodeId is the
-  /// rule's `node="N"` label target, or kInvalidNode for network-wide rules.
-  std::function<void(const AlertState&, NodeId)> on_alert_fired;
 
   /// Arms the periodic sampling timer (tag "timeline"). Idempotent.
   void start();
@@ -294,10 +291,10 @@ class TimelineEngine {
   void write_meta_line();
 
   Simulator* sim_;
+  TraceRouter* router_;
   SimTime interval_;
   Timer timer_;
   std::function<void(MetricsRegistry&)> collector_;
-  Tracer* tracer_ = nullptr;
   MetricsRegistry scratch_;  // refreshed by the collector each sample
   std::map<std::string, SeriesEntry, std::less<>> series_;
   // What each position of the previous sample's visit resolved to. The

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/simulator.hpp"
 #include "util/enum_name.hpp"
 #include "util/json.hpp"
 #include "util/text_file.hpp"
@@ -53,6 +54,35 @@ const char* trace_reason_name(TraceReason r) noexcept {
   return "?";
 }
 
+TraceSink trace_event_sink(TraceEvent e) noexcept {
+  switch (e) {
+    case TraceEvent::kControlTx: return TraceSink::kTrace;
+    case TraceEvent::kParentChange: return TraceSink::kBoth;
+    case TraceEvent::kCodeChange: return TraceSink::kBoth;
+    case TraceEvent::kKill: return TraceSink::kTrace;
+    case TraceEvent::kRevive: return TraceSink::kTrace;
+    case TraceEvent::kForwardDecision: return TraceSink::kBoth;
+    case TraceEvent::kSuppress: return TraceSink::kBoth;
+    case TraceEvent::kBacktrack: return TraceSink::kBoth;
+    case TraceEvent::kRedirect: return TraceSink::kTrace;
+    case TraceEvent::kAckPath: return TraceSink::kTrace;
+    case TraceEvent::kCommandRetry: return TraceSink::kTrace;
+    case TraceEvent::kCommandResolve: return TraceSink::kTrace;
+    case TraceEvent::kLinkFault: return TraceSink::kTrace;
+    case TraceEvent::kNoiseBurst: return TraceSink::kTrace;
+    case TraceEvent::kReboot: return TraceSink::kBoth;
+    case TraceEvent::kInvariantViolation: return TraceSink::kTrace;
+    case TraceEvent::kControlTxDone: return TraceSink::kTrace;
+    case TraceEvent::kControlDelivered: return TraceSink::kTrace;
+    case TraceEvent::kFlightDump: return TraceSink::kTrace;
+    case TraceEvent::kAlertFired: return TraceSink::kBoth;
+    case TraceEvent::kAlertResolved: return TraceSink::kTrace;
+    case TraceEvent::kAckTimeout: return TraceSink::kRing;
+    case TraceEvent::kGiveUp: return TraceSink::kRing;
+  }
+  return TraceSink::kTrace;
+}
+
 std::optional<TraceEvent> trace_event_from_name(std::string_view name) noexcept {
   return enum_from_name(name, trace_event_name);
 }
@@ -100,10 +130,6 @@ std::size_t Tracer::count(TraceEvent event) const {
     if (ring_[(start + i) % ring_.size()].event == event) ++n;
   }
   return n;
-}
-
-std::vector<NodeId> Tracer::control_path(std::uint32_t seqno) const {
-  return relay_path(snapshot(), seqno);
 }
 
 std::string Tracer::explain(std::uint32_t seqno) const {
@@ -194,6 +220,56 @@ std::string render_flight_dump_json(const FlightDump& dump) {
   }
   out += "]}";
   return out;
+}
+
+Tracer& TraceRouter::enable_trace(std::size_t capacity) {
+  if (trace_ == nullptr) trace_ = std::make_unique<Tracer>(capacity);
+  on_ = true;
+  return *trace_;
+}
+
+bool TraceRouter::arm_rings(std::size_t nodes, const std::string& jsonl) {
+  if (rings_armed()) return true;
+  rings_.assign(nodes, Tracer(kRingCapacity));
+  on_ = true;
+  return jsonl.empty() || dump_jsonl_.open(jsonl);
+}
+
+std::uint64_t TraceRouter::ring_records() const noexcept {
+  std::uint64_t n = 0;
+  for (const Tracer& ring : rings_) n += ring.size() + ring.dropped();
+  return n;
+}
+
+void TraceRouter::route(NodeId node, TraceEvent event, std::uint64_t a,
+                        std::uint64_t b, TraceReason reason) {
+  const SimTime now = sim_->now();
+  const TraceSink sink = trace_event_sink(event);
+  if (trace_ != nullptr && sink != TraceSink::kRing) {
+    trace_->record(now, node, event, a, b, reason);
+  }
+  if (node < rings_.size() && sink != TraceSink::kTrace) {
+    rings_[node].record(now, node, event, a, b, reason);
+  }
+}
+
+void TraceRouter::dump(NodeId node, std::string trigger) {
+  const Tracer* ring = this->ring(node);
+  if (ring == nullptr) return;
+  FlightDump dump;
+  dump.time = sim_->now();
+  dump.node = node;
+  dump.trigger = std::move(trigger);
+  dump.events = ring->snapshot();
+  dump.dropped = ring->dropped();
+  record(node, TraceEvent::kFlightDump, dump.events.size(), dumps_taken_);
+  ++dumps_taken_;
+  constexpr std::size_t kMaxStoredDumps = 256;
+  if (dumps_.size() >= kMaxStoredDumps) dumps_.erase(dumps_.begin());
+  dumps_.push_back(std::move(dump));
+  if (dump_jsonl_.is_open()) {
+    dump_jsonl_.write_line(render_flight_dump_json(dumps_.back()));
+  }
 }
 
 std::vector<NodeId> relay_path(const std::vector<TraceRecord>& records,

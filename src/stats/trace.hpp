@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -8,10 +9,12 @@
 
 #include "sim/time.hpp"
 #include "util/ids.hpp"
+#include "util/text_file.hpp"
 
 namespace telea {
 
 class JsonValue;
+class Simulator;
 
 /// Structured event kinds a deployment would log over serial — the
 /// simulator-side equivalent of the paper's testbed instrumentation
@@ -59,7 +62,6 @@ enum class TraceEvent : std::uint8_t {
                      // b = the node the rule's series labels (0 = network-wide)
   kAlertResolved,    // a previously fired alert's condition went false;
                      // a = rule index, b = same node convention as kAlertFired
-  // Flight-ring only (never in the network trace):
   kAckTimeout,       // a forwarding send sweep drew no ack; a = seqno,
                      // b = the intended next hop
   kGiveUp,           // the origin spent its retry budget on a control packet;
@@ -98,12 +100,20 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
+/// Where a TraceRouter keeps an event: the network trace, the recording
+/// node's flight ring, or both.
+enum class TraceSink : std::uint8_t { kTrace, kRing, kBoth };
+
+/// The routing table, one entry per TraceEvent (the "kept in" column of
+/// docs/OBSERVABILITY.md's event table).
+[[nodiscard]] TraceSink trace_event_sink(TraceEvent e) noexcept;
+
 /// Bounded in-memory event trace with JSONL export and simple analysis.
 /// Recording is cheap (append to a preallocated ring); when the capacity is
 /// exceeded the oldest records are dropped and `dropped()` counts them.
 ///
-/// The same class is each node's flight-recorder ring (Network::
-/// enable_flight_recorders): a small Tracer that only that node records into.
+/// The same class is each node's flight-recorder ring (TraceRouter): a
+/// small Tracer that only that node's records enter.
 class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 1 << 16);
@@ -123,9 +133,6 @@ class Tracer {
 
   /// Number of records of one event type (cheaper than by_event).
   [[nodiscard]] std::size_t count(TraceEvent event) const;
-
-  /// relay_path over the retained records.
-  [[nodiscard]] std::vector<NodeId> control_path(std::uint32_t seqno) const;
 
   /// Human-readable reconstruction of one control packet's trajectory
   /// (relays, suppressions, backtracks, redirects, ack path) with reasons.
@@ -180,6 +187,67 @@ struct FlightDump {
 /// event written by append_trace_record_json (tools/telea_top flightrec=).
 [[nodiscard]] std::string render_flight_dump_json(const FlightDump& dump);
 
+/// One per Network: the single place an event is recorded. Every layer
+/// calls record() once per event; trace_event_sink decides whether the
+/// network trace, the node's flight ring, or both keep it. Both start off,
+/// so until one is turned on a record costs one predictable branch.
+class TraceRouter {
+ public:
+  static constexpr std::size_t kRingCapacity = 128;
+
+  explicit TraceRouter(const Simulator& sim) noexcept : sim_(&sim) {}
+  TraceRouter(const TraceRouter&) = delete;
+  TraceRouter& operator=(const TraceRouter&) = delete;
+
+  /// Records `event` at `node`, stamped with the simulator's time.
+  void record(NodeId node, TraceEvent event, std::uint64_t a = 0,
+              std::uint64_t b = 0, TraceReason reason = TraceReason::kNone) {
+    if (on_) route(node, event, a, b, reason);
+  }
+
+  /// Turns the network trace on with a ring of `capacity` records.
+  /// Idempotent: a second call returns the existing trace.
+  Tracer& enable_trace(std::size_t capacity);
+  [[nodiscard]] Tracer* trace() noexcept { return trace_.get(); }
+  [[nodiscard]] const Tracer* trace() const noexcept { return trace_.get(); }
+
+  /// Arms a flight ring of kRingCapacity records for each of `nodes` nodes,
+  /// and streams every dump to `jsonl` when it is non-empty. Idempotent.
+  /// False when the stream cannot be opened (the rings are armed anyway).
+  bool arm_rings(std::size_t nodes, const std::string& jsonl);
+  [[nodiscard]] bool rings_armed() const noexcept { return !rings_.empty(); }
+  /// `node`'s ring; nullptr while unarmed or for a node outside the network.
+  [[nodiscard]] const Tracer* ring(NodeId node) const noexcept {
+    return node < rings_.size() ? &rings_[node] : nullptr;
+  }
+  /// Records ever entered into the rings, evicted ones included.
+  [[nodiscard]] std::uint64_t ring_records() const noexcept;
+
+  /// Snapshots `node`'s ring into a FlightDump tagged with `trigger`, and
+  /// records a kFlightDump event. Does nothing while the rings are unarmed
+  /// or for a node outside the network.
+  void dump(NodeId node, std::string trigger);
+  /// The newest dumps, bounded.
+  [[nodiscard]] const std::vector<FlightDump>& dumps() const noexcept {
+    return dumps_;
+  }
+  [[nodiscard]] std::uint64_t dumps_taken() const noexcept {
+    return dumps_taken_;
+  }
+
+ private:
+  void route(NodeId node, TraceEvent event, std::uint64_t a, std::uint64_t b,
+             TraceReason reason);
+
+  const Simulator* sim_;
+  bool on_ = false;  // the trace or the rings are on
+  std::unique_ptr<Tracer> trace_;
+  std::vector<Tracer> rings_;  // one per node, empty until armed
+  std::vector<FlightDump> dumps_;  // bounded, newest kept
+  std::uint64_t dumps_taken_ = 0;  // monotone, for metrics
+  LineWriter dump_jsonl_;
+};
+
 /// Rendering filters for explain_control (telea_explain's node=/path-only=/
 /// deltas= options map straight onto these fields).
 struct ExplainOptions {
@@ -206,13 +274,3 @@ struct ExplainOptions {
     const ExplainOptions& opts);
 
 }  // namespace telea
-
-/// Trace emission: a null check guards argument evaluation, so hot paths
-/// pay one predictable branch when tracing is off.
-#define TELEA_TRACE_EVENT(tracer, ...)                \
-  do {                                                \
-    auto* telea_trace_tracer_ = (tracer);             \
-    if (telea_trace_tracer_ != nullptr) {             \
-      telea_trace_tracer_->record(__VA_ARGS__);       \
-    }                                                 \
-  } while (0)

@@ -56,11 +56,12 @@ std::vector<InvariantNodeView> clean_views() {
 class InvariantEngineTest : public ::testing::Test {
  protected:
   Simulator sim_;
+  TraceRouter router_{sim_};
   InvariantConfig cfg_;
 };
 
 TEST_F(InvariantEngineTest, CleanSnapshotFiresNothing) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   EXPECT_EQ(engine.run_checkpoint(clean_views()), 0u);
   EXPECT_EQ(engine.run_checkpoint(clean_views()), 0u);  // and stays clean
   EXPECT_TRUE(engine.violations().empty());
@@ -68,7 +69,7 @@ TEST_F(InvariantEngineTest, CleanSnapshotFiresNothing) {
 }
 
 TEST_F(InvariantEngineTest, CorruptedChildPositionBreaksParentPrefix) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   // Bit-flip corruption on the parent side: the stored position no longer
   // derives the stored code.
@@ -82,7 +83,7 @@ TEST_F(InvariantEngineTest, CorruptedChildPositionBreaksParentPrefix) {
 }
 
 TEST_F(InvariantEngineTest, DoubleAllocatedSiblingPositionIsCaught) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[0].children[1].position = 1;  // collides with child 1
   views[0].children[1].new_code = code("001");
@@ -92,7 +93,7 @@ TEST_F(InvariantEngineTest, DoubleAllocatedSiblingPositionIsCaught) {
 }
 
 TEST_F(InvariantEngineTest, PositionOutsideSpaceViolatesBounds) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[0].children[1].position = 7;  // 2-bit space holds [1, 4)
   engine.run_checkpoint(views);
@@ -100,7 +101,7 @@ TEST_F(InvariantEngineTest, PositionOutsideSpaceViolatesBounds) {
 }
 
 TEST_F(InvariantEngineTest, CodeNotExtendingSinkViolatesBounds) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[3].code = code("101");  // first bit must be the sink's 0
   engine.run_checkpoint(views);
@@ -109,7 +110,7 @@ TEST_F(InvariantEngineTest, CodeNotExtendingSinkViolatesBounds) {
 }
 
 TEST_F(InvariantEngineTest, ChildCodeMismatchGatesOnPersistence) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   // Child-side corruption: node 3's own code matches neither the new nor the
   // old code its allocator holds for it.
@@ -123,7 +124,7 @@ TEST_F(InvariantEngineTest, ChildCodeMismatchGatesOnPersistence) {
 }
 
 TEST_F(InvariantEngineTest, RepairedMismatchNeverFires) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[3].code = code("001111");
   engine.run_checkpoint(views);          // transient mismatch...
@@ -132,7 +133,7 @@ TEST_F(InvariantEngineTest, RepairedMismatchNeverFires) {
 }
 
 TEST_F(InvariantEngineTest, DeadAllocatorVouchesForNothing) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[3].code = code("001111");  // stale vs node 1's table...
   views[1].alive = false;          // ...but node 1 is down (Sec. III-B6)
@@ -142,7 +143,7 @@ TEST_F(InvariantEngineTest, DeadAllocatorVouchesForNothing) {
 }
 
 TEST_F(InvariantEngineTest, UnreachableLeaseMovingBackwardsIsCaught) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   sim_.run_until(100 * kSecond);
   auto views = clean_views();
   views[1].neighbors[1].unreachable = true;
@@ -155,7 +156,7 @@ TEST_F(InvariantEngineTest, UnreachableLeaseMovingBackwardsIsCaught) {
 }
 
 TEST_F(InvariantEngineTest, FutureLeaseTimestampIsCaught) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[1].neighbors[1].unreachable = true;
   views[1].neighbors[1].unreachable_since = 10 * kSecond;  // now is 0
@@ -164,7 +165,7 @@ TEST_F(InvariantEngineTest, FutureLeaseTimestampIsCaught) {
 }
 
 TEST_F(InvariantEngineTest, PersistentCtpLoopIsCaughtTransientIsNot) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[1].ctp_parent = 3;  // 1 -> 3 -> 1
   views[3].ctp_parent = 1;
@@ -179,7 +180,7 @@ TEST_F(InvariantEngineTest, PersistentCtpLoopIsCaughtTransientIsNot) {
 }
 
 TEST_F(InvariantEngineTest, FrozenLoopFromLinkFaultIsNotAnActiveLoop) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[1].ctp_parent = 3;  // 1 <-> 3, but the pointers are frozen:
   views[3].ctp_parent = 1;  // neither node has heard the other recently
@@ -204,7 +205,7 @@ TEST_F(InvariantEngineTest, FrozenLoopFromLinkFaultIsNotAnActiveLoop) {
 }
 
 TEST_F(InvariantEngineTest, CountToInfinityLoopInRepairIsNotStuck) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[1].ctp_parent = 3;
   views[3].ctp_parent = 1;
@@ -228,7 +229,7 @@ TEST_F(InvariantEngineTest, CountToInfinityLoopInRepairIsNotStuck) {
 }
 
 TEST_F(InvariantEngineTest, OverflowedAllocatorEntryVouchesForNothing) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   // Allocator 1 could not derive a code for child 3 (capacity exhausted):
   // the entry exists but holds empty codes. The child's own (stale) code
@@ -258,7 +259,7 @@ msg::ControlPacket packet_to(NodeId dest, const char* dest_code,
 }
 
 TEST_F(InvariantEngineTest, JustifiedClaimsPassTheAudit) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   engine.start([] { return clean_views(); });
   // Destination 3 ("001001"); sink announced expected relay 1 at len 1.
   const auto p = packet_to(3, "001001", 1, 1);
@@ -271,7 +272,7 @@ TEST_F(InvariantEngineTest, JustifiedClaimsPassTheAudit) {
 }
 
 TEST_F(InvariantEngineTest, ForgedClaimIsUnjustified) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   engine.start([] { return clean_views(); });
   // Node 2 ("010") is off-path for "001001", has no on-path neighbors and is
   // not the expected relay — claiming is a protocol violation.
@@ -285,7 +286,7 @@ TEST_F(InvariantEngineTest, ForgedClaimIsUnjustified) {
 }
 
 TEST_F(InvariantEngineTest, RescueClaimMayMeetTheBarPlainMayNot) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   // Node 1's own progress toward "001001" is exactly 3 — equal to the bar.
   // Strip its tables so neither condition (1) nor (3) can mask the check.
   auto views = clean_views();
@@ -302,7 +303,7 @@ TEST_F(InvariantEngineTest, RescueClaimMayMeetTheBarPlainMayNot) {
 
 TEST_F(InvariantEngineTest, FailFastThrowsOnFirstViolation) {
   cfg_.fail_fast = true;
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[0].children[1].position = 1;
   views[0].children[1].new_code = code("001");
@@ -320,7 +321,7 @@ TEST_F(InvariantEngineTest, FailFastThrowsOnFirstViolation) {
 // --- delivery dedup + verdict conservation ----------------------------------
 
 TEST_F(InvariantEngineTest, DuplicateFinalDeliveryIsCaught) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto p = packet_to(3, "001001", 1, 1);
   engine.on_final_delivery(3, p, false);
   EXPECT_TRUE(engine.violations().empty());
@@ -329,7 +330,7 @@ TEST_F(InvariantEngineTest, DuplicateFinalDeliveryIsCaught) {
 }
 
 TEST_F(InvariantEngineTest, RedeliveryAfterStateLossRebootIsLegal) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   auto p = packet_to(3, "001001", 1, 1);
   engine.on_final_delivery(3, p, false);
   engine.note_node_reset(3);  // dedup state wiped with the reboot
@@ -340,7 +341,7 @@ TEST_F(InvariantEngineTest, RedeliveryAfterStateLossRebootIsLegal) {
 }
 
 TEST_F(InvariantEngineTest, DeliveryAtWrongNodeIsCaught) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   const auto p = packet_to(3, "001001", 1, 1);
   engine.on_final_delivery(2, p, false);
   ASSERT_EQ(engine.violation_count(InvariantRule::kFwdUniqueDelivery), 1u);
@@ -348,7 +349,7 @@ TEST_F(InvariantEngineTest, DeliveryAtWrongNodeIsCaught) {
 }
 
 TEST_F(InvariantEngineTest, CommandLifecycleClosesExactlyOnce) {
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   engine.note_command_issued(11);
   engine.note_command_resolved(11);
   EXPECT_TRUE(engine.violations().empty());
@@ -361,12 +362,12 @@ TEST_F(InvariantEngineTest, CommandLifecycleClosesExactlyOnce) {
 }
 
 TEST_F(InvariantEngineTest, FinalAuditFlagsPendingOnlyWhenAsked) {
-  InvariantEngine lax(sim_, cfg_);
+  InvariantEngine lax(sim_, router_, cfg_);
   lax.note_command_issued(5);
   EXPECT_EQ(lax.final_audit(), 0u);  // expect_all_resolved defaults off
 
   cfg_.expect_all_resolved = true;
-  InvariantEngine strict(sim_, cfg_);
+  InvariantEngine strict(sim_, router_, cfg_);
   strict.note_command_issued(5);
   EXPECT_EQ(strict.final_audit(), 1u);
   EXPECT_EQ(strict.violations()[0].rule,
@@ -375,7 +376,7 @@ TEST_F(InvariantEngineTest, FinalAuditFlagsPendingOnlyWhenAsked) {
 
 TEST_F(InvariantEngineTest, PeriodicCheckpointsRunOnTheSimClock) {
   cfg_.checkpoint_interval = 30 * kSecond;
-  InvariantEngine engine(sim_, cfg_);
+  InvariantEngine engine(sim_, router_, cfg_);
   engine.start([] { return clean_views(); });
   sim_.run_until(95 * kSecond);
   EXPECT_EQ(engine.checkpoints_run(), 3u);
@@ -404,9 +405,9 @@ TEST_F(InvariantEngineTest, RuleNamesRoundTripAndHaveSections) {
 }
 
 TEST_F(InvariantEngineTest, ViolationsAreTraceLinked) {
-  Tracer tracer(64);
-  InvariantEngine engine(sim_, cfg_);
-  engine.set_tracer(&tracer);
+  const Tracer& tracer = router_.enable_trace(64);
+  router_.arm_rings(1, "");
+  InvariantEngine engine(sim_, router_, cfg_);
   auto views = clean_views();
   views[0].children[0].position = 3;
   engine.run_checkpoint(views);
@@ -416,6 +417,11 @@ TEST_F(InvariantEngineTest, ViolationsAreTraceLinked) {
   EXPECT_EQ(records[0].a,
             static_cast<std::uint64_t>(InvariantRule::kAddrParentPrefix));
   EXPECT_EQ(records[0].b, 1u);  // the affected child
+  // The violating node's ring is dumped, and the dump is traced.
+  ASSERT_EQ(router_.dumps().size(), 1u);
+  EXPECT_EQ(router_.dumps()[0].node, 0);
+  EXPECT_EQ(router_.dumps()[0].trigger, "invariant:addr.parent_prefix");
+  EXPECT_EQ(tracer.count(TraceEvent::kFlightDump), 1u);
 }
 
 }  // namespace

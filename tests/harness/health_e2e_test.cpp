@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "harness/controller.hpp"
 #include "harness/faults.hpp"
 #include "harness/network.hpp"
 #include "stats/metrics.hpp"
 #include "topo/topology.hpp"
+#include "util/enum_name.hpp"
 
 namespace telea {
 namespace {
@@ -173,9 +176,9 @@ TEST(HealthE2E, FlightDumpOnInvariantViolation) {
 }
 
 // A flight dump is a slice of the trace: with tracing and rings both on,
-// every dumped record — bar the ring-only ack_timeout/give_up — is a record
-// the network tracer holds too, field for field, across a reboot, a command
-// give-up and an invariant violation. The ring outlives the reboot.
+// every dumped record — bar the kinds the router keeps in the ring only — is
+// a record the network tracer holds too, field for field, across a reboot, a
+// command give-up and an invariant violation. The ring outlives the reboot.
 TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
   Network net(line_cfg(5, 32));
   const Tracer& trace = net.enable_tracing(1 << 18);
@@ -209,8 +212,11 @@ TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
   net.dump_flight(kSinkNode, "origin");
 
   ASSERT_EQ(trace.dropped(), 0u) << "the trace must hold the whole run";
-  EXPECT_EQ(trace.count(TraceEvent::kAckTimeout), 0u);
-  EXPECT_EQ(trace.count(TraceEvent::kGiveUp), 0u);
+  for_each_enum(trace_event_name, [&](TraceEvent e) {
+    if (trace_event_sink(e) == TraceSink::kRing) {
+      EXPECT_EQ(trace.count(e), 0u) << trace_event_name(e);
+    }
+  });
   const std::vector<TraceRecord> all = trace.snapshot();
   std::set<std::string> triggers;
   std::size_t ring_only = 0;
@@ -218,8 +224,7 @@ TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
     triggers.insert(dump.trigger.substr(0, dump.trigger.find(':')));
     for (const TraceRecord& r : dump.events) {
       EXPECT_EQ(r.node, dump.node);
-      if (r.event == TraceEvent::kAckTimeout ||
-          r.event == TraceEvent::kGiveUp) {
+      if (trace_event_sink(r.event) == TraceSink::kRing) {
         ++ring_only;
         continue;
       }
@@ -248,6 +253,63 @@ TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
         << dump.trigger << " lost the pre-reboot records";
   }
   EXPECT_EQ(node2_dumps, 2u);
+}
+
+// The enable_* calls may run in any order: every layer records through one
+// router, so turning tracing, invariants, the timeline and the flight
+// recorders on forwards or backwards gives the same trace and the same
+// dumps — reboot, invariant and alert triggers included.
+TEST(HealthE2E, EnableOrderLeavesTraceAndDumpsUnchanged) {
+  struct Output {
+    std::string trace;
+    std::vector<std::string> dumps;
+  };
+  auto run = [](bool reverse) {
+    Network net(line_cfg(5, 32));
+    InvariantConfig icfg;
+    icfg.checkpoint_interval = 15_s;
+    NetworkTimelineConfig tcfg;
+    tcfg.timeline.interval = 10_s;  // off the checkpoint grid until 30 s
+    // Fires once, at t = 250 s, and dumps node 3.
+    tcfg.rules = parse_alert_rules(
+                     "up: value(telea_duty_cycle{node=\"3\",sub=\"lpl\"}) "
+                     ">= 0 for 25\n")
+                     .value();
+    std::vector<std::function<void()>> enable = {
+        [&] { net.enable_tracing(1 << 18); },
+        [&] { net.enable_invariants(icfg); },
+        [&] { net.enable_timeline(tcfg); },
+        [&] { net.enable_flight_recorders(); },
+    };
+    if (reverse) std::reverse(enable.begin(), enable.end());
+    for (const auto& step : enable) step();
+    net.start();
+    net.run_for(6_min);
+    FaultPlan plan;
+    plan.corrupt_path_code(net.sim().now() + 1_s, 4, /*bit=*/0);
+    plan.apply(net);
+    net.run_for(2 * icfg.checkpoint_interval);
+    net.node(2).reboot_with_state_loss();
+    net.run_for(1_min);
+
+    Output out{net.tracer()->render_jsonl(), {}};
+    for (const FlightDump& dump : net.flight_dumps()) {
+      out.dumps.push_back(render_flight_dump_json(dump));
+    }
+    return out;
+  };
+  const Output forward = run(false);
+  const Output reverse = run(true);
+  EXPECT_EQ(forward.trace, reverse.trace);
+  EXPECT_EQ(forward.dumps, reverse.dumps);
+  for (const char* trigger :
+       {"\"trigger\":\"reboot\"", "\"trigger\":\"invariant:",
+        "\"trigger\":\"alert:up\""}) {
+    EXPECT_TRUE(std::any_of(
+        forward.dumps.begin(), forward.dumps.end(),
+        [&](const std::string& d) { return d.find(trigger) != d.npos; }))
+        << "no dump with " << trigger;
+  }
 }
 
 // Re-Tele detour selection consults the health model when one is live: a

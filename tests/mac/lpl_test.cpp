@@ -48,7 +48,7 @@ class LplTest : public ::testing::Test {
     for (int i = 0; i < nodes; ++i) {
       handlers_.push_back(std::make_unique<FakeHandler>());
       macs_.push_back(std::make_unique<LplMac>(
-          sim_, *medium_, static_cast<NodeId>(i), lpl, 1000 + i));
+          sim_, *medium_, router_, static_cast<NodeId>(i), lpl, 1000 + i));
       macs_.back()->set_handler(*handlers_.back());
       macs_.back()->start();
     }
@@ -69,6 +69,7 @@ class LplTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  TraceRouter router_{sim_};
   std::unique_ptr<LinkGainTable> gains_;
   std::unique_ptr<CpmNoiseModel> noise_;
   std::unique_ptr<RadioMedium> medium_;

@@ -171,7 +171,8 @@ TEST(AlertRules, SeriesNodeLabel) {
 // simulator, the way Network::enable_timeline wires it.
 struct EngineRig {
   Simulator sim;
-  TimelineEngine engine{sim};
+  TraceRouter router{sim};
+  TimelineEngine engine{sim, router};
   double gauge_value = 0.0;
   std::uint64_t counter_total = 0;
   bool emit_gauge = true;
@@ -231,32 +232,32 @@ TEST(TimelineEngine, AlertFiresAfterForWindowsAndResolves) {
   rule.for_windows = 2;
   rig.engine.set_rules({rule});
 
-  Tracer tracer(64);
-  rig.engine.set_tracer(&tracer);
-  std::vector<NodeId> fired_at;
-  rig.engine.on_alert_fired = [&fired_at](const AlertState& state,
-                                          NodeId node) {
-    EXPECT_EQ(state.rule.name, "deep");
-    fired_at.push_back(node);
-  };
+  const Tracer& tracer = rig.router.enable_trace(64);
+  rig.router.arm_rings(3, "");
+  const std::vector<FlightDump>& dumps = rig.router.dumps();
 
   rig.engine.start();
   rig.gauge_value = 9.0;
   rig.sim.run_until(15 * kSecond);  // one window above threshold: armed only
   EXPECT_FALSE(rig.engine.alerts()[0].active);
-  EXPECT_TRUE(fired_at.empty());
+  EXPECT_TRUE(dumps.empty());
 
   rig.sim.run_until(25 * kSecond);  // second consecutive window: fires
   const AlertState& state = rig.engine.alerts()[0];
   EXPECT_TRUE(state.active);
   EXPECT_EQ(state.fired, 1u);
   EXPECT_EQ(state.last_fired, 20 * kSecond);
-  ASSERT_EQ(fired_at.size(), 1u);
-  EXPECT_EQ(fired_at[0], 2u);  // the rule's node="2" label
   ASSERT_EQ(tracer.count(TraceEvent::kAlertFired), 1u);
   const TraceRecord fired_rec = tracer.by_event(TraceEvent::kAlertFired)[0];
   EXPECT_EQ(fired_rec.node, 2u);
   EXPECT_EQ(fired_rec.a, 0u);  // rule index
+  // The firing dumps the ring of the rule's node="2" label, whose last
+  // record is the same alert_fired record.
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_EQ(dumps[0].node, 2u);
+  EXPECT_EQ(dumps[0].trigger, "alert:deep");
+  ASSERT_FALSE(dumps[0].events.empty());
+  EXPECT_EQ(dumps[0].events.back(), fired_rec);
 
   // Still above threshold: active, no re-fire.
   rig.sim.run_until(35 * kSecond);
@@ -357,7 +358,8 @@ TEST(TimelineEngine, SeriesStayAlignedWhenTheScrapeShifts) {
   // middle, one disappears, and a histogram's bucket detail rides along.
   // Every value must still land in its own series.
   Simulator sim;
-  TimelineEngine engine{sim};
+  TraceRouter router{sim};
+  TimelineEngine engine{sim, router};
   int pass = 0;
   engine.set_collector([&pass](MetricsRegistry& reg) {
     reg.gauge("telea_a").set(1.0 + pass);

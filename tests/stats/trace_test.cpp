@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/network.hpp"
+#include "util/enum_name.hpp"
 #include "util/json.hpp"
 #include "topo/topology.hpp"
 
@@ -22,12 +23,6 @@ TEST(Tracer, RecordsAndSnapshotsInOrder) {
   EXPECT_EQ(snap[0].a, 3u);
   EXPECT_EQ(snap[1].event, TraceEvent::kKill);
   EXPECT_EQ(t.dropped(), 0u);
-
-  // The emission macro records through a tracer and skips a null one.
-  TELEA_TRACE_EVENT(&t, 30, 3, TraceEvent::kKill);
-  Tracer* null_tracer = nullptr;
-  TELEA_TRACE_EVENT(null_tracer, 40, 4, TraceEvent::kKill);
-  EXPECT_EQ(t.size(), 3u);
 }
 
 TEST(Tracer, RingDropsOldestBeyondCapacity) {
@@ -57,7 +52,7 @@ TEST(Tracer, ControlPathCollapsesRepeats) {
   t.record(2, 0, TraceEvent::kControlTx, 7);  // retry at same node
   t.record(3, 5, TraceEvent::kControlTx, 7);
   t.record(4, 9, TraceEvent::kControlTx, 8);  // different packet
-  const auto path = t.control_path(7);
+  const auto path = relay_path(t.snapshot(), 7);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], 0);
   EXPECT_EQ(path[1], 5);
@@ -195,8 +190,8 @@ TEST(TracerRing, ExplainAckOnlyTailAfterHeavyEviction) {
   EXPECT_EQ(text.find("relay path"), std::string::npos);
   EXPECT_EQ(text.find("no records"), std::string::npos);
 
-  // control_path agrees: no surviving transmissions, empty path, no crash.
-  EXPECT_TRUE(t.control_path(5).empty());
+  // relay_path agrees: no surviving transmissions, empty path, no crash.
+  EXPECT_TRUE(relay_path(t.snapshot(), 5).empty());
 }
 
 TEST(TracerRing, TruncatedRingRoundTripsThroughJsonl) {
@@ -283,7 +278,7 @@ TEST(Tracer, ControlPathKeepsBacktrackLoops) {
   t.record(3, 6, TraceEvent::kControlTx, 9);  // claimed downstream
   t.record(4, 6, TraceEvent::kBacktrack, 9, 4, TraceReason::kRetryExhausted);
   t.record(5, 4, TraceEvent::kControlTx, 9);  // upstream retries
-  const auto path = t.control_path(9);
+  const auto path = relay_path(t.snapshot(), 9);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path[0], 4);
   EXPECT_EQ(path[1], 6);
@@ -399,7 +394,7 @@ TEST(TracerIntegration, NetworkTracesControlPath) {
   net.run_for(30_s);
   // The realized relay chain starts at the sink and ends adjacent to the
   // destination (the destination itself never retransmits).
-  const auto path = tracer.control_path(*seq);
+  const auto path = relay_path(tracer.snapshot(), *seq);
   ASSERT_GE(path.size(), 3u);
   EXPECT_EQ(path.front(), 0);
 }
@@ -480,7 +475,7 @@ TEST(FlightDump, TriggerIsEscapedAndDumpRoundTrips) {
   }
 }
 
-// A node's flight ring keeps its newest Network::kFlightCapacity records,
+// A node's flight ring keeps its newest TraceRouter::kRingCapacity records,
 // oldest first, and a dump carries the ring's eviction count.
 TEST(FlightRecorder, RingKeepsNewestAndCountsDrops) {
   NetworkConfig cfg;
@@ -488,15 +483,16 @@ TEST(FlightRecorder, RingKeepsNewestAndCountsDrops) {
   cfg.seed = 7;
   Network net(cfg);
   net.enable_flight_recorders();
-  Tracer* ring = net.node(1).flight_recorder();
+  TraceRouter& router = net.router();
+  const Tracer* ring = router.ring(1);
   ASSERT_NE(ring, nullptr);
-  constexpr std::size_t kCapacity = Network::kFlightCapacity;
+  constexpr std::size_t kCapacity = TraceRouter::kRingCapacity;
   EXPECT_EQ(ring->capacity(), kCapacity);
   const std::size_t before = ring->size() + ring->dropped();
   constexpr std::uint64_t kRecorded = kCapacity + 5;
   for (std::uint64_t i = 0; i < kRecorded; ++i) {
-    TELEA_TRACE_EVENT(ring, i, 1, TraceEvent::kForwardDecision, i, 0,
-                      TraceReason::kExpectedRelay);
+    router.record(1, TraceEvent::kForwardDecision, i, 0,
+                  TraceReason::kExpectedRelay);
   }
   EXPECT_EQ(ring->size(), kCapacity);
   EXPECT_EQ(ring->size() + ring->dropped(), before + kRecorded);
@@ -513,6 +509,74 @@ TEST(FlightRecorder, RingKeepsNewestAndCountsDrops) {
   EXPECT_EQ(dump.trigger, "test");
   EXPECT_EQ(dump.events, events);
   EXPECT_EQ(dump.dropped, ring->dropped());
+}
+
+// Every event kind lands exactly where trace_event_sink's table says — the
+// network trace, the recording node's ring, or both — stamped with the
+// simulator's time and the recording node, and nowhere else.
+TEST(TraceRouter, EveryEventLandsWhereTheTableSays) {
+  Simulator sim;
+  TraceRouter router(sim);
+  const Tracer& trace = router.enable_trace(64);
+  constexpr std::size_t kNodes = 3;
+  router.arm_rings(kNodes, "");
+  std::uint64_t events = 0;
+  std::size_t in_trace = 0;
+  std::size_t in_ring = 0;
+  for_each_enum(trace_event_name, [&](TraceEvent e) {
+    ++events;
+    sim.run_until(sim.now() + kSecond);
+    const auto node = static_cast<NodeId>(events % kNodes);
+    std::vector<std::size_t> before{trace.size()};
+    for (NodeId n = 0; n < kNodes; ++n) before.push_back(router.ring(n)->size());
+    router.record(node, e, events, 7, TraceReason::kLongerPrefix);
+
+    const TraceRecord want{sim.now(), node, e, TraceReason::kLongerPrefix,
+                           events, 7};
+    const TraceSink sink = trace_event_sink(e);
+    const bool to_trace = sink != TraceSink::kRing;
+    const bool to_ring = sink != TraceSink::kTrace;
+    in_trace += to_trace ? 1 : 0;
+    in_ring += to_ring ? 1 : 0;
+    EXPECT_EQ(trace.size(), before[0] + (to_trace ? 1 : 0))
+        << trace_event_name(e);
+    if (to_trace) {
+      EXPECT_EQ(trace.snapshot().back(), want);
+    }
+    for (NodeId n = 0; n < kNodes; ++n) {
+      const Tracer& ring = *router.ring(n);
+      const bool here = to_ring && n == node;
+      EXPECT_EQ(ring.size(), before[n + 1] + (here ? 1 : 0))
+          << trace_event_name(e) << " in the ring of node " << n;
+      if (here) {
+        EXPECT_EQ(ring.snapshot().back(), want);
+      }
+    }
+  });
+  EXPECT_GT(in_trace, 0u);
+  EXPECT_GT(in_ring, 0u);
+  EXPECT_LT(in_ring, events);  // most kinds stay out of the rings
+}
+
+// With neither the trace nor the rings on, recording and dumping keep
+// nothing; a node outside the armed rings has no ring and no dump.
+TEST(TraceRouter, KeepsNothingUntilTurnedOn) {
+  Simulator sim;
+  TraceRouter router(sim);
+  router.record(1, TraceEvent::kForwardDecision, 5, 2);
+  router.dump(1, "test");
+  EXPECT_EQ(router.trace(), nullptr);
+  EXPECT_FALSE(router.rings_armed());
+  EXPECT_EQ(router.ring(1), nullptr);
+  EXPECT_TRUE(router.dumps().empty());
+  EXPECT_EQ(router.dumps_taken(), 0u);
+
+  router.arm_rings(2, "");
+  router.record(2, TraceEvent::kForwardDecision, 5, 2);
+  router.dump(2, "test");
+  EXPECT_EQ(router.ring(2), nullptr);
+  EXPECT_TRUE(router.dumps().empty());
+  EXPECT_EQ(router.ring_records(), 0u);
 }
 
 // Dump consumers key on these event names; the ring-only kinds kept the
