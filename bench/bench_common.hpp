@@ -149,21 +149,14 @@ class TrialBatch {
 };
 
 /// One (protocol, channel) cell of the paper's testbed evaluation, averaged
-/// over `opt.runs` runs on the 40-node indoor topology. `tweak` (optional)
-/// edits each run's config before it executes — the ablation hook. Runs its
-/// replicates concurrently; multi-cell benches should queue every cell into
-/// one TrialBatch instead, so the whole sweep shares the pool.
-inline ControlExperimentResult run_testbed_with(
-    ControlProtocol protocol, bool wifi, const Options& opt,
-    const std::function<void(ControlExperimentConfig&)>& tweak) {
-  TrialBatch batch(opt);
-  batch.cell(protocol, wifi, tweak);
-  return batch.run().front();
-}
-
+/// over `opt.runs` runs on the 40-node indoor topology. Runs its replicates
+/// concurrently; multi-cell benches should queue every cell into one
+/// TrialBatch instead, so the whole sweep shares the pool.
 inline ControlExperimentResult run_testbed(ControlProtocol protocol, bool wifi,
                                            const Options& opt) {
-  return run_testbed_with(protocol, wifi, opt, nullptr);
+  TrialBatch batch(opt);
+  batch.cell(protocol, wifi);
+  return batch.run().front();
 }
 
 inline const char* channel_name(bool wifi) {
@@ -221,18 +214,18 @@ inline void emit_runner_stats(const TrialBatch& batch,
               batch.wall_seconds());
 }
 
-/// Builds and converges one of the paper's 225-node simulation fields
-/// (Sec. IV-A) far enough that path codes are in place.
+/// Builds and converges one of the paper's code-study fields (Sec. IV-A) far
+/// enough that path codes are in place: 15 simulated minutes, 30 at --full.
 inline std::unique_ptr<Network> converge_code_study(const Topology& topo,
                                                     std::uint64_t seed,
-                                                    SimTime duration) {
+                                                    const Options& opt) {
   NetworkConfig cfg;
   cfg.topology = topo;
   cfg.seed = seed;
   cfg.protocol = ControlProtocol::kReTele;
   auto net = std::make_unique<Network>(cfg);
   net->start();
-  net->run_for(duration);
+  net->run_for(opt.full ? 30 * kMinute : 15 * kMinute);
   return net;
 }
 

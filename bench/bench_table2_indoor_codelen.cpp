@@ -16,14 +16,13 @@ using namespace telea::bench;
 
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
-  const SimTime converge = opt.full ? 30 * kMinute : 15 * kMinute;
 
   std::printf("== Table II: indoor-testbed path-code length per hop ==\n");
 
   GroupedStats len_by_hop;
   for (unsigned r = 0; r < opt.runs; ++r) {
     auto net = converge_code_study(make_indoor_testbed(opt.seed + r),
-                                   opt.seed + r, converge);
+                                   opt.seed + r, opt);
     for (NodeId i = 1; i < net->size(); ++i) {
       const auto* tele = net->node(i).tele();
       if (tele == nullptr || !tele->addressing().has_code()) continue;

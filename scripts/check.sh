@@ -155,10 +155,10 @@ if [ "$run_san" = 1 ]; then
   build_and_test "$repo/build-tsan" "" "-DTELEA_SANITIZE=thread"
 
   echo "== TSan runner smoke (8 concurrent trials) =="
-  # The trial runner under maximum concurrency: 8 workers over the fig7
+  # The trial runner under maximum concurrency: 8 workers over the testbed
   # sweep's 8 trials. Any cross-trial shared mutable state is a TSan report.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  "$repo/build-tsan/bench/bench_fig7_pdr" --runs 1 --warmup 4 --minutes 4 \
+  "$repo/build-tsan/bench/bench_testbed" --runs 1 --warmup 4 --minutes 4 \
     --jobs 8
 fi
 

@@ -5,8 +5,7 @@ Run any bench with TELEA_CSV_DIR set, then point this script at the
 directory:
 
     mkdir -p results
-    TELEA_CSV_DIR=results ./build/bench/bench_fig7_pdr
-    TELEA_CSV_DIR=results ./build/bench/bench_fig10_latency
+    TELEA_CSV_DIR=results ./build/bench/bench_testbed
     python3 scripts/plot_results.py results
 
 One PNG per known CSV lands next to its input. Requires matplotlib

@@ -130,8 +130,6 @@ class Forwarding {
   /// Fired whenever this node claims (acks) a control packet — stats hook.
   std::function<void(const msg::ControlPacket&)> on_claimed;
 
-  [[nodiscard]] std::uint32_t next_seqno() const noexcept { return next_seqno_; }
-
   /// Observable protocol activity of this node's forwarding plane — the
   /// counters a deployment would report over serial (paper Sec. IV-B1).
   struct Stats {

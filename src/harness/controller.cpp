@@ -11,18 +11,6 @@ constexpr double kBackoffFactor = 2.0;  // exponential retry backoff
 constexpr double kJitter = 0.25;        // ± fraction of each retry delay
 }  // namespace
 
-const char* command_outcome_name(CommandOutcome o) noexcept {
-  switch (o) {
-    case CommandOutcome::kAcked:
-      return "acked";
-    case CommandOutcome::kGaveUp:
-      return "gave_up";
-    case CommandOutcome::kNoCode:
-      return "no_code";
-  }
-  return "?";
-}
-
 Controller::Controller(Network& net, ControllerRetryConfig retry)
     : net_(&net),
       retry_(retry),

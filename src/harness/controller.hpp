@@ -19,8 +19,6 @@ enum class CommandOutcome : std::uint8_t {
   kNoCode,  // destination was never addressable (no path code known)
 };
 
-[[nodiscard]] const char* command_outcome_name(CommandOutcome o) noexcept;
-
 /// Reliable-delivery policy for Controller::send_command. With `enabled` the
 /// controller tracks every command until an e2e ack arrives: unacked commands
 /// are re-sent after `ack_timeout` with exponential backoff (factor 2, capped
@@ -116,9 +114,6 @@ class Controller {
   }
 
   // --- lifecycle introspection ---------------------------------------------
-  [[nodiscard]] const ControllerRetryConfig& retry_config() const noexcept {
-    return retry_;
-  }
   [[nodiscard]] std::size_t pending_commands() const noexcept {
     return pending_.size();
   }

@@ -66,9 +66,6 @@ class RadioMedium {
   /// Radio on/off (LPL wake/sleep). A radio that turns on mid-transmission
   /// misses that copy — exactly why LPL senders repeat.
   void set_listening(NodeId id, bool listening);
-  [[nodiscard]] bool is_listening(NodeId id) const {
-    return nodes_[id].listening;
-  }
 
   /// Starts transmitting `frame` from `src`. The MAC must not call this again
   /// for `src` until its on_tx_done fires. Unicast/anycast frames include an

@@ -643,10 +643,6 @@ void TimelineEngine::collect_metrics(MetricsRegistry& registry) const {
       "Negative counter deltas clamped to zero (owner reset between samples)");
   registry.counter("telea_timeline_counter_resets_total")
       .set_total(counter_resets_);
-  registry.describe(
-      "telea_timeline_sampling_wall_seconds",
-      "Host wall-clock spent inside timeline sampling (overhead gate input)");
-  registry.gauge("telea_timeline_sampling_wall_seconds").set(wall_seconds_);
   for (const auto& alert : alerts_) {
     const MetricLabels labels = {{"rule", alert.rule.name}};
     registry.describe("telea_alert_fired_total",

@@ -80,13 +80,6 @@ class BitString {
   [[nodiscard]] std::size_t common_prefix_len(
       const BitString& other) const noexcept;
 
-  /// Number of leading bits of *this that match the front of `code`,
-  /// capped at min(size(), code.size()). Identical to common_prefix_len but
-  /// named for the forwarding-engine call sites.
-  [[nodiscard]] std::size_t match_len(const BitString& code) const noexcept {
-    return common_prefix_len(code);
-  }
-
   /// '0'/'1' rendering of the valid bits.
   [[nodiscard]] std::string to_string() const;
 
