@@ -180,9 +180,10 @@ void fig9_dutycycle(const Sweep& sweep, const Options& opt) {
               opt.runs);
   const char* paper[] = {"5.01% / 5.42%", "3.83% / 4.22%", "lowest", "-"};
 
+  // Latency quantiles and energy per command come from the same trials;
+  // Fig. 10's latency summaries print them.
   TextTable table({"protocol", "ch26 duty", "ch19 duty", "paper (26/19)",
-                   "ch26 mA", "ch19 mA", "p50 (s)", "p90 (s)", "p99 (s)",
-                   "ch26 uJ/cmd", "ch19 uJ/cmd"});
+                   "ch26 mA", "ch19 mA"});
   for (std::size_t pi = 0; pi < kProtocolCount; ++pi) {
     const auto& clean = sweep.at(kProtocols[pi], false);
     const auto& noisy = sweep.at(kProtocols[pi], true);
@@ -190,16 +191,12 @@ void fig9_dutycycle(const Sweep& sweep, const Options& opt) {
                TextTable::fmt_pct(clean.duty_cycle, 2),
                TextTable::fmt_pct(noisy.duty_cycle, 2), paper[pi],
                TextTable::fmt(clean.current_ma, 3),
-               TextTable::fmt(noisy.current_ma, 3),
-               TextTable::fmt(clean.latency.quantile(0.5), 2),
-               TextTable::fmt(clean.latency.quantile(0.9), 2),
-               TextTable::fmt(clean.latency.quantile(0.99), 2),
-               TextTable::fmt(clean.energy_uj_per_command, 1),
-               TextTable::fmt(noisy.energy_uj_per_command, 1)});
+               TextTable::fmt(noisy.current_ma, 3)});
   }
   emit_table(table, "fig9_dutycycle");
   std::printf("energy extension: average battery current per node (TelosB "
-              "model); a 2xAA pack is ~2200 mAh\n");
+              "model); a 2xAA pack is ~2200 mAh; latency and energy per "
+              "command: Fig. 10's summaries\n");
 }
 
 void fig10_latency(const Sweep& sweep, const Options& opt) {

@@ -34,11 +34,29 @@ Addressing::Addressing(Simulator& sim, LplMac& mac, CtpNode& ctp,
 }
 
 void Addressing::start() {
-  stability_timer_.start_periodic(mac_->config().wake_interval);
+  stability_origin_ = sim_->now();
+  update_stability_timer();
   request_timer_.start_periodic(kRequestRetry);
 }
 
+void Addressing::update_stability_timer() {
+  // The stability check can only act while children are known and the
+  // initial allocation has not happened, so the timer runs only then. It
+  // ticks every wake interval from start(), and a restart resumes on that
+  // grid at the next tick after now: the ticks that run are the ones an
+  // always-running timer would have had.
+  if (allocated_ || discovered_.empty() || !stability_origin_.has_value()) {
+    stability_timer_.stop();
+    return;
+  }
+  if (stability_timer_.running()) return;
+  const SimTime period = mac_->config().wake_interval;
+  const SimTime elapsed = sim_->now() - *stability_origin_;
+  stability_timer_.start_periodic_at(period - elapsed % period, period);
+}
+
 void Addressing::reset() {
+  stability_origin_.reset();
   stability_timer_.stop();
   request_timer_.stop();
   beacon_timer_.stop();
@@ -109,6 +127,7 @@ void Addressing::on_beacon_heard(NodeId from, const msg::CtpBeacon& beacon) {
         discovered_.end()) {
       discovered_.push_back(from);
       last_new_child_ = sim_->now();
+      update_stability_timer();
     }
     if (allocated_ && has_code()) {
       // Position maintenance, Alg. 2 lines 1-6.
@@ -136,6 +155,7 @@ void Addressing::on_beacon_heard(NodeId from, const msg::CtpBeacon& beacon) {
     if (child_table_.find(from) != nullptr && beacon.parent != me) {
       child_table_.remove(from);
       std::erase(discovered_, from);
+      update_stability_timer();
     }
   }
 
@@ -155,8 +175,8 @@ void Addressing::stability_check() {
   // whole network; only the code derivation itself cascades level by level
   // (one TeleAdjusting beacon per level) once prefixes arrive. Gating on
   // the prefix would serialize the stability windows along the tree depth
-  // and blow the paper's <20-beacon convergence (Fig. 6c).
-  if (allocated_ || discovered_.empty()) return;
+  // and blow the paper's <20-beacon convergence (Fig. 6c). The timer runs
+  // only while children are known and nothing is allocated yet.
   if (!trigger_at_.has_value()) return;
   const SimTime quiet_since = std::max(last_new_child_, *trigger_at_);
   const SimTime window =
@@ -182,6 +202,7 @@ void Addressing::do_initial_allocation() {
     ++pos;
   }
   allocated_ = true;
+  update_stability_timer();
   // "Consecutively broadcast two TeleAdjusting beacons" (Alg. 1 line 10).
   pending_beacon_repeats_ = 2;
   schedule_tele_beacon();
@@ -196,6 +217,7 @@ void Addressing::allocate_and_ack(NodeId child) {
         std::max<std::size_t>(discovered_.size(), 1));
     space_bits_ = space_bits_for(n, config_.headroom, kReserveZeroPosition);
     allocated_ = true;
+    update_stability_timer();
   }
   ChildTable::Entry* e = child_table_.find(child);
   std::uint32_t pos;

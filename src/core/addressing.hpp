@@ -129,6 +129,8 @@ class Addressing final : public BeaconPiggyback {
  private:
   void set_code(const PathCode& code);
   void stability_check();
+  /// Runs the stability timer exactly while stability_check can act.
+  void update_stability_timer();
   void do_initial_allocation();
   /// Allocates a (new) position to `child`, extending the space if needed,
   /// and unicasts an AllocationAck. Alg. 2 lines 7-14.
@@ -165,6 +167,9 @@ class Addressing final : public BeaconPiggyback {
   SimTime last_request_at_ = 0;
   unsigned parent_send_failures_ = 0;
   Timer stability_timer_;
+  /// When start() ran (the stability timer's phase); empty until then and
+  /// after reset().
+  std::optional<SimTime> stability_origin_;
   Timer request_timer_;
   Timer beacon_timer_;
   bool beacon_pending_ = false;

@@ -69,11 +69,25 @@ double RadioMedium::rssi_dbm(NodeId tx, NodeId rx) const {
   return rssi;
 }
 
-double RadioMedium::link_mw(NodeId tx, NodeId rx) {
-  if (!link_offsets_.empty()) return dbm_to_mw(rssi_dbm(tx, rx));
-  double& mw = link_mw_[static_cast<std::size_t>(rx) * nodes_.size() + tx];
-  if (mw == 0.0) mw = dbm_to_mw(rssi_dbm(tx, rx));
+double RadioMedium::fill_link_mw(double& mw, NodeId tx, NodeId rx) const {
+  mw = dbm_to_mw(rssi_dbm(tx, rx));
   return mw;
+}
+
+template <typename Sum>
+double RadioMedium::sum_into(NodeId rx, Sum&& sum) {
+  if (!link_offsets_.empty()) {
+    return sum([this, rx](NodeId tx) { return dbm_to_mw(rssi_dbm(tx, rx)); });
+  }
+  double* const row = &link_mw_[static_cast<std::size_t>(rx) * nodes_.size()];
+  return sum([this, row, rx](NodeId tx) {
+    double& mw = row[tx];
+    return mw != 0.0 ? mw : fill_link_mw(mw, tx, rx);
+  });
+}
+
+double RadioMedium::link_mw(NodeId tx, NodeId rx) {
+  return sum_into(rx, [tx](auto mw) { return mw(tx); });
 }
 
 void RadioMedium::add_link_loss_db(NodeId a, NodeId b, double extra_db) {
@@ -145,12 +159,20 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
       continue;
     }
     rx.locked_tx = id;
-    rx.lock_start = start;
   }
 
   max_airtime_ = std::max(max_airtime_, airtime);
   history_.push_back(TxRecord{id, start, end, src});
-  in_flight_.push_back(InFlight{id, src, std::move(frame)});
+  std::uint32_t slot;
+  if (free_frames_.empty()) {
+    slot = static_cast<std::uint32_t>(frames_.size());
+    frames_.push_back(std::move(frame));
+  } else {
+    slot = free_frames_.back();
+    free_frames_.pop_back();
+    frames_[slot] = std::move(frame);
+  }
+  in_flight_.push_back(InFlight{id, src, slot});
   sim_->schedule_at(end, [this, id] { finish_tx(id); }, "radio.finish");
 }
 
@@ -183,8 +205,11 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
       [](const InFlight& f, std::uint64_t id) { return f.id < id; });
   assert(flight != in_flight_.end() && flight->id == tx_id);
   const NodeId src = flight->src;
-  const Frame frame = std::move(flight->frame);
+  const std::uint32_t slot = flight->slot;
   in_flight_.erase(flight);
+  // The slot stays taken until the end, so the frame stays put while
+  // listeners run (frames_ is a deque: growing it moves nothing).
+  const Frame& frame = frames_[slot];
   const TxRecord& record = history_[tx_id - history_.front().id];
   const SimTime start = record.start;
   const SimTime end = record.end;
@@ -212,10 +237,13 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     const double noise_mw = noise_floor_mw(rx_id);
     // Mean power of the overlapping transmissions, energy-weighted by
     // overlap; a receiver's own transmissions do not count.
-    double interf_mw = 0.0;
-    for (const Overlap& o : overlaps_) {
-      if (o.src != rx_id) interf_mw += link_mw(o.src, rx_id) * o.frac;
-    }
+    const double interf_mw = sum_into(rx_id, [&](auto mw) {
+      double sum = 0.0;
+      for (const Overlap& o : overlaps_) {
+        if (o.src != rx_id) sum += mw(o.src) * o.frac;
+      }
+      return sum;
+    });
     // A signal clear of noise + interference by clear_rx_factor_ has an SINR
     // (as computed below) of at least max(kSaturatedSinrDb, capture
     // threshold): it passes the capture test and its PRR is exactly 1.0, so
@@ -243,7 +271,9 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
     }
   }
 
-  if (!frame_wants_ack(frame)) {
+  const bool wants_ack = frame_wants_ack(frame);
+  free_frames_.push_back(slot);
+  if (!wants_ack) {
     nodes_[src].txing = false;
     nodes_[src].listener->on_tx_done(false, kInvalidNode);
     prune_history();
@@ -315,11 +345,13 @@ double RadioMedium::noise_dbm(NodeId id) {
 }
 
 double RadioMedium::energy_over_mw(NodeId id, double floor_mw) {
-  double mw = floor_mw;
-  for (const InFlight& tx : in_flight_) {
-    if (tx.src != id) mw += link_mw(tx.src, id);
-  }
-  return mw;
+  return sum_into(id, [&](auto mw) {
+    double sum = floor_mw;
+    for (const InFlight& tx : in_flight_) {
+      if (tx.src != id) sum += mw(tx.src);
+    }
+    return sum;
+  });
 }
 
 double RadioMedium::channel_energy_dbm(NodeId id) {

@@ -146,11 +146,12 @@ class RadioMedium {
     NodeId src;
   };
 
-  /// A transmission whose frame has not finished yet.
+  /// A transmission whose frame has not finished yet; the frame itself is
+  /// `frames_[slot]`, so the CCA sum walks plain 16-byte entries.
   struct InFlight {
     std::uint64_t id;
     NodeId src;
-    Frame frame;
+    std::uint32_t slot;
   };
 
   struct NodeState {
@@ -158,7 +159,6 @@ class RadioMedium {
     bool listening = false;
     bool txing = false;
     std::uint64_t locked_tx = 0;  // 0 = not locked
-    SimTime lock_start = 0;
   };
 
   /// An earlier transmission overlapping the one being resolved: its sender
@@ -185,6 +185,13 @@ class RadioMedium {
   /// rssi_dbm(tx, rx) in mW. Served from a per-link cache while no link
   /// offset is active; with offsets every read recomputes.
   [[nodiscard]] double link_mw(NodeId tx, NodeId rx);
+  /// Calls `sum(mw)` and returns its result, where `mw(tx)` is
+  /// link_mw(tx, rx). Offsets are tested once: while there are none, `mw`
+  /// reads rx's row of link_mw_ through one pointer, inline.
+  template <typename Sum>
+  [[nodiscard]] double sum_into(NodeId rx, Sum&& sum);
+  /// Fills and returns link_mw_'s entry `mw` for tx->rx (first read).
+  [[nodiscard]] double fill_link_mw(double& mw, NodeId tx, NodeId rx) const;
   /// Static table loss plus injected offsets (the neighbor-cutoff test).
   [[nodiscard]] double effective_loss_db(NodeId tx, NodeId rx) const;
   [[nodiscard]] static std::uint64_t link_key(NodeId a, NodeId b) noexcept {
@@ -212,6 +219,11 @@ class RadioMedium {
   /// (ids are issued in start order, so starts ascend too).
   std::deque<TxRecord> history_;
   std::vector<InFlight> in_flight_;  // ids ascending
+  /// Frames in flight, by InFlight::slot, recycled through free_frames_. A
+  /// deque, so a transmission started from on_frame cannot move the frame
+  /// finish_tx is delivering.
+  std::deque<Frame> frames_;
+  std::vector<std::uint32_t> free_frames_;
   SimTime max_airtime_ = 0;          // longest frame transmitted so far
   /// Lazily filled dbm_to_mw(rssi) per directed link, receiver-major
   /// ([rx][tx]) so one receiver's interference sum walks one row; 0 = unset.

@@ -1,26 +1,82 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace telea {
 
 EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
+  const std::uint64_t seq = next_seq_;
+  const bool grow = free_.empty();
+  const std::size_t slot_index = grow ? slots_.size() : free_.back();
+  // The heap entry packs seq and slot into one word; checked in every build
+  // because an overflow would silently reorder or misroute events.
+  if (slot_index > kSlotMask || (seq >> (64 - kSlotBits)) != 0) {
+    throw std::length_error("EventQueue: seq or slot exceeds its packing");
+  }
+  ++next_seq_;
+  const auto slot = static_cast<std::uint32_t>(slot_index);
+  if (grow) {
     slots_.push_back(Slot{seq, std::move(cb), tag});
   } else {
-    slot = free_.back();
     free_.pop_back();
     slots_[slot] = Slot{seq, std::move(cb), tag};
   }
-  heap_.push_back(Entry{when, seq, slot});
-  std::push_heap(heap_.begin(), heap_.end());
+
+  // Sift up: move parents down into the hole until the new entry fits.
+  const Entry entry{when, (seq << kSlotBits) | slot};
+  const Key k = key(entry);
+  std::size_t i = heap_.size();
+  heap_.push_back(entry);
+  Entry* h = heap_.data();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (key(h[parent]) < k) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = entry;
   ++live_;
   return EventHandle{seq, slot};
+}
+
+void EventQueue::pop_root() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Sift the last entry down from the root: at each level the hole takes
+  // the smallest of its children until `last` is no larger than them.
+  const Key k = key(last);
+  Entry* h = heap_.data();
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // A full group: the winners of two pairs meet. The winner's index is
+      // built from the three verdicts with bit operations, so no branch
+      // depends on how the keys compare.
+      const Key k0 = key(h[first]);
+      const Key k1 = key(h[first + 1]);
+      const Key k2 = key(h[first + 2]);
+      const Key k3 = key(h[first + 3]);
+      const std::size_t b01 = k1 < k0;
+      const std::size_t b23 = k3 < k2;
+      const std::size_t right = (b23 != 0 ? k3 : k2) < (b01 != 0 ? k1 : k0);
+      best += (right << 1) | (right & b23) | ((right ^ 1) & b01);
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (key(h[c]) < key(h[best])) best = c;
+      }
+    }
+    if (k < key(h[best])) break;
+    h[i] = h[best];
+    i = best;
+  }
+  h[i] = last;
 }
 
 void EventQueue::release(std::uint32_t slot) {
@@ -43,10 +99,7 @@ void EventQueue::cancel(EventHandle& handle) {
 }
 
 void EventQueue::skim() {
-  while (!heap_.empty() && stale(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.pop_back();
-  }
+  while (!heap_.empty() && stale(heap_.front())) pop_root();
 }
 
 SimTime EventQueue::next_time() {
@@ -58,12 +111,11 @@ SimTime EventQueue::next_time() {
 EventQueue::Fired EventQueue::pop() {
   skim();
   assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end());
-  const Entry top = heap_.back();
-  heap_.pop_back();
-  Slot& s = slots_[top.slot];
+  const Entry top = heap_.front();
+  pop_root();
+  Slot& s = slots_[top.slot()];
   Fired fired{top.time, std::move(s.callback), s.tag};
-  release(top.slot);
+  release(top.slot());
   return fired;
 }
 

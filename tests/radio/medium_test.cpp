@@ -382,18 +382,22 @@ TEST_F(MediumTest, LinkLossDuringTrafficAndClearRestore) {
 
 /// Dense random traffic: every node but the last transmits broadcasts and
 /// acked unicasts at random, so frames collide constantly. Each node logs
-/// what it receives, its channel energy before each send, and each send's
-/// outcome. The last node is attached but never listens or transmits.
+/// what it receives, its channel energy and CCA verdicts before each send,
+/// and each send's outcome. A node that decodes a broadcast whose link_seq
+/// is 1 mod 4 answers at once from inside on_frame, so the medium starts
+/// frames while it is delivering one; the first such answers come while
+/// few frames were ever in flight, so they grow the medium's frame storage
+/// mid-delivery. The last node is attached but never listens or transmits.
 class TrafficNode final : public MediumListener {
  public:
-  enum class Kind : std::uint8_t { kFrame, kCca, kTxDone };
+  enum class Kind : std::uint8_t { kFrame, kCca, kBusy, kReply, kTxDone };
   struct Event {
     Kind kind;
     NodeId node;
     NodeId peer;  // frame source or acker
     std::uint32_t link_seq;
-    double dbm;   // received power or channel energy
-    bool acked;
+    double dbm;   // received power, channel energy or CCA threshold
+    bool acked;   // acked, or the CCA verdict (busy)
     bool operator==(const Event&) const = default;
   };
 
@@ -413,18 +417,46 @@ class TrafficNode final : public MediumListener {
   AckDecision on_frame(const Frame& frame, double rssi_dbm) override {
     log_.push_back(
         Event{Kind::kFrame, id_, frame.src, frame.link_seq, rssi_dbm, false});
+    if (frame.is_broadcast() && frame.link_seq % 4 == 1 &&
+        !medium_.transmitting(id_)) {
+      log_.push_back(
+          Event{Kind::kReply, id_, frame.src, next_seq_, rssi_dbm, false});
+      Frame reply;
+      reply.src = id_;
+      reply.link_seq = next_seq_++;
+      reply.payload = msg::CtpBeacon{};
+      replying_ = true;
+      medium_.transmit(id_, reply);
+    }
     return frame.dst == id_ ? AckDecision::kAcceptAndAck : AckDecision::kAccept;
   }
   void on_tx_done(bool acked, NodeId acker) override {
     log_.push_back(Event{Kind::kTxDone, id_, acker, 0, 0.0, acked});
-    if (sim_.now() < 2 * kSecond) schedule_next();
+    if (replying_) {
+      replying_ = false;  // the node's own send chain is still scheduled
+    } else if (sim_.now() < 2 * kSecond) {
+      schedule_next();
+    }
   }
+
+  /// CCA thresholds send() logs verdicts at: around the energies the
+  /// scenario produces, so both verdicts occur at each.
+  static constexpr double kCcaDbm[] = {-90.0, -80.0, -70.0, -60.0};
 
  private:
   void send() {
-    // CCA reads sum cached link powers directly: log them too.
+    if (medium_.transmitting(id_)) {  // a reply is on air: try again later
+      schedule_next();
+      return;
+    }
+    // CCA reads sum cached link powers directly: log them too, in dBm and
+    // as channel_busy's mW-domain verdicts.
     log_.push_back(Event{Kind::kCca, id_, kInvalidNode, next_seq_,
                          medium_.channel_energy_dbm(id_), false});
+    for (const double dbm : kCcaDbm) {
+      log_.push_back(Event{Kind::kBusy, id_, kInvalidNode, next_seq_, dbm,
+                           medium_.channel_busy(id_, DbmThreshold(dbm))});
+    }
     Frame f;
     f.src = id_;
     f.link_seq = next_seq_++;
@@ -445,6 +477,7 @@ class TrafficNode final : public MediumListener {
   std::vector<Event>& log_;
   Pcg32 rng_;
   std::uint32_t next_seq_ = 1;
+  bool replying_ = false;
 };
 
 /// Runs the dense scenario; with `fault_on_idle_link`, a link offset on the
@@ -489,6 +522,22 @@ TEST(MediumCacheTest, CachedAndUncachedPowerGiveIdenticalRuns) {
   }
   EXPECT_GT(acked, 20u);
   EXPECT_GT(unacked, 100u);
+  // Replies started inside on_frame, and CCA verdicts both ways at every
+  // threshold.
+  std::size_t replies = 0;
+  for (const auto& e : cached) replies += e.kind == TrafficNode::Kind::kReply;
+  EXPECT_GT(replies, 20u);
+  for (const double dbm : TrafficNode::kCcaDbm) {
+    std::size_t busy = 0;
+    std::size_t idle = 0;
+    for (const auto& e : cached) {
+      if (e.kind == TrafficNode::Kind::kBusy && e.dbm == dbm) {
+        (e.acked ? busy : idle) += 1;
+      }
+    }
+    EXPECT_GT(busy, 10u) << dbm << " dBm";
+    EXPECT_GT(idle, 10u) << dbm << " dBm";
+  }
   ASSERT_EQ(cached.size(), uncached.size());
   EXPECT_TRUE(cached == uncached);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -207,9 +208,21 @@ TEST(EventQueue, HandleFromBeforeClearStaysInert) {
   EXPECT_TRUE(b_fired);
 }
 
-TEST(EventQueue, MatchesReferenceOnRandomOperations) {
-  // Differential test: a reference ordered map keyed by (time, seq) must
-  // agree with the queue on every pop and on size() after every operation.
+/// One input of the differential test below: how many operations, the
+/// percentage of each operation, and the times scheduled.
+struct RandomOps {
+  int ops;
+  std::uint32_t schedule_pct;  // then cancel, then pop, then clear
+  std::uint32_t cancel_pct;
+  std::uint32_t pop_pct;
+  std::uint32_t span;     // times drawn from [0, span) ...
+  std::uint32_t quantum;  // ... rounded down to multiples of this
+};
+
+/// Runs `input` against a reference ordered map keyed by (time, seq), which
+/// must agree with the queue on every pop and on size() after every
+/// operation. Returns the most events the queue held at once.
+std::size_t check_against_reference(const RandomOps& input) {
   using Key = std::pair<SimTime, std::uint64_t>;
   EventQueue q;
   std::multimap<Key, int> ref;
@@ -223,18 +236,19 @@ TEST(EventQueue, MatchesReferenceOnRandomOperations) {
   int next_id = 0;
   int fired_id = -1;
   int pops = 0;
-  for (int op = 0; op < 20000; ++op) {
+  std::size_t most = 0;
+  for (int op = 0; op < input.ops; ++op) {
     const std::uint32_t dice = rng.uniform(100);
-    if (dice < 45) {
-      // Few distinct times, so equal-time FIFO order is exercised heavily.
-      const SimTime when = rng.uniform(200);
+    if (dice < input.schedule_pct) {
+      const SimTime when =
+          rng.uniform(input.span) / input.quantum * input.quantum;
       const int id = next_id++;
       const EventHandle h =
           q.schedule(when, [&fired_id, id] { fired_id = id; });
       const Key key{when, ++seq};
       ref.emplace(key, id);
       held.push_back({h, key});
-    } else if (dice < 65) {
+    } else if (dice < input.schedule_pct + input.cancel_pct) {
       if (held.empty()) continue;
       const auto pick = rng.uniform(static_cast<std::uint32_t>(held.size()));
       const Held& victim = held[pick];
@@ -242,24 +256,47 @@ TEST(EventQueue, MatchesReferenceOnRandomOperations) {
       q.cancel(copy);
       EXPECT_FALSE(copy.valid());
       ref.erase(victim.key);
-    } else if (dice < 99) {
-      ASSERT_EQ(q.empty(), ref.empty());
+    } else if (dice < input.schedule_pct + input.cancel_pct + input.pop_pct) {
+      EXPECT_EQ(q.empty(), ref.empty());
       if (ref.empty()) continue;
       const auto head = ref.begin();
-      ASSERT_EQ(q.next_time(), head->first.first);
+      EXPECT_EQ(q.next_time(), head->first.first);
       auto fired = q.pop();
       fired.callback();
-      ASSERT_EQ(fired.time, head->first.first) << "op " << op;
-      ASSERT_EQ(fired_id, head->second) << "op " << op;
+      EXPECT_EQ(fired.time, head->first.first) << "op " << op;
+      EXPECT_EQ(fired_id, head->second) << "op " << op;
       ref.erase(head);
       ++pops;
     } else {
       q.clear();
       ref.clear();
     }
-    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    EXPECT_EQ(q.size(), ref.size()) << "op " << op;
+    if (q.size() != ref.size() || ::testing::Test::HasFailure()) break;
+    most = std::max(most, q.size());
   }
-  EXPECT_GT(pops, 5000);
+  EXPECT_GT(pops, input.ops / 4);
+  return most;
+}
+
+TEST(EventQueue, MatchesReferenceOnRandomOperations) {
+  // Few distinct times, so equal-time FIFO order is exercised heavily;
+  // times land before ones already popped, and clear() runs mid-stream.
+  check_against_reference({.ops = 20000,
+                           .schedule_pct = 45,
+                           .cancel_pct = 20,
+                           .pop_pct = 34,
+                           .span = 200,
+                           .quantum = 1});
+  // Thousands of live events over a wide span in 1,024 tie groups: every
+  // level of the 4-ary heap, and a last child group of every length.
+  const std::size_t most = check_against_reference({.ops = 60000,
+                                                    .schedule_pct = 55,
+                                                    .cancel_pct = 10,
+                                                    .pop_pct = 35,
+                                                    .span = 1u << 30,
+                                                    .quantum = 1u << 20});
+  EXPECT_GT(most, 4000u);  // 4^6 = 4096: seven levels
 }
 
 }  // namespace
