@@ -1,6 +1,7 @@
 #include "radio/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "radio/phy.hpp"
@@ -21,6 +22,12 @@ constexpr double kAckCaptureDb = 3.0;
 /// formula alone is far too forgiving for collisions (~0.9 PRR at 0 dB
 /// SINR); the CC2420 datasheet puts co-channel rejection near 3 dB.
 constexpr double kCaptureThresholdDb = 3.0;
+/// Node ids per bitset word.
+constexpr std::size_t kWordBits = 64;
+/// Index of the lowest set bit. Precondition: word != 0.
+std::size_t lowest_bit(std::uint64_t word) {
+  return static_cast<std::size_t>(std::countr_zero(word));
+}
 }  // namespace
 
 RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
@@ -31,7 +38,7 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
       tx_power_dbm_(tx_power_dbm),
       max_loss_db_(tx_power_dbm - Cc2420Phy::kSensitivityDbm + kCutoffMarginDb),
       nodes_(gains.node_count()),
-      candidates_(gains.neighbor_lists(max_loss_db_)),
+      idle_((gains.node_count() + kWordBits - 1) / kWordBits, 0),
       link_mw_(gains.node_count() * gains.node_count(), 0.0),
       // 1e-9 of slack (4.3e-9 dB) swamps the few-ulp error of every pow and
       // log10 on the way to the SINR.
@@ -39,6 +46,26 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
                                              kCaptureThresholdDb)) *
                        (1.0 + 1e-9)),
       rng_(seed, /*stream=*/0x4D454449ULL) {
+  candidates_.reserve(gains.node_count());
+  std::vector<std::uint64_t> row(idle_.size());
+  for (const std::vector<NodeId>& list : gains.neighbor_lists(max_loss_db_)) {
+    CandidateSpan span{static_cast<std::uint32_t>(candidate_words_.size()),
+                       0, 0};
+    if (!list.empty()) {
+      std::fill(row.begin(), row.end(), 0);
+      for (const NodeId nb : list) {
+        row[nb / kWordBits] |= std::uint64_t{1} << (nb % kWordBits);
+      }
+      // The list is in id order, so its ends name the span's words.
+      span.first = static_cast<std::uint32_t>(list.front() / kWordBits);
+      span.words = static_cast<std::uint32_t>(list.back() / kWordBits + 1 -
+                                              span.first);
+      candidate_words_.insert(candidate_words_.end(), row.begin() + span.first,
+                              row.begin() + span.first + span.words);
+      lock_words_ = std::max<std::size_t>(lock_words_, span.words);
+    }
+    candidates_.push_back(span);
+  }
   noise_.reserve(gains.node_count());
   for (std::size_t i = 0; i < gains.node_count(); ++i) {
     noise_.push_back(noise.make_generator(seed ^ (i * 0x9E3779B97F4A7C15ULL),
@@ -112,11 +139,20 @@ void RadioMedium::clear_extra_noise(NodeId id) {
   if (id < extra_noise_mw_.size()) extra_noise_mw_[id] = 0.0;
 }
 
+void RadioMedium::update_idle(NodeId id) {
+  const NodeState& st = nodes_[id];
+  const std::uint64_t bit = std::uint64_t{1} << (id % kWordBits);
+  std::uint64_t& word = idle_[id / kWordBits];
+  word = st.listening && !st.txing && st.locked_tx == 0 ? word | bit
+                                                        : word & ~bit;
+}
+
 void RadioMedium::set_listening(NodeId id, bool listening) {
   NodeState& st = nodes_[id];
   if (st.listening == listening) return;
   st.listening = listening;
   if (!listening) st.locked_tx = 0;  // sleeping aborts any in-flight reception
+  update_idle(id);
 }
 
 bool RadioMedium::frame_wants_ack(const Frame& frame) noexcept {
@@ -137,6 +173,7 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
   assert(!st.txing && "MAC started a transmission while one is in flight");
   st.txing = true;
   st.locked_tx = 0;  // transmitting aborts any in-flight reception
+  update_idle(src);
 
   const std::size_t mpdu = wire_size_bytes(frame);
   const SimTime airtime = Cc2420Phy::airtime(mpdu);
@@ -147,31 +184,47 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
   ++total_transmissions_;
   for (const auto& hook : transmit_hooks_) hook(src, frame, airtime);
 
-  // Lock every in-range idle listener to this transmission. Nodes already
-  // locked to an earlier frame keep that lock; this frame only interferes.
-  for (NodeId nb : candidates_[src]) {
-    NodeState& rx = nodes_[nb];
-    if (!rx.listening || rx.txing || rx.locked_tx != 0) continue;
-    // An injected link fault can push a statically-in-range link below the
-    // cutoff: such a receiver never even locks onto the preamble.
-    if (!link_offsets_.empty() &&
-        effective_loss_db(src, nb) > max_loss_db_) {
-      continue;
-    }
-    rx.locked_tx = id;
-  }
-
-  max_airtime_ = std::max(max_airtime_, airtime);
-  history_.push_back(TxRecord{id, start, end, src});
   std::uint32_t slot;
   if (free_frames_.empty()) {
     slot = static_cast<std::uint32_t>(frames_.size());
     frames_.push_back(std::move(frame));
+    locked_.resize(frames_.size() * lock_words_);
   } else {
     slot = free_frames_.back();
     free_frames_.pop_back();
     frames_[slot] = std::move(frame);
   }
+
+  // Lock every in-range idle listener to this transmission, and record the
+  // locks in the slot's words. Nodes already locked to an earlier frame
+  // keep that lock; this frame only interferes.
+  const CandidateSpan span = candidates_[src];
+  const std::uint64_t* candidates = candidate_words_.data() + span.offset;
+  std::uint64_t* idle = idle_.data() + span.first;
+  std::uint64_t* locked = locked_.data() + slot * lock_words_;
+  for (std::uint32_t w = 0; w < span.words; ++w) {
+    std::uint64_t bits = candidates[w] & idle[w];
+    const std::size_t base = (span.first + w) * kWordBits;
+    if (bits != 0 && !link_offsets_.empty()) {
+      // An injected link fault can push a statically-in-range link below
+      // the cutoff: such a receiver never even locks onto the preamble.
+      for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+        const std::size_t bit = lowest_bit(b);
+        const auto nb = static_cast<NodeId>(base + bit);
+        if (effective_loss_db(src, nb) > max_loss_db_) {
+          bits &= ~(std::uint64_t{1} << bit);
+        }
+      }
+    }
+    idle[w] &= ~bits;
+    locked[w] = bits;
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+      nodes_[base + lowest_bit(b)].locked_tx = id;
+    }
+  }
+
+  max_airtime_ = std::max(max_airtime_, airtime);
+  history_.push_back(TxRecord{id, start, end, src});
   in_flight_.push_back(InFlight{id, src, slot});
   sim_->schedule_at(end, [this, id] { finish_tx(id); }, "radio.finish");
 }
@@ -222,52 +275,62 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
   };
   std::vector<Acker> ackers;
   bool overlaps_collected = false;
-  // Only candidates of `src` can have locked onto this transmission, and the
-  // list is in id order, so receivers draw from rng_ in node order.
-  for (const NodeId rx_id : candidates_[src]) {
-    NodeState& rx = nodes_[rx_id];
-    if (rx.locked_tx != tx_id) continue;
-    rx.locked_tx = 0;
-    if (!overlaps_collected) {
-      collect_overlaps(tx_id, start, end);
-      overlaps_collected = true;
-    }
-
-    const double signal_dbm = rssi_dbm(src, rx_id);
-    const double noise_mw = noise_floor_mw(rx_id);
-    // Mean power of the overlapping transmissions, energy-weighted by
-    // overlap; a receiver's own transmissions do not count.
-    const double interf_mw = sum_into(rx_id, [&](auto mw) {
-      double sum = 0.0;
-      for (const Overlap& o : overlaps_) {
-        if (o.src != rx_id) sum += mw(o.src) * o.frac;
+  // The slot's words hold every receiver this transmission locked. Walked
+  // in ascending id order, they resolve and draw from rng_ in node order. A
+  // receiver that slept or began transmitting since has dropped the lock.
+  const CandidateSpan span = candidates_[src];
+  for (std::uint32_t w = 0; w < span.words; ++w) {
+    // Read by index: a listener that transmits can grow locked_.
+    for (std::uint64_t bits = locked_[slot * lock_words_ + w]; bits != 0;
+         bits &= bits - 1) {
+      const auto rx_id = static_cast<NodeId>((span.first + w) * kWordBits +
+                                             lowest_bit(bits));
+      NodeState& rx = nodes_[rx_id];
+      if (rx.locked_tx != tx_id) continue;
+      rx.locked_tx = 0;
+      update_idle(rx_id);
+      if (!overlaps_collected) {
+        collect_overlaps(tx_id, start, end);
+        overlaps_collected = true;
       }
-      return sum;
-    });
-    // A signal clear of noise + interference by clear_rx_factor_ has an SINR
-    // (as computed below) of at least max(kSaturatedSinrDb, capture
-    // threshold): it passes the capture test and its PRR is exactly 1.0, so
-    // the log, the test and the BER are skipped. The draw still happens.
-    double prr = 1.0;
-    const bool clear =
-        signal_dbm >= Cc2420Phy::kSensitivityDbm &&
-        std::max(noise_mw + interf_mw, kFloorMw) * clear_rx_factor_ <
-            link_mw(src, rx_id);
-    if (!clear) {
-      const double sinr = signal_dbm - mw_to_dbm(noise_mw + interf_mw);
-      // Capture model: interference-limited receptions need to clear the
-      // co-channel rejection threshold (kCaptureThresholdDb).
-      if (interf_mw > noise_mw && sinr < kCaptureThresholdDb) {
-        continue;
-      }
-      prr = Cc2420Phy::packet_reception_ratio(sinr, signal_dbm, mpdu);
-    }
-    if (!rng_.chance(prr)) continue;
 
-    const AckDecision decision =
-        rx.listener->on_frame(frame, signal_dbm);
-    if (decision == AckDecision::kAcceptAndAck) {
-      ackers.push_back(Acker{rx_id, rssi_dbm(rx_id, src)});
+      const double signal_dbm = rssi_dbm(src, rx_id);
+      const double noise_mw = noise_floor_mw(rx_id);
+      // Mean power of the overlapping transmissions, energy-weighted by
+      // overlap; a receiver's own transmissions do not count.
+      const double interf_mw = sum_into(rx_id, [&](auto mw) {
+        double sum = 0.0;
+        for (const Overlap& o : overlaps_) {
+          if (o.src != rx_id) sum += mw(o.src) * o.frac;
+        }
+        return sum;
+      });
+      // A signal clear of noise + interference by clear_rx_factor_ has an
+      // SINR (as computed below) of at least max(kSaturatedSinrDb, capture
+      // threshold): it passes the capture test and its PRR is exactly 1.0,
+      // so the log, the test and the BER are skipped. The draw still
+      // happens.
+      double prr = 1.0;
+      const bool clear =
+          signal_dbm >= Cc2420Phy::kSensitivityDbm &&
+          std::max(noise_mw + interf_mw, kFloorMw) * clear_rx_factor_ <
+              link_mw(src, rx_id);
+      if (!clear) {
+        const double sinr = signal_dbm - mw_to_dbm(noise_mw + interf_mw);
+        // Capture model: interference-limited receptions need to clear the
+        // co-channel rejection threshold (kCaptureThresholdDb).
+        if (interf_mw > noise_mw && sinr < kCaptureThresholdDb) {
+          continue;
+        }
+        prr = Cc2420Phy::packet_reception_ratio(sinr, signal_dbm, mpdu);
+      }
+      if (!rng_.chance(prr)) continue;
+
+      const AckDecision decision =
+          rx.listener->on_frame(frame, signal_dbm);
+      if (decision == AckDecision::kAcceptAndAck) {
+        ackers.push_back(Acker{rx_id, rssi_dbm(rx_id, src)});
+      }
     }
   }
 
@@ -275,6 +338,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
   free_frames_.push_back(slot);
   if (!wants_ack) {
     nodes_[src].txing = false;
+    update_idle(src);
     nodes_[src].listener->on_tx_done(false, kInvalidNode);
     prune_history();
     return;
@@ -317,6 +381,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
       ack_window,
       [this, src, acked, acker_id] {
         nodes_[src].txing = false;
+        update_idle(src);
         nodes_[src].listener->on_tx_done(acked, acker_id);
       },
       "radio.ack");

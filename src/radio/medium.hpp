@@ -170,6 +170,8 @@ class RadioMedium {
 
   void finish_tx(std::uint64_t tx_id);
   void prune_history();
+  /// Sets `id`'s idle_ bit from its NodeState.
+  void update_idle(NodeId id);
 
   /// Fills overlaps_ with every history entry other than `tx_id` that
   /// overlaps [start, end), in history order.
@@ -212,9 +214,25 @@ class RadioMedium {
   double max_loss_db_;
   std::vector<NodeState> nodes_;
   std::vector<CpmNoiseModel::Generator> noise_;
-  /// Candidate receivers per source, in id order: the only nodes a
-  /// transmission can lock. Fixed for the medium's lifetime.
-  std::vector<std::vector<NodeId>> candidates_;
+  /// Node-id bitsets are arrays of 64-bit words: word w holds ids 64w to
+  /// 64w + 63, id 64w in bit 0. A source's candidate receivers (the only
+  /// nodes its transmissions can lock) are stored only from the first to
+  /// the last non-zero word, so a transmission costs the span of its
+  /// neighbourhood's ids, not N/64. Fixed for the medium's lifetime.
+  struct CandidateSpan {
+    std::uint32_t offset;  // of the span's first word in candidate_words_
+    std::uint32_t first;   // the bitset word it starts at
+    std::uint32_t words;   // 0 for a source with no candidates
+  };
+  std::vector<CandidateSpan> candidates_;
+  std::vector<std::uint64_t> candidate_words_;
+  /// The nodes a new transmission can lock: listening, not transmitting and
+  /// not locked. Every change to one of those three fields updates it.
+  std::vector<std::uint64_t> idle_;
+  /// The receivers each in-flight frame locked, over its source's candidate
+  /// span: lock_words_ words per frame slot (the widest span).
+  std::vector<std::uint64_t> locked_;
+  std::size_t lock_words_ = 0;
   /// Every transmission that may still overlap a reception, ids ascending
   /// (ids are issued in start order, so starts ascend too).
   std::deque<TxRecord> history_;

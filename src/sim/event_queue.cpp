@@ -24,19 +24,25 @@ EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
     slots_[slot] = Slot{seq, std::move(cb), tag};
   }
 
-  // Sift up: move parents down into the hole until the new entry fits.
   const Entry entry{when, (seq << kSlotBits) | slot};
-  const Key k = key(entry);
-  std::size_t i = heap_.size();
-  heap_.push_back(entry);
-  Entry* h = heap_.data();
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (key(h[parent]) < k) break;
-    h[i] = h[parent];
-    i = parent;
+  if (hole_) {
+    // Replace-top: the entry takes the root the last pop vacated.
+    hole_ = false;
+    sift_down(entry);
+  } else {
+    // Sift up: move parents down until the new entry fits.
+    const Key k = key(entry);
+    std::size_t i = heap_.size();
+    heap_.push_back(entry);
+    Entry* h = heap_.data();
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (key(h[parent]) < k) break;
+      h[i] = h[parent];
+      i = parent;
+    }
+    h[i] = entry;
   }
-  h[i] = entry;
   ++live_;
   return EventHandle{seq, slot};
 }
@@ -44,11 +50,14 @@ EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
 void EventQueue::pop_root() {
   const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(last);
+}
+
+void EventQueue::sift_down(Entry entry) {
+  // At each level the hole takes the smallest of its children until
+  // `entry` is no larger than them.
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  // Sift the last entry down from the root: at each level the hole takes
-  // the smallest of its children until `last` is no larger than them.
-  const Key k = key(last);
+  const Key k = key(entry);
   Entry* h = heap_.data();
   std::size_t i = 0;
   for (;;) {
@@ -76,7 +85,7 @@ void EventQueue::pop_root() {
     h[i] = h[best];
     i = best;
   }
-  h[i] = last;
+  h[i] = entry;
 }
 
 void EventQueue::release(std::uint32_t slot) {
@@ -98,7 +107,14 @@ void EventQueue::cancel(EventHandle& handle) {
   handle.reset();
 }
 
+void EventQueue::fill_hole() {
+  if (!hole_) return;
+  hole_ = false;
+  pop_root();
+}
+
 void EventQueue::skim() {
+  fill_hole();
   while (!heap_.empty() && stale(heap_.front())) pop_root();
 }
 
@@ -112,7 +128,7 @@ EventQueue::Fired EventQueue::pop() {
   skim();
   assert(!heap_.empty());
   const Entry top = heap_.front();
-  pop_root();
+  hole_ = true;
   Slot& s = slots_[top.slot()];
   Fired fired{top.time, std::move(s.callback), s.tag};
   release(top.slot());
@@ -120,6 +136,7 @@ EventQueue::Fired EventQueue::pop() {
 }
 
 void EventQueue::clear() {
+  hole_ = false;
   heap_.clear();
   slots_.clear();
   free_.clear();

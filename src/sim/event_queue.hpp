@@ -36,6 +36,12 @@ class EventHandle {
 /// longer carries its seq is stale and is skipped on pop. Cancel is O(1)
 /// and allocation-free, which matters because the LPL MAC cancels a
 /// pending retransmission on every acknowledgement.
+///
+/// pop() leaves the root as a hole instead of sifting the last leaf down
+/// at once: most callbacks schedule an event, and the next schedule() puts
+/// it straight into the hole and sifts it down from the root. Every other
+/// reader of the heap (next_time(), pop(), clear()) fills the hole the
+/// usual way first.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -109,8 +115,13 @@ class EventQueue {
 
   /// Removes the root of the heap.
   void pop_root();
+  /// Places `entry` at the root, whose old content is discarded, and
+  /// sifts it down. Precondition: !heap_.empty().
+  void sift_down(Entry entry);
+  /// Removes the root left by the last pop(), if no schedule() took it.
+  void fill_hole();
 
-  // Drops cancelled entries from the top of the heap.
+  // Fills the hole, then drops cancelled entries from the top of the heap.
   void skim();
 
   /// 4-ary min-heap on key(): the children of i are 4i+1 .. 4i+4.
@@ -119,6 +130,8 @@ class EventQueue {
   std::vector<std::uint32_t> free_;  // indices of free slots
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
+  /// heap_[0] is the popped root, still to be replaced or removed.
+  bool hole_ = false;
 };
 
 }  // namespace telea

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,7 +54,9 @@ class GoldenNode final : public MediumListener {
         nodes_(nodes),
         digest_(digest),
         events_(events),
-        rng_(0x60D1ULL, id) {}
+        rng_(0x60D1ULL, id) {
+    frames_from.assign(nodes, 0);
+  }
 
   void schedule_next() {
     sim_.schedule_in(200 + rng_.uniform(4000), [this] { attempt(); });
@@ -61,6 +65,7 @@ class GoldenNode final : public MediumListener {
   AckDecision on_frame(const Frame& frame, double rssi_dbm) override {
     mix(1, frame.src, frame.link_seq, std::bit_cast<std::uint64_t>(rssi_dbm));
     ++frames;
+    if (frame.src < frames_from.size()) ++frames_from[frame.src];
     if (frame.dst == id_) return AckDecision::kAcceptAndAck;
     if (std::holds_alternative<msg::ControlPacket>(frame.payload)) {
       return rng_.chance(0.6) ? AckDecision::kAcceptAndAck
@@ -79,6 +84,8 @@ class GoldenNode final : public MediumListener {
   std::size_t acks = 0;
   std::size_t busy_verdicts = 0;
   std::size_t band_mismatches = 0;
+  std::size_t locked_starts = 0;  // transmissions begun while locked
+  std::vector<std::size_t> frames_from;  // decoded frames per source
 
  private:
   void attempt() {
@@ -117,6 +124,7 @@ class GoldenNode final : public MediumListener {
       f.dst = static_cast<NodeId>(rng_.uniform(nodes_));
       f.payload = msg::CtpData{};
     }
+    if (medium_.receiving(id_)) ++locked_starts;
     medium_.transmit(id_, f);
   }
 
@@ -140,6 +148,65 @@ class GoldenNode final : public MediumListener {
   std::uint32_t next_seq_ = 1;
 };
 
+/// The golden scenario's channel: a field of GoldenNodes at `pos`, all
+/// listening, each with its first attempt scheduled, under a WiFi interferer.
+class GoldenField {
+ public:
+  explicit GoldenField(const std::vector<Position>& pos)
+      : gains_(pos, PathLossConfig{}, 11),
+        noise_(generate_heavy_noise_trace(trace_config(), 5), 2),
+        wifi_(WifiInterfererConfig{}, pos.size(), 19),
+        medium(sim, gains_, noise_, /*tx_power_dbm=*/0.0, 13) {
+    medium.set_interferer(&wifi_);
+    const auto count = static_cast<NodeId>(pos.size());
+    for (NodeId i = 0; i < count; ++i) {
+      nodes.push_back(
+          std::make_unique<GoldenNode>(sim, medium, i, count, digest, events));
+      medium.attach(i, *nodes.back());
+      medium.set_listening(i, true);
+      nodes.back()->schedule_next();
+    }
+  }
+
+  struct Totals {
+    std::size_t frames = 0;
+    std::size_t acks = 0;
+    std::size_t busy = 0;
+    std::size_t band_mismatches = 0;
+  };
+
+  /// Runs the field dry and sums the nodes' counters.
+  Totals run() {
+    sim.run();
+    Totals t;
+    for (const auto& n : nodes) {
+      t.frames += n->frames;
+      t.acks += n->acks;
+      t.busy += n->busy_verdicts;
+      t.band_mismatches += n->band_mismatches;
+    }
+    return t;
+  }
+
+ private:
+  static SyntheticTraceConfig trace_config() {
+    SyntheticTraceConfig trace;
+    trace.length = 4000;
+    return trace;
+  }
+
+  const LinkGainTable gains_;
+  const CpmNoiseModel noise_;
+  WifiInterferer wifi_;
+
+ public:
+  Simulator sim;
+  RadioMedium medium;
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  std::size_t events = 0;
+  std::vector<std::unique_ptr<GoldenNode>> nodes;
+};
+
 TEST(MediumGolden, TwelveNodeScenarioDigestIsPinned) {
   constexpr NodeId kNodes = 12;
   Pcg32 place(2015, 3);
@@ -147,25 +214,9 @@ TEST(MediumGolden, TwelveNodeScenarioDigestIsPinned) {
   for (NodeId i = 0; i < kNodes; ++i) {
     pos.push_back({place.uniform_real(0, 12), place.uniform_real(0, 12)});
   }
-  const LinkGainTable gains(pos, PathLossConfig{}, 11);
-  SyntheticTraceConfig trace;
-  trace.length = 4000;
-  const CpmNoiseModel noise(generate_heavy_noise_trace(trace, 5), 2);
-  WifiInterferer wifi(WifiInterfererConfig{}, kNodes, 19);
-  Simulator sim;
-  RadioMedium medium(sim, gains, noise, /*tx_power_dbm=*/0.0, 13);
-  medium.set_interferer(&wifi);
-
-  std::uint64_t digest = 0xCBF29CE484222325ULL;
-  std::size_t events = 0;
-  std::vector<std::unique_ptr<GoldenNode>> nodes;
-  for (NodeId i = 0; i < kNodes; ++i) {
-    nodes.push_back(
-        std::make_unique<GoldenNode>(sim, medium, i, kNodes, digest, events));
-    medium.attach(i, *nodes.back());
-    medium.set_listening(i, true);
-    nodes.back()->schedule_next();
-  }
+  GoldenField field(pos);
+  RadioMedium& medium = field.medium;
+  Simulator& sim = field.sim;
   // A degraded link (uncached link powers) and an injected noise source,
   // each for part of the run.
   sim.schedule_at(500 * kMillisecond,
@@ -175,23 +226,98 @@ TEST(MediumGolden, TwelveNodeScenarioDigestIsPinned) {
   sim.schedule_at(800 * kMillisecond,
                   [&] { medium.set_extra_noise_dbm(4, -80.0); });
   sim.schedule_at(1500 * kMillisecond, [&] { medium.clear_extra_noise(4); });
-  sim.run();
-
-  std::size_t frames = 0, acks = 0, busy = 0, band_mismatches = 0;
-  for (const auto& n : nodes) {
-    frames += n->frames;
-    acks += n->acks;
-    busy += n->busy_verdicts;
-    band_mismatches += n->band_mismatches;
-  }
-  EXPECT_EQ(band_mismatches, 0u);
+  const GoldenField::Totals t = field.run();
+  EXPECT_EQ(t.band_mismatches, 0u);
   // The scenario must reach every branch it pins to mean anything.
-  EXPECT_GT(frames, 1000u);
-  EXPECT_GT(acks, 100u);
-  EXPECT_GT(busy, 100u);
+  EXPECT_GT(t.frames, 1000u);
+  EXPECT_GT(t.acks, 100u);
+  EXPECT_GT(t.busy, 100u);
   // Recorded with the log-based CCA and receptions, before their shortcuts.
-  EXPECT_EQ(events, 27695u);
-  EXPECT_EQ(digest, 0xdd1628e07b01ee62ULL);
+  EXPECT_EQ(field.events, 27695u);
+  EXPECT_EQ(field.digest, 0xdd1628e07b01ee62ULL);
+}
+
+TEST(MediumGolden, MultiWordFieldDigestIsPinned) {
+  // 140 nodes in row-major id order over 20 columns, 4 m apart: a node
+  // hears about three rows either way, so its candidate receivers span
+  // some 60 ids and cross the 64-id boundaries at 64 and 128.
+  constexpr NodeId kColumns = 20;
+  constexpr NodeId kNodes = 7 * kColumns;
+  Pcg32 place(2015, 4);
+  std::vector<Position> pos;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    pos.push_back({4.0 * (i % kColumns) + place.uniform_real(-1, 1),
+                   4.0 * (i / kColumns) + place.uniform_real(-1, 1)});
+  }
+  GoldenField field(pos);
+  RadioMedium& medium = field.medium;
+  Simulator& sim = field.sim;
+  const auto heard = [&](NodeId rx, NodeId tx) {
+    return field.nodes[rx]->frames_from[tx];
+  };
+
+  // A blackout between 50 (word 0) and 70 (word 1), later lifted: while it
+  // lasts neither locks onto the other's frames.
+  constexpr NodeId kFaultA = 50, kFaultB = 70;
+  std::size_t before_ab = 0, before_ba = 0;
+  sim.schedule_at(400 * kMillisecond, [&] {
+    medium.add_link_loss_db(kFaultA, kFaultB, RadioMedium::kBlackoutLossDb);
+    before_ab = heard(kFaultB, kFaultA);
+    before_ba = heard(kFaultA, kFaultB);
+  });
+  sim.schedule_at(1300 * kMillisecond, [&] {
+    EXPECT_EQ(heard(kFaultB, kFaultA), before_ab);
+    EXPECT_EQ(heard(kFaultA, kFaultB), before_ba);
+    medium.add_link_loss_db(kFaultA, kFaultB, -RadioMedium::kBlackoutLossDb);
+  });
+  sim.schedule_at(800 * kMillisecond,
+                  [&] { medium.set_extra_noise_dbm(100, -80.0); });
+  sim.schedule_at(1500 * kMillisecond, [&] { medium.clear_extra_noise(100); });
+
+  // Every 3 ms the next locked receiver after a rotating cursor sleeps
+  // mid-frame, and wakes 2 ms later.
+  std::size_t sleeps = 0;
+  NodeId cursor = 0;
+  std::function<void()> sleeper = [&] {
+    for (NodeId k = 0; k < kNodes; ++k) {
+      const NodeId id = static_cast<NodeId>((cursor + k) % kNodes);
+      if (!medium.receiving(id)) continue;
+      medium.set_listening(id, false);
+      sim.schedule_in(2 * kMillisecond,
+                      [&medium, id] { medium.set_listening(id, true); });
+      ++sleeps;
+      cursor = static_cast<NodeId>((id + 1) % kNodes);
+      break;
+    }
+    if (sim.now() < 2 * kSecond) sim.schedule_in(3 * kMillisecond, sleeper);
+  };
+  sim.schedule_at(10 * kMillisecond, sleeper);
+  const GoldenField::Totals t = field.run();
+  EXPECT_EQ(t.band_mismatches, 0u);
+  EXPECT_GT(t.frames, 15'000u);
+  EXPECT_GT(t.acks, 1'500u);
+  EXPECT_GT(t.busy, 100'000u);
+  EXPECT_GT(sleeps, 300u);
+  std::size_t locked_starts = 0;
+  for (const auto& n : field.nodes) locked_starts += n->locked_starts;
+  EXPECT_GT(locked_starts, 10'000u);
+  EXPECT_GT(heard(kFaultB, kFaultA), before_ab);  // the link came back
+  // Frames crossed both word boundaries, in both directions.
+  const auto crossings = [&](NodeId boundary) {
+    std::size_t up = 0, down = 0;
+    for (NodeId rx = 0; rx < kNodes; ++rx) {
+      for (NodeId tx = 0; tx < kNodes; ++tx) {
+        if (tx < boundary && rx >= boundary) up += heard(rx, tx);
+        if (rx < boundary && tx >= boundary) down += heard(rx, tx);
+      }
+    }
+    return std::min(up, down);
+  };
+  EXPECT_GT(crossings(64), 500u);
+  EXPECT_GT(crossings(128), 400u);
+  // Recorded before the medium kept its listeners as bitsets.
+  EXPECT_EQ(field.events, 308981u);
+  EXPECT_EQ(field.digest, 0x049febaae8556a11ULL);
 }
 
 }  // namespace

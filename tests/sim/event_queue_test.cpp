@@ -217,6 +217,11 @@ struct RandomOps {
   std::uint32_t pop_pct;
   std::uint32_t span;     // times drawn from [0, span) ...
   std::uint32_t quantum;  // ... rounded down to multiples of this
+  /// Percentage of pops followed at once by a schedule at the popped time
+  /// plus a drawn time (plus 0 for a quarter of them), as a callback does.
+  /// When non-zero, half the pops also skip next_time(), so a pop can meet
+  /// the hole the previous pop left.
+  std::uint32_t follow_pct = 0;
 };
 
 /// Runs `input` against a reference ordered map keyed by (time, seq), which
@@ -237,17 +242,20 @@ std::size_t check_against_reference(const RandomOps& input) {
   int fired_id = -1;
   int pops = 0;
   std::size_t most = 0;
+  const auto add = [&](SimTime when) {
+    const int id = next_id++;
+    const EventHandle h = q.schedule(when, [&fired_id, id] { fired_id = id; });
+    const Key key{when, ++seq};
+    ref.emplace(key, id);
+    held.push_back({h, key});
+  };
+  const auto draw_time = [&] {
+    return SimTime{rng.uniform(input.span) / input.quantum * input.quantum};
+  };
   for (int op = 0; op < input.ops; ++op) {
     const std::uint32_t dice = rng.uniform(100);
     if (dice < input.schedule_pct) {
-      const SimTime when =
-          rng.uniform(input.span) / input.quantum * input.quantum;
-      const int id = next_id++;
-      const EventHandle h =
-          q.schedule(when, [&fired_id, id] { fired_id = id; });
-      const Key key{when, ++seq};
-      ref.emplace(key, id);
-      held.push_back({h, key});
+      add(draw_time());
     } else if (dice < input.schedule_pct + input.cancel_pct) {
       if (held.empty()) continue;
       const auto pick = rng.uniform(static_cast<std::uint32_t>(held.size()));
@@ -260,13 +268,19 @@ std::size_t check_against_reference(const RandomOps& input) {
       EXPECT_EQ(q.empty(), ref.empty());
       if (ref.empty()) continue;
       const auto head = ref.begin();
-      EXPECT_EQ(q.next_time(), head->first.first);
+      if (input.follow_pct == 0 || rng.uniform(2) == 0) {
+        EXPECT_EQ(q.next_time(), head->first.first);
+      }
       auto fired = q.pop();
       fired.callback();
       EXPECT_EQ(fired.time, head->first.first) << "op " << op;
       EXPECT_EQ(fired_id, head->second) << "op " << op;
       ref.erase(head);
       ++pops;
+      if (input.follow_pct != 0 && rng.uniform(100) < input.follow_pct) {
+        EXPECT_EQ(q.size(), ref.size()) << "op " << op;
+        add(fired.time + (rng.uniform(4) == 0 ? 0 : draw_time()));
+      }
     } else {
       q.clear();
       ref.clear();
@@ -297,6 +311,18 @@ TEST(EventQueue, MatchesReferenceOnRandomOperations) {
                                                     .span = 1u << 30,
                                                     .quantum = 1u << 20});
   EXPECT_GT(most, 4000u);  // 4^6 = 4096: seven levels
+  // The simulator's pattern: most pops are followed at once by a schedule
+  // at or after the popped time, often a FIFO tie with it, which takes the
+  // root the pop left. The other pops leave that hole open for the next
+  // operation: a cancel, clear(), size(), a schedule or another pop.
+  const std::size_t steady = check_against_reference({.ops = 60000,
+                                                      .schedule_pct = 25,
+                                                      .cancel_pct = 5,
+                                                      .pop_pct = 69,
+                                                      .span = 64,
+                                                      .quantum = 4,
+                                                      .follow_pct = 90});
+  EXPECT_GT(steady, 85u);  // 1 + 4 + 16 + 64: four levels
 }
 
 }  // namespace
