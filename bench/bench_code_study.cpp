@@ -77,7 +77,7 @@ void fig6b_children(const char* name, Network& net) {
               overall.max());
 }
 
-void fig6c_convergence(const char* name, Network& net, SimTime wake_interval) {
+void fig6c_convergence(const char* name, Network& net) {
   Cdf beacons;
   std::size_t converged = 0, total = 0;
   for (NodeId i = 1; i < net.size(); ++i) {
@@ -91,7 +91,7 @@ void fig6c_convergence(const char* name, Network& net, SimTime wake_interval) {
     ++converged;
     const double rounds =
         static_cast<double>(*a.code_assigned_at() - *a.triggered_at()) /
-        static_cast<double>(wake_interval);
+        static_cast<double>(kWakeInterval);
     beacons.add(rounds);
   }
   // Per-level cascade latency: how long after its *allocator* obtained a
@@ -114,7 +114,7 @@ void fig6c_convergence(const char* name, Network& net, SimTime wake_interval) {
     const SimTime mine_at = *a.code_assigned_at();
     if (mine_at >= parent_at) {
       per_level.add(static_cast<double>(mine_at - parent_at) /
-                    static_cast<double>(wake_interval));
+                    static_cast<double>(kWakeInterval));
     }
   }
 
@@ -191,9 +191,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n== Fig. 6(c): path-code convergence rate ==\n");
   std::printf("paper: all nodes < ~20 beacon rounds, most < 10\n");
-  const SimTime wake = NetworkConfig{}.lpl.wake_interval;
-  fig6c_convergence("Tight-grid", *tight, wake);
-  fig6c_convergence("Sparse-linear", *sparse, wake);
+  fig6c_convergence("Tight-grid", *tight);
+  fig6c_convergence("Sparse-linear", *sparse);
 
   std::printf("\n== Fig. 6(d): downward hop count vs CTP hop count ==\n");
   fig6d_hopcount("Tight-grid", *tight);

@@ -133,7 +133,7 @@ void BM_ChannelBusy(benchmark::State& state) {
   }
   const LinkGainTable gains(pos, PathLossConfig{}, 3);
   const CpmNoiseModel noise(generate_heavy_noise_trace({}, 13), 3);
-  WifiInterferer wifi(WifiInterfererConfig{}, kNodes, 5);
+  WifiInterferer wifi(kNodes, 5);
   Simulator sim;
   RadioMedium medium(sim, gains, noise, /*tx_power_dbm=*/0.0, 7);
   medium.set_interferer(&wifi);

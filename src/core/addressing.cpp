@@ -50,7 +50,7 @@ void Addressing::update_stability_timer() {
     return;
   }
   if (stability_timer_.running()) return;
-  const SimTime period = mac_->config().wake_interval;
+  const SimTime period = kWakeInterval;
   const SimTime elapsed = sim_->now() - *stability_origin_;
   stability_timer_.start_periodic_at(period - elapsed % period, period);
 }
@@ -180,7 +180,7 @@ void Addressing::stability_check() {
   if (!trigger_at_.has_value()) return;
   const SimTime quiet_since = std::max(last_new_child_, *trigger_at_);
   const SimTime window =
-      static_cast<SimTime>(kStableRounds) * mac_->config().wake_interval;
+      static_cast<SimTime>(kStableRounds) * kWakeInterval;
   if (sim_->now() >= quiet_since + window) {
     do_initial_allocation();
   }

@@ -98,7 +98,7 @@ void NeighborCodeTable::mark_unreachable(NodeId neighbor, SimTime now) {
   // The lease runs from the FIRST failure: re-marking an already-marked
   // neighbor (every retry that skips it re-reports it blocked) must not
   // extend the lease, or a retry cadence shorter than the timeout keeps the
-  // mark alive forever and the unreachable_timeout safety valve never fires.
+  // mark alive forever and the kUnreachableTimeout safety valve never fires.
   if (!e.unreachable) e.unreachable_since = now;
   e.unreachable = true;
 }

@@ -7,8 +7,12 @@
 namespace telea {
 
 namespace {
-constexpr double kBackoffFactor = 2.0;  // exponential retry backoff
-constexpr double kJitter = 0.25;        // ± fraction of each retry delay
+constexpr SimTime kAckTimeout = 25 * kSecond;  // first retry delay
+constexpr double kBackoffFactor = 2.0;         // exponential retry backoff
+constexpr SimTime kMaxBackoff = 2 * kMinute;
+constexpr double kJitter = 0.25;  // ± fraction of each retry delay
+constexpr unsigned kMaxRetries = 4;
+constexpr unsigned kEscalateAfter = 2;  // plain retries before the detour
 }  // namespace
 
 Controller::Controller(Network& net, ControllerRetryConfig retry)
@@ -115,30 +119,10 @@ std::optional<std::uint32_t> Controller::send_command(NodeId node,
   cmd.first_seqno = *seq;
   cmd.last_seqno = *seq;
   cmd.issued_at = net_->sim().now();
-  cmd.backoff = retry_.ack_timeout;
+  cmd.backoff = kAckTimeout;
   seqno_to_cmd_[*seq] = id;
   arm_timeout(id, cmd.backoff);
   return seq;
-}
-
-std::optional<std::uint32_t> Controller::send_command_group(
-    const std::vector<NodeId>& nodes, std::uint16_t command) {
-  TeleAdjusting* sink_tele = net_->sink().tele();
-  if (sink_tele == nullptr) return std::nullopt;
-  std::vector<msg::GroupDest> dests;
-  for (NodeId n : nodes) {
-    if (n >= net_->size()) continue;
-    const TeleAdjusting* tele = net_->node(n).tele();
-    if (tele == nullptr || !tele->addressing().has_code()) continue;
-    dests.push_back(msg::GroupDest{n, tele->addressing().code()});
-  }
-  if (dests.empty()) {
-    TELEA_DEBUG("harness.ctl")
-        << "group command dropped: none of the " << nodes.size()
-        << " destinations are addressable";
-    return std::nullopt;
-  }
-  return sink_tele->send_control_group(dests, command);
 }
 
 void Controller::arm_timeout(std::uint64_t id, SimTime delay) {
@@ -159,7 +143,7 @@ void Controller::on_timeout(std::uint64_t id) {
   if (it == pending_.end()) return;
   PendingCommand& cmd = it->second;
   const unsigned retries_done = cmd.attempts - 1;
-  if (retries_done >= retry_.max_retries) {
+  if (retries_done >= kMaxRetries) {
     resolve(id, CommandOutcome::kGaveUp);
     return;
   }
@@ -189,7 +173,7 @@ void Controller::on_timeout(std::uint64_t id) {
   // very fault that cleared), so neither strategy may monopolize the budget.
   const unsigned plain_retries_done = retries_done - cmd.escalations;
   bool escalated = false;
-  if (plain_retries_done >= retry_.escalate_after && !cmd.last_escalated) {
+  if (plain_retries_done >= kEscalateAfter && !cmd.last_escalated) {
     if (const auto detour = net_->suggest_detour(cmd.dest);
         detour.has_value() && detour->via != kInvalidNode) {
       TELEA_INFO("harness.ctl")
@@ -215,7 +199,7 @@ void Controller::on_timeout(std::uint64_t id) {
       TELEA_INFO("harness.ctl")
           << "t=" << to_seconds(net_->sim().now()) << "s command to node "
           << cmd.dest << " unacked; retry " << retries_done + 1 << "/"
-          << retry_.max_retries << " as seq " << *seq;
+          << kMaxRetries << " as seq " << *seq;
       net_->router().record(kSinkNode, TraceEvent::kCommandRetry, *seq,
                             cmd.dest, TraceReason::kAckTimeout);
       seqno_to_cmd_[*seq] = id;
@@ -231,7 +215,7 @@ void Controller::on_timeout(std::uint64_t id) {
 
   const double next = static_cast<double>(cmd.backoff) * kBackoffFactor;
   cmd.backoff = std::min<SimTime>(static_cast<SimTime>(next),
-                                  retry_.max_backoff);
+                                  kMaxBackoff);
   arm_timeout(id, cmd.backoff);
 }
 

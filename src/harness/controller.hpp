@@ -21,17 +21,12 @@ enum class CommandOutcome : std::uint8_t {
 
 /// Reliable-delivery policy for Controller::send_command. With `enabled` the
 /// controller tracks every command until an e2e ack arrives: unacked commands
-/// are re-sent after `ack_timeout` with exponential backoff (factor 2, capped
-/// at `max_backoff`, de-synchronized by ±25 %), and after `escalate_after`
-/// plain retries the re-send goes through the Re-Tele redirect path
-/// (Sec. III-C4) instead of the plain encoded path. After `max_retries`
-/// re-sends the command is abandoned (kGaveUp).
+/// are re-sent after 25 s with exponential backoff (factor 2, capped at
+/// 2 min, de-synchronized by ±25 %), and after 2 plain retries the re-send
+/// goes through the Re-Tele redirect path (Sec. III-C4) instead of the plain
+/// encoded path. After 4 re-sends the command is abandoned (kGaveUp).
 struct ControllerRetryConfig {
   bool enabled = true;
-  SimTime ack_timeout = 25 * kSecond;
-  SimTime max_backoff = 2 * kMinute;
-  unsigned max_retries = 4;
-  unsigned escalate_after = 2;
 };
 
 /// Everything known about a command when its lifecycle closes.
@@ -97,12 +92,6 @@ class Controller {
   /// on_command_resolved fires immediately with kNoCode).
   std::optional<std::uint32_t> send_command(NodeId node,
                                             std::uint16_t command);
-
-  /// One-to-many: sends `command` to every node in `nodes` as a group
-  /// packet. Returns the group seqno, or nullopt when unsupported. Group
-  /// packets are fire-and-forget (no retry tracking).
-  std::optional<std::uint32_t> send_command_group(
-      const std::vector<NodeId>& nodes, std::uint16_t command);
 
   /// Fires exactly once per tracked command, when its lifecycle closes.
   std::function<void(const CommandResolution&)> on_command_resolved;

@@ -27,7 +27,7 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, TraceRouter& router,
                      NodeId id, const NetworkConfig& config,
                      std::uint64_t seed)
     : estimator_(),
-      mac_(sim, medium, router, id, config.lpl, seed),
+      mac_(sim, medium, router, id, seed),
       ctp_(sim, router, mac_, estimator_, /*is_root=*/id == kSinkNode,
            seed ^ (0x5EED0000ULL + id)),
       data_timer_(sim),
@@ -43,7 +43,7 @@ NodeStack::NodeStack(Simulator& sim, RadioMedium& medium, TraceRouter& router,
   } else if (config.protocol == ControlProtocol::kDrip) {
     drip_ = std::make_unique<DripNode>(sim, mac_, seed ^ (0xD41B0000ULL + id));
   } else if (config.protocol == ControlProtocol::kRpl) {
-    rpl_ = std::make_unique<RplNode>(sim, mac_, ctp_, config.rpl);
+    rpl_ = std::make_unique<RplNode>(sim, mac_, ctp_);
   } else if (config.protocol == ControlProtocol::kOrpl) {
     orpl_ = std::make_unique<OrplNode>(sim, mac_, ctp_);
   }
@@ -233,8 +233,8 @@ Network::Network(NetworkConfig config) : config_(std::move(config)) {
                                           topo.tx_power_dbm, config_.seed);
 
   if (config_.wifi_interference) {
-    interferer_ = std::make_unique<WifiInterferer>(
-        WifiInterfererConfig{}, topo.size(), config_.seed ^ 0x3F1ULL);
+    interferer_ = std::make_unique<WifiInterferer>(topo.size(),
+                                                   config_.seed ^ 0x3F1ULL);
     medium_->set_interferer(interferer_.get());
   }
 

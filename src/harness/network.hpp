@@ -41,9 +41,7 @@ struct NetworkConfig {
   ControlProtocol protocol = ControlProtocol::kReTele;
   bool wifi_interference = false;  // the paper's channel 19 vs 26 contrast
 
-  LplConfig lpl{};
   TeleConfig tele{};
-  RplConfig rpl{};
   SyntheticTraceConfig noise_trace{};
 
   [[nodiscard]] bool uses_tele() const noexcept {

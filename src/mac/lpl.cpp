@@ -20,6 +20,7 @@ constexpr SimTime kBackoffUnit = 320;  // CC2420 backoff slot (us)
 constexpr double kMaxSendIntervals = 1.2;
 constexpr SimTime kQuietRecheck = 1 * kMillisecond;
 constexpr unsigned kQuietSamplesToSleep = 3;
+constexpr std::size_t kSendQueueLimit = 8;  // the frame on air included
 
 std::uint64_t seen_key(NodeId src, std::uint32_t link_seq) noexcept {
   return (static_cast<std::uint64_t>(src) << 32) | link_seq;
@@ -27,12 +28,11 @@ std::uint64_t seen_key(NodeId src, std::uint32_t link_seq) noexcept {
 }  // namespace
 
 LplMac::LplMac(Simulator& sim, RadioMedium& medium, TraceRouter& router,
-               NodeId id, const LplConfig& config, std::uint64_t seed)
+               NodeId id, std::uint64_t seed)
     : sim_(&sim),
       medium_(&medium),
       router_(&router),
       id_(id),
-      config_(config),
       cca_(kCcaThresholdDbm),
       rng_(seed ^ (0xACDCULL + id), /*stream=*/id),
       wake_timer_(sim),
@@ -64,8 +64,8 @@ void LplMac::start() {
   // Random wake phase: the asynchronous schedules TeleAdjusting exploits
   // ("earlier wake-up nodes", Sec. III-C2) come from exactly this offset.
   const SimTime offset = rng_.uniform(
-      static_cast<std::uint32_t>(config_.wake_interval));
-  wake_timer_.start_periodic_at(offset + 1, config_.wake_interval);
+      static_cast<std::uint32_t>(kWakeInterval));
+  wake_timer_.start_periodic_at(offset + 1, kWakeInterval);
 }
 
 void LplMac::acquire(AwakeReason reason) {
@@ -139,7 +139,7 @@ bool LplMac::send(Frame frame, SendCallback done) {
 std::optional<std::uint32_t> LplMac::send_cancellable(Frame frame,
                                                       SendCallback done) {
   if (stopped_) return std::nullopt;
-  if (queue_.size() >= config_.send_queue_limit) return std::nullopt;
+  if (queue_.size() >= kSendQueueLimit) return std::nullopt;
   frame.src = id_;
   frame.link_seq = next_link_seq_++;
   const std::uint32_t token = frame.link_seq;
@@ -239,7 +239,7 @@ void LplMac::continue_send() {
   const bool wants_ack = RadioMedium::frame_wants_ack(queue_.front().frame);
   const SimTime elapsed = sim_->now() - send_start_;
   const auto limit = static_cast<SimTime>(
-      static_cast<double>(config_.wake_interval) *
+      static_cast<double>(kWakeInterval) *
       (wants_ack ? kMaxSendIntervals : 1.05));
   if (elapsed >= limit) {
     // A full sweep of every wake phase: broadcast is complete, while an
@@ -325,7 +325,7 @@ AckDecision LplMac::on_frame(const Frame& frame, double rssi_dbm) {
 
   if (seen_.size() > 256) {
     const SimTime horizon = sim_->now();
-    const SimTime keep = 2 * config_.wake_interval;
+    const SimTime keep = 2 * kWakeInterval;
     std::erase_if(seen_, [horizon, keep](const auto& kv) {
       return kv.second.heard + keep < horizon;
     });

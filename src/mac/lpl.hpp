@@ -37,10 +37,8 @@ class FrameHandler {
   }
 };
 
-struct LplConfig {
-  SimTime wake_interval = 512 * kMillisecond;  // paper Sec. IV-A1 / IV-B1
-  std::size_t send_queue_limit = 8;
-};
+/// Receivers wake once per interval (paper Sec. IV-A1 / IV-B1).
+inline constexpr SimTime kWakeInterval = 512 * kMillisecond;
 
 /// Listen window at each wakeup.
 inline constexpr SimTime kCcaWindow = 11 * kMillisecond;
@@ -54,7 +52,7 @@ struct SendResult {
 /// Low-power-listening MAC in the style of TinyOS's BoX-MAC-2 / LplC — the
 /// MAC the paper's stack ("CTP built upon LPL") runs on:
 ///
-/// * Receivers sleep and wake every `wake_interval`, sampling the channel
+/// * Receivers sleep and wake every `kWakeInterval`, sampling the channel
 ///   for `kCcaWindow`; energy keeps them awake to catch a full frame copy.
 /// * Senders repeat the frame back-to-back. Unicast/anycast stops at the
 ///   first decoded acknowledgement; broadcast runs a full wake interval so
@@ -64,7 +62,7 @@ class LplMac final : public MediumListener {
  public:
   /// `router` receives the end of each control frame's sweep, acked or not.
   LplMac(Simulator& sim, RadioMedium& medium, TraceRouter& router, NodeId id,
-         const LplConfig& config, std::uint64_t seed);
+         std::uint64_t seed);
 
   LplMac(const LplMac&) = delete;
   LplMac& operator=(const LplMac&) = delete;
@@ -103,7 +101,6 @@ class LplMac final : public MediumListener {
   void cancel_send(std::uint32_t link_seq);
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] const LplConfig& config() const noexcept { return config_; }
 
   [[nodiscard]] bool radio_on() const noexcept { return awake_reasons_ != 0; }
 
@@ -162,7 +159,6 @@ class LplMac final : public MediumListener {
   RadioMedium* medium_;
   TraceRouter* router_;
   NodeId id_;
-  LplConfig config_;
   const DbmThreshold cca_;  // kCcaThresholdDbm, for channel_busy
   FrameHandler* handler_ = nullptr;
   Pcg32 rng_;

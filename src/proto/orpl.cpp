@@ -110,10 +110,11 @@ AckDecision OrplNode::handle_data(NodeId from, const msg::OrplData& data) {
   const bool dup = std::find(seen_.begin(), seen_.end(), data.seqno) !=
                    seen_.end();
   if (dup) return AckDecision::kAcceptAndAck;
+  // Refused for a full queue: not remembered, so the sender's next offer of
+  // the same packet is taken once there is room.
+  if (queue_.size() >= kQueueLimit) return AckDecision::kIgnore;
   seen_.push_back(data.seqno);
   while (seen_.size() > 32) seen_.pop_front();
-
-  if (queue_.size() >= kQueueLimit) return AckDecision::kIgnore;
   ++stats_.claims;
   // Bloom false positive detector: we claimed because our *merged* filter
   // says the destination is below us, but if no deeper neighbor (nor we)

@@ -13,22 +13,6 @@
 
 namespace telea {
 
-/// RFC 6550 mode of operation for downward routing.
-enum class RplMode : std::uint8_t {
-  kStoring,     // every node stores routes for its sub-DODAG (paper baseline)
-  kNonStoring,  // only the root stores topology; packets carry source routes
-};
-
-struct RplConfig {
-  RplMode mode = RplMode::kStoring;
-  SimTime dao_interval = 60 * kSecond;   // periodic DAO refresh
-  /// Stale-route expiry. RFC 6550 deployments use generous lifetimes (tens
-  /// of minutes); short lifetimes lose routes to a couple of missed DAO
-  /// chains, long ones keep stale next-hops alive after churn — the
-  /// deterministic-forwarding failure mode Fig. 7 punishes.
-  SimTime route_lifetime = 15 * 60 * kSecond;
-};
-
 /// RPL downward routing, storing mode (RFC 6550) — the paper's *structured*
 /// baseline (Sec. IV-B): "we only use the downward part of RPL". The DODAG
 /// is the CTP tree (RPL's design "is largely based on CTP"); each node
@@ -41,7 +25,7 @@ struct RplConfig {
 /// drops packets that TeleAdjusting's anycast would have rescued.
 class RplNode {
  public:
-  RplNode(Simulator& sim, LplMac& mac, CtpNode& ctp, const RplConfig& config);
+  RplNode(Simulator& sim, LplMac& mac, CtpNode& ctp);
 
   RplNode(const RplNode&) = delete;
   RplNode& operator=(const RplNode&) = delete;
@@ -74,11 +58,6 @@ class RplNode {
   [[nodiscard]] std::size_t route_count() const noexcept {
     return routes_.size();
   }
-  [[nodiscard]] RplMode mode() const noexcept { return config_.mode; }
-
-  /// Non-storing root: the source route (first hop .. dest) to `dest`, or
-  /// empty when the topology view cannot reach it.
-  [[nodiscard]] std::vector<NodeId> compute_source_route(NodeId dest) const;
 
  private:
   struct Route {
@@ -89,6 +68,7 @@ class RplNode {
 
   void send_dao();
   void expire_routes();
+  void remember(std::uint32_t seqno);
   [[nodiscard]] const Route* find_route(NodeId target) const;
   void enqueue(msg::RplData data);
   void forward_next();
@@ -96,16 +76,8 @@ class RplNode {
   Simulator* sim_;
   LplMac* mac_;
   CtpNode* ctp_;
-  RplConfig config_;
 
   std::vector<Route> routes_;
-  // Non-storing root state: origin -> (transit parent, refresh time).
-  struct ParentLink {
-    NodeId origin;
-    NodeId parent;
-    SimTime refreshed;
-  };
-  std::vector<ParentLink> topology_;
   std::uint8_t dao_seqno_ = 0;
   unsigned dao_failures_ = 0;
   Timer dao_timer_;

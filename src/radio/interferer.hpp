@@ -17,17 +17,9 @@ namespace telea {
 ///
 /// The process is evaluated lazily — queries advance a regenerative walk, so
 /// no events are scheduled and cost is O(total toggles) across a run.
-struct WifiInterfererConfig {
-  double base_power_dbm = -72.0;   // in-band leakage during a burst
-  double node_offset_sigma_db = 5.0;
-  SimTime mean_on = 6 * kMillisecond;    // WiFi frame bursts
-  SimTime mean_off = 18 * kMillisecond;  // idle gaps (~25% duty)
-};
-
 class WifiInterferer {
  public:
-  WifiInterferer(const WifiInterfererConfig& config, std::size_t node_count,
-                 std::uint64_t seed);
+  WifiInterferer(std::size_t node_count, std::uint64_t seed);
 
   /// In-band interference power (dBm) seen by `node` at time `t`, or a
   /// deeply negative floor when the interferer is off.
@@ -44,7 +36,6 @@ class WifiInterferer {
  private:
   void advance_to(SimTime t);
 
-  WifiInterfererConfig config_;
   std::vector<double> node_offset_db_;
   std::vector<double> on_mw_;  // dbm_to_mw of each node's on-state power
   Pcg32 rng_;

@@ -124,9 +124,6 @@ class RadioMedium {
   /// Current injected offset on a<->b (0 when unperturbed).
   [[nodiscard]] double link_loss_offset_db(NodeId a, NodeId b) const;
 
-  /// Removes every injected link offset.
-  void clear_link_faults() { link_offsets_.clear(); }
-
   /// Injects a constant noise source of `dbm` at `id`'s receiver (a jammer /
   /// co-located appliance); raises its noise floor for receptions, ack
   /// decoding and CCA alike.

@@ -53,13 +53,10 @@ struct PayloadSize {
     return 11;  // key(2)+version(4)+dest(2)+command(2)+hops(1)
   }
   std::size_t operator()(const msg::RplDao& d) const noexcept {
-    return 1 + d.targets.size() * 2 + (d.non_storing ? 5u : 0u);
+    return 1 + d.targets.size() * 2;  // seqno(1) + 2 per target
   }
-  std::size_t operator()(const msg::RplData& d) const noexcept {
-    // dest(2)+seqno(4)+command(2)+hops(1) + routing header when present
-    return 9 + (d.source_route.empty()
-                    ? 0u
-                    : 1u + d.source_route.size() * 2);
+  std::size_t operator()(const msg::RplData&) const noexcept {
+    return 9;  // dest(2)+seqno(4)+command(2)+hops(1)
   }
   std::size_t operator()(const msg::OrplAnnounce&) const noexcept {
     return OrplBloom::bits() / 8 + 3;  // filter + etx(2) + seqno(1)

@@ -195,18 +195,12 @@ struct DripMsg {
   std::uint8_t hops_so_far = 0;
 };
 
-/// RPL DAO. Storing mode (the paper's baseline): unicast child → preferred
+/// RPL DAO, storing mode (the paper's baseline): unicast child → preferred
 /// parent, advertising the sender plus every destination in the sender's
-/// downward table so ancestors install routes. Non-storing mode (RFC 6550
-/// §9.7): the DAO travels to the root carrying the (origin, transit parent)
-/// pair; only the root keeps topology.
+/// downward table so ancestors install routes.
 struct RplDao {
   std::uint8_t dao_seqno = 0;
   std::vector<NodeId> targets;
-  // --- non-storing fields ---
-  bool non_storing = false;
-  NodeId origin = kInvalidNode;         // whose parent link this describes
-  NodeId transit_parent = kInvalidNode; // origin's preferred parent
 };
 
 /// ORPL sub-DODAG announcement (broadcast): the sender's Bloom filter over
@@ -229,17 +223,12 @@ struct OrplData {
   std::uint8_t hops_so_far = 0;
 };
 
-/// RPL downward data packet. Storing mode: unicast hop-by-hop via stored
-/// routes. Non-storing mode: carries the full source route computed at the
-/// root (RFC 6554-style routing header).
+/// RPL downward data packet: unicast hop-by-hop via stored routes.
 struct RplData {
   NodeId dest = kInvalidNode;
   std::uint32_t seqno = 0;
   std::uint16_t command = 0;
   std::uint8_t hops_so_far = 0;
-  // --- non-storing source route (empty in storing mode) ---
-  std::vector<NodeId> source_route;  // sink-adjacent first, dest last
-  std::uint8_t route_index = 0;      // next hop position in source_route
 };
 
 using Payload = std::variant<CtpBeacon, CtpData, TeleBeacon, PositionRequest,

@@ -20,11 +20,6 @@ inline constexpr double kFloorMw = 1e-18;
   return 10.0 * std::log10(mw < kFloorMw ? kFloorMw : mw);
 }
 
-/// Sum of two powers expressed in dBm, returned in dBm.
-[[nodiscard]] inline double dbm_add(double a_dbm, double b_dbm) noexcept {
-  return mw_to_dbm(dbm_to_mw(a_dbm) + dbm_to_mw(b_dbm));
-}
-
 /// Signal-to-interference-plus-noise ratio in dB.
 [[nodiscard]] inline double sinr_db(double signal_dbm,
                                     double interference_noise_dbm) noexcept {

@@ -40,11 +40,10 @@ TEST_F(AddressingIntegration, StabilityWindowFollowsWakeInterval) {
   // The initial allocation waits kStableRounds wake intervals of the MAC
   // (Sec. III-B2). Node 2 of a line gets its own code only after nodes 0
   // and 1 have allocated, and its child asks for a position only every few
-  // seconds, so its first allocation is the stability window's: at a 256 ms
-  // wake interval that window must close well before one of 512 ms rounds.
-  NetworkConfig cfg = line_config(4, 4);
-  cfg.lpl.wake_interval = 256 * kMillisecond;
-  Network net(cfg);
+  // seconds, so its first allocation is the stability window's: it comes no
+  // sooner than kStableRounds wake intervals after the trigger, and within
+  // twice that (a child found after the trigger restarts the window).
+  Network net(line_config(4, 4));
   net.start();
   const Addressing& node2 = addressing(net, 2);
   while (node2.space_bits() == 0 && net.sim().now() < 30_s) {
@@ -53,8 +52,9 @@ TEST_F(AddressingIntegration, StabilityWindowFollowsWakeInterval) {
   ASSERT_GT(node2.space_bits(), 0);
   EXPECT_EQ(node2.stats().requests_served, 0u);  // not an on-demand allocation
   ASSERT_TRUE(node2.triggered_at().has_value());
-  EXPECT_LT(net.sim().now() - *node2.triggered_at(),
-            static_cast<SimTime>(kStableRounds) * 512 * kMillisecond);
+  const SimTime window = static_cast<SimTime>(kStableRounds) * kWakeInterval;
+  EXPECT_GE(net.sim().now() - *node2.triggered_at(), window);
+  EXPECT_LT(net.sim().now() - *node2.triggered_at(), 2 * window);
 }
 
 TEST_F(AddressingIntegration, WholeLineObtainsCodes) {

@@ -153,9 +153,6 @@ TEST_P(FuzzFrames, BaselineHandlersSurviveGarbage) {
         frame.payload = m;
       } else if (rng.chance(0.5)) {
         msg::RplDao dao;
-        dao.non_storing = rng.chance(0.5);
-        dao.origin = static_cast<NodeId>(rng.uniform(300));
-        dao.transit_parent = static_cast<NodeId>(rng.uniform(300));
         for (std::uint32_t t = 0; t < rng.uniform(8); ++t) {
           dao.targets.push_back(static_cast<NodeId>(rng.uniform(300)));
         }
@@ -164,10 +161,6 @@ TEST_P(FuzzFrames, BaselineHandlersSurviveGarbage) {
         msg::RplData d;
         d.dest = static_cast<NodeId>(rng.uniform(300));
         d.seqno = rng.uniform(100);
-        d.route_index = static_cast<std::uint8_t>(rng.uniform(255));
-        for (std::uint32_t h = 0; h < rng.uniform(6); ++h) {
-          d.source_route.push_back(static_cast<NodeId>(rng.uniform(300)));
-        }
         frame.payload = d;
       }
       (void)net.node(node).handle_frame(frame, frame.dst == node, -70.0);

@@ -141,7 +141,6 @@ TEST(TeleAdjusting, StructuredOnlyModeStillDelivers) {
 
 TEST(TeleAdjusting, ReportsFailureWhenDestinationIsolated) {
   NetworkConfig cfg = line_config(4, 27, ControlProtocol::kTele);
-  cfg.tele.forwarding.forward_retries = 2;  // fail fast for the test
   Network net(cfg);
   net.start();
   net.run_for(4_min);

@@ -93,16 +93,8 @@ TEST(Controller, ResolvesAckedCommandThroughCallback) {
 }
 
 TEST(Controller, RetriesUntilDestinationRevives) {
-  NetworkConfig c = cfg(7);
-  // Short unreachable lease: relays must forget the dead node on the same
-  // timescale the controller retries, or post-revive attempts keep skipping
-  // the healed path for minutes.
-  c.tele.forwarding.unreachable_timeout = 30_s;
-  Network net(c);
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 15_s;
-  retry.max_retries = 6;
-  Controller controller(net, retry);
+  Network net(cfg(7));
+  Controller controller(net);
   net.start();
   net.run_for(4_min);
   net.node(3).kill();
@@ -111,11 +103,13 @@ TEST(Controller, RetriesUntilDestinationRevives) {
       [&resolution](const CommandResolution& res) { resolution = res; };
   const auto seq = controller.send_command(3, 0x43);
   ASSERT_TRUE(seq.has_value());
-  net.run_for(40_s);
+  // The first retry follows 25 s (+-25 %) after the send or after the
+  // forwarding plane's failure verdict, whichever is later.
+  net.run_for(90_s);
   EXPECT_FALSE(resolution.has_value());  // still down, still retrying
   EXPECT_GE(controller.retries(), 1u);
   net.node(3).revive();
-  net.run_for(3_min);
+  net.run_for(4_min);
   ASSERT_TRUE(resolution.has_value());
   EXPECT_EQ(resolution->outcome, CommandOutcome::kAcked);
   EXPECT_GE(resolution->attempts, 2u);
@@ -124,12 +118,7 @@ TEST(Controller, RetriesUntilDestinationRevives) {
 
 TEST(Controller, GivesUpAfterRetryBudget) {
   Network net(cfg(8));
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 10_s;
-  retry.max_backoff = 20_s;
-  retry.max_retries = 2;
-  retry.escalate_after = 1;
-  Controller controller(net, retry);
+  Controller controller(net);
   net.start();
   net.run_for(4_min);
   net.node(3).kill();
@@ -138,31 +127,29 @@ TEST(Controller, GivesUpAfterRetryBudget) {
       [&resolution](const CommandResolution& res) { resolution = res; };
   const auto seq = controller.send_command(3, 0x44);
   ASSERT_TRUE(seq.has_value());
-  net.run_for(4_min);
+  // Timeouts of 25, 50, 100, 120 and 120 s (+-25 %), each counted from the
+  // later of the send and the forwarding plane's failure verdict: four
+  // retries, then the give-up.
+  net.run_for(15_min);
   ASSERT_TRUE(resolution.has_value());
   EXPECT_EQ(resolution->outcome, CommandOutcome::kGaveUp);
-  EXPECT_EQ(resolution->attempts, 3u);  // initial + 2 retries
+  EXPECT_EQ(resolution->attempts, 5u);  // initial + 4 retries
   EXPECT_EQ(controller.gave_up(), 1u);
-  EXPECT_EQ(controller.retries(), 2u);
+  EXPECT_EQ(controller.retries(), 4u);
   EXPECT_EQ(controller.pending_commands(), 0u);
 }
 
 TEST(Controller, EscalatesToReTeleDetourAfterPlainRetries) {
   Network net(cfg(9));
   net.enable_tracing();
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 10_s;
-  retry.max_backoff = 15_s;
-  retry.max_retries = 4;
-  retry.escalate_after = 1;
-  Controller controller(net, retry);
+  Controller controller(net);
   net.start();
   net.run_for(4_min);
   net.node(3).kill();
   ASSERT_TRUE(controller.send_command(3, 0x45).has_value());
-  net.run_for(4_min);
-  // After the first plain retry the controller goes through the Re-Tele
-  // detour path (node 3's code is known; node 2 is its detour neighbor).
+  net.run_for(15_min);
+  // After two plain retries the controller goes through the Re-Tele detour
+  // path (node 3's code is known; node 2 is its detour neighbor).
   EXPECT_GE(controller.escalations(), 1u);
   bool saw_escalated_retry = false;
   for (const auto& rec : net.tracer()->snapshot()) {
@@ -209,16 +196,13 @@ TEST(Controller, DisabledRetryKeepsFireAndForget) {
 
 TEST(Controller, ExportsLifecycleMetrics) {
   Network net(cfg(12));
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 10_s;
-  retry.max_retries = 1;
-  Controller controller(net, retry);
+  Controller controller(net);
   net.start();
   net.run_for(4_min);
   net.node(3).kill();
   controller.send_command(3, 0x47);
   controller.send_command(2, 0x48);
-  net.run_for(3_min);
+  net.run_for(15_min);
   MetricsRegistry registry;
   controller.collect_metrics(registry);
   EXPECT_EQ(registry.counter("telea_controller_retries_total").value(),
@@ -226,24 +210,6 @@ TEST(Controller, ExportsLifecycleMetrics) {
   EXPECT_EQ(registry.counter("telea_controller_gave_up_total").value(), 1u);
   EXPECT_EQ(registry.counter("telea_controller_acked_total").value(), 1u);
   EXPECT_EQ(registry.gauge("telea_controller_pending").value(), 0.0);
-}
-
-TEST(Controller, GroupCommandReachesAll) {
-  Network net(cfg(5));
-  Controller controller(net);
-  net.start();
-  net.run_for(4_min);
-  int hits = 0;
-  for (NodeId id : {NodeId{1}, NodeId{3}}) {
-    net.node(id).tele()->group_control().on_delivered =
-        [&hits](std::uint16_t, std::uint32_t) { ++hits; };
-    net.node(id).tele()->on_control_delivered =
-        [&hits](const msg::ControlPacket&, bool) { ++hits; };
-  }
-  const auto group = controller.send_command_group({1, 3}, 0x55);
-  ASSERT_TRUE(group.has_value());
-  net.run_for(90_s);
-  EXPECT_EQ(hits, 2);
 }
 
 }  // namespace

@@ -130,17 +130,12 @@ TEST(HealthE2E, FlightDumpOnStateLossReboot) {
 TEST(HealthE2E, FlightDumpOnCommandGiveUp) {
   Network net(line_cfg(4, 8));
   net.enable_flight_recorders();
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 10_s;
-  retry.max_backoff = 20_s;
-  retry.max_retries = 2;
-  retry.escalate_after = 1;
-  Controller controller(net, retry);
+  Controller controller(net);
   net.start();
   net.run_for(4_min);
   net.node(3).kill();
   ASSERT_TRUE(controller.send_command(3, 0x44).has_value());
-  net.run_for(4_min);
+  net.run_for(15_min);  // past the fourth retry's timeout
 
   const auto& dumps = net.flight_dumps();
   const bool give_up_dump =
@@ -186,12 +181,7 @@ TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
   icfg.checkpoint_interval = 15_s;
   net.enable_invariants(icfg);
   net.enable_flight_recorders();
-  ControllerRetryConfig retry;
-  retry.ack_timeout = 10_s;
-  retry.max_backoff = 20_s;
-  retry.max_retries = 2;
-  retry.escalate_after = 1;
-  Controller controller(net, retry);
+  Controller controller(net);
   net.start();
   net.run_for(6_min);
   net.start_data_collection(30_s);
@@ -207,7 +197,7 @@ TEST(HealthE2E, FlightDumpsAreSlicesOfTheTrace) {
   net.run_for(2 * icfg.checkpoint_interval);
   net.node(3).kill();
   ASSERT_TRUE(controller.send_command(3, 0x44).has_value());
-  net.run_for(4_min);
+  net.run_for(15_min);  // past the fourth retry's timeout
   net.dump_flight(2, "after_reboot");
   net.dump_flight(kSinkNode, "origin");
 

@@ -44,8 +44,7 @@ class LplCancelTest : public ::testing::Test {
     for (int i = 0; i < nodes; ++i) {
       handlers_.push_back(std::make_unique<RecordingHandler>());
       macs_.push_back(std::make_unique<LplMac>(
-          sim_, *medium_, router_, static_cast<NodeId>(i), LplConfig{},
-          900 + i));
+          sim_, *medium_, router_, static_cast<NodeId>(i), 900 + i));
       macs_.back()->set_handler(*handlers_.back());
       macs_.back()->start();
     }

@@ -34,7 +34,7 @@ CpmNoiseModel quiet_noise() {
 
 class LplTest : public ::testing::Test {
  protected:
-  void build(int nodes, double spacing, LplConfig lpl = {}) {
+  void build(int nodes, double spacing) {
     std::vector<Position> pos;
     for (int i = 0; i < nodes; ++i) pos.push_back({i * spacing, 0.0});
     PathLossConfig pl;
@@ -48,7 +48,7 @@ class LplTest : public ::testing::Test {
     for (int i = 0; i < nodes; ++i) {
       handlers_.push_back(std::make_unique<FakeHandler>());
       macs_.push_back(std::make_unique<LplMac>(
-          sim_, *medium_, router_, static_cast<NodeId>(i), lpl, 1000 + i));
+          sim_, *medium_, router_, static_cast<NodeId>(i), 1000 + i));
       macs_.back()->set_handler(*handlers_.back());
       macs_.back()->start();
     }
@@ -148,11 +148,11 @@ TEST_F(LplTest, DuplicateCopiesSuppressedButReAcked) {
 }
 
 TEST_F(LplTest, QueueLimitRejectsExcess) {
-  LplConfig lpl;
-  lpl.send_queue_limit = 2;
-  build(2, 5.0, lpl);
-  EXPECT_TRUE(macs_[0]->send(data_to(1), nullptr));
-  EXPECT_TRUE(macs_[0]->send(data_to(1), nullptr));
+  build(2, 5.0);
+  // The queue holds 8 frames, the one on the air included.
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(macs_[0]->send(data_to(1), nullptr)) << "frame " << i;
+  }
   EXPECT_FALSE(macs_[0]->send(data_to(1), nullptr));
 }
 

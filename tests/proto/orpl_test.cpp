@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/network.hpp"
 #include "topo/topology.hpp"
 
@@ -100,6 +102,36 @@ TEST(Orpl, StatsCountActivity) {
   net.run_for(1_min);
   EXPECT_EQ(net.node(2).orpl()->stats().deliveries, 1u);
   EXPECT_GE(net.node(1).orpl()->stats().claims, 1u);
+}
+
+TEST(Orpl, PacketRefusedForAFullQueueIsTakenLater) {
+  Network net(orpl_cfg(4, 77));
+  net.start();
+  net.run_for(4_min);
+  OrplNode& relay = *net.node(1).orpl();
+  ASSERT_TRUE(relay.members().contains(3));
+  std::vector<std::uint32_t> delivered;
+  net.node(3).orpl()->on_delivered = [&](const msg::OrplData& d) {
+    delivered.push_back(d.seqno);
+  };
+  const auto offer = [&](std::uint32_t seqno) {
+    msg::OrplData d;
+    d.dest = 3;
+    d.seqno = seqno;
+    d.sender_etx10 = net.sink().ctp().path_etx10();
+    return relay.handle_data(0, d);
+  };
+  // The queue holds 12 packets, the one on the air included.
+  for (std::uint32_t s = 1; s <= 12; ++s) {
+    ASSERT_EQ(offer(s), AckDecision::kAcceptAndAck) << "packet " << s;
+  }
+  EXPECT_EQ(offer(13), AckDecision::kIgnore);
+  net.run_for(1_min);  // the queue drains
+  EXPECT_EQ(offer(13), AckDecision::kAcceptAndAck);
+  net.run_for(30_s);
+  EXPECT_EQ(relay.stats().claims, 13u);
+  EXPECT_NE(std::find(delivered.begin(), delivered.end(), 13u),
+            delivered.end());
 }
 
 }  // namespace

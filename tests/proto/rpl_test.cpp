@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "harness/network.hpp"
 #include "topo/topology.hpp"
 
@@ -78,15 +81,80 @@ TEST(Rpl, DeterministicForwardingDropsWhenRelayDies) {
 }
 
 TEST(Rpl, RoutesExpireWithoutRefresh) {
-  NetworkConfig cfg = rpl_config(3, 6);
-  cfg.rpl.route_lifetime = 30_s;
-  cfg.rpl.dao_interval = 10 * kMinute;  // no refresh within the test
-  Network net(cfg);
+  Network net(rpl_config(3, 6));
   net.start();
-  net.run_for(3_min);
-  // The initial triggered DAOs installed routes, but they have long expired
-  // relative to the 30 s lifetime by now (expiry checked lazily on use).
+  net.run_for(4_min);
+  ASSERT_TRUE(net.sink().rpl()->has_route_to(2));
+  net.node(2).kill();
+  // Node 1 keeps advertising its own stored route to 2 until that route
+  // reaches the 15-min lifetime, and the root's copy lives 15 min past its
+  // last refresh: still routed after 14 min, expired after two lifetimes.
+  net.run_for(14_min);
+  EXPECT_TRUE(net.sink().rpl()->has_route_to(2));
+  net.run_for(18_min);
+  EXPECT_FALSE(net.sink().rpl()->has_route_to(2));
   EXPECT_FALSE(net.sink().rpl()->send_downward(2, 1, 1));
+  EXPECT_TRUE(net.sink().rpl()->has_route_to(1));  // refreshed every minute
+}
+
+TEST(Rpl, LargeTargetSetIsChunkedAcrossDaos) {
+  Network net(rpl_config(3, 10));
+  net.start();
+  net.run_for(4_min);
+  // 60 targets below node 1: one DAO of its 62 targets would be 125 payload
+  // bytes, past the 114 the MPDU leaves.
+  msg::RplDao below;
+  for (NodeId t = 100; t < 160; ++t) below.targets.push_back(t);
+  EXPECT_EQ(net.node(1).rpl()->handle_dao(2, below, true),
+            AckDecision::kAcceptAndAck);
+
+  std::set<std::uint32_t> daos;  // link sequence numbers of node 1's DAOs
+  std::set<NodeId> advertised;
+  net.medium().add_transmit_hook([&](NodeId src, const Frame& f, SimTime) {
+    const auto* dao = std::get_if<msg::RplDao>(&f.payload);
+    if (src != 1 || dao == nullptr) return;
+    EXPECT_LE(wire_size_bytes(f), kMaxMpduBytes);
+    daos.insert(f.link_seq);
+    advertised.insert(dao->targets.begin(), dao->targets.end());
+  });
+  net.run_for(30_s);  // the triggered DAO follows within 5 s
+  EXPECT_GE(daos.size(), 2u);
+  for (NodeId t = 100; t < 160; ++t) {
+    EXPECT_TRUE(advertised.contains(t)) << "target " << t;
+    EXPECT_TRUE(net.sink().rpl()->has_route_to(t)) << "target " << t;
+  }
+}
+
+TEST(Rpl, PacketRefusedForAFullQueueIsTakenLater) {
+  Network net(rpl_config(4, 11));
+  net.start();
+  net.run_for(4_min);
+  RplNode& relay = *net.node(1).rpl();
+  ASSERT_TRUE(relay.has_route_to(3));
+  std::vector<std::uint32_t> relayed;
+  std::vector<std::uint32_t> delivered;
+  relay.on_relayed = [&](const msg::RplData& d) { relayed.push_back(d.seqno); };
+  net.node(3).rpl()->on_delivered = [&](const msg::RplData& d) {
+    delivered.push_back(d.seqno);
+  };
+  const auto offer = [&relay](std::uint32_t seqno) {
+    msg::RplData d;
+    d.dest = 3;
+    d.seqno = seqno;
+    return relay.handle_data(0, d, true);
+  };
+  // The queue holds 12 packets, the one on the air included.
+  for (std::uint32_t s = 1; s <= 12; ++s) {
+    ASSERT_EQ(offer(s), AckDecision::kAcceptAndAck) << "packet " << s;
+  }
+  EXPECT_EQ(offer(13), AckDecision::kIgnore);
+  net.run_for(1_min);  // the queue drains
+  EXPECT_EQ(offer(13), AckDecision::kAcceptAndAck);
+  net.run_for(30_s);
+  EXPECT_EQ(relayed.size(), 13u);
+  EXPECT_EQ(relayed.back(), 13u);
+  EXPECT_NE(std::find(delivered.begin(), delivered.end(), 13u),
+            delivered.end());
 }
 
 TEST(Rpl, RelayHookFires) {

@@ -5,48 +5,40 @@
 namespace telea {
 namespace {
 
+// The interferer's process: bursts of mean 6 ms, gaps of mean 18 ms, and a
+// burst power of -72 dBm plus a per-node offset of sigma 5 dB.
+
 TEST(WifiInterferer, ExpectedDutyMatchesConfig) {
-  WifiInterfererConfig cfg;
-  cfg.mean_on = 10 * kMillisecond;
-  cfg.mean_off = 30 * kMillisecond;
-  WifiInterferer wifi(cfg, 1, 1);
+  WifiInterferer wifi(1, 1);
   EXPECT_NEAR(wifi.expected_duty(), 0.25, 1e-9);
 }
 
 TEST(WifiInterferer, EmpiricalDutyNearExpected) {
-  WifiInterfererConfig cfg;
-  cfg.mean_on = 4 * kMillisecond;
-  cfg.mean_off = 12 * kMillisecond;
-  WifiInterferer wifi(cfg, 1, 42);
+  WifiInterferer wifi(1, 42);
   int on = 0, total = 0;
   for (SimTime t = 0; t < 120 * kSecond; t += kMillisecond) {
     if (wifi.power_at(0, t) > -110.0) ++on;
     ++total;
   }
   const double duty = static_cast<double>(on) / total;
-  EXPECT_NEAR(duty, 0.25, 0.06);
+  EXPECT_NEAR(duty, wifi.expected_duty(), 0.06);
 }
 
 TEST(WifiInterferer, BurstPowerNearConfigured) {
-  WifiInterfererConfig cfg;
-  cfg.base_power_dbm = -78.0;
-  cfg.node_offset_sigma_db = 2.0;
-  WifiInterferer wifi(cfg, 8, 3);
+  WifiInterferer wifi(8, 3);
   bool saw_burst = false;
   for (SimTime t = 0; t < 10 * kSecond && !saw_burst; t += kMillisecond) {
     const double p = wifi.power_at(3, t);
     if (p > -110.0) {
       saw_burst = true;
-      EXPECT_NEAR(p, -78.0, 10.0);
+      EXPECT_NEAR(p, -72.0, 15.0);  // three sigma of the node offset
     }
   }
   EXPECT_TRUE(saw_burst);
 }
 
 TEST(WifiInterferer, PerNodeOffsetsDiffer) {
-  WifiInterfererConfig cfg;
-  cfg.node_offset_sigma_db = 4.0;
-  WifiInterferer wifi(cfg, 16, 5);
+  WifiInterferer wifi(16, 5);
   // Find an 'on' instant, then compare node powers at the same time.
   SimTime t = 0;
   while (wifi.power_at(0, t) < -110.0 && t < 10 * kSecond) t += kMillisecond;

@@ -21,13 +21,10 @@ namespace telea {
 namespace {
 
 TEST(WifiInterfererMw, PowerMwMatchesDbmConversionExactly) {
-  WifiInterfererConfig cfg;
-  cfg.mean_on = 3 * kMillisecond;
-  cfg.mean_off = 5 * kMillisecond;
   constexpr std::size_t kNodes = 9;
   // Twins: one answers in dBm, the other in mW; both walk the same process.
-  WifiInterferer in_dbm(cfg, kNodes, 77);
-  WifiInterferer in_mw(cfg, kNodes, 77);
+  WifiInterferer in_dbm(kNodes, 77);
+  WifiInterferer in_mw(kNodes, 77);
   std::size_t on_readings = 0;
   for (SimTime t = 0; t < 10'000 * 250; t += 250) {
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -155,7 +152,7 @@ class GoldenField {
   explicit GoldenField(const std::vector<Position>& pos)
       : gains_(pos, PathLossConfig{}, 11),
         noise_(generate_heavy_noise_trace(trace_config(), 5), 2),
-        wifi_(WifiInterfererConfig{}, pos.size(), 19),
+        wifi_(pos.size(), 19),
         medium(sim, gains_, noise_, /*tx_power_dbm=*/0.0, 13) {
     medium.set_interferer(&wifi_);
     const auto count = static_cast<NodeId>(pos.size());

@@ -75,11 +75,11 @@ class MediumTest : public ::testing::Test {
     f.src = src;
     f.dst = kBroadcastNode;
     f.link_seq = next_seq_++;
-    msg::RplDao dao;
-    dao.non_storing = true;
-    // 1 byte seqno + 5 non-storing bytes + 2 per target.
-    dao.targets.assign((kMaxPayloadBytes - 6) / 2, 0);
-    f.payload = dao;
+    // An 8-bit code (2 bytes), space and flags (2) and 5 bytes per entry.
+    msg::TeleBeacon beacon;
+    beacon.parent_code = BitString::from_string_unchecked("01010101");
+    beacon.entries.resize((kMaxPayloadBytes - 4) / 5);
+    f.payload = beacon;
     return f;
   }
 
@@ -367,7 +367,7 @@ TEST_F(MediumTest, LinkLossDuringTrafficAndClearRestore) {
   const double energy_faulted = medium_->channel_energy_dbm(1);
   sim_.run();
 
-  medium_->clear_link_faults();
+  medium_->add_link_loss_db(0, 1, -6.0);  // undone as the fault plan does
   medium_->transmit(0, beacon_frame(0));
   const double energy_restored = medium_->channel_energy_dbm(1);
   sim_.run();

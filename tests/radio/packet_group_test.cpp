@@ -50,32 +50,5 @@ TEST(PacketGroup, ChunkOfEighteenShortCodesFitsMpdu) {
   EXPECT_LE(wire_size_bytes(f), 127u);
 }
 
-TEST(PacketGroup, RplSourceRouteCostsTwoBytesPerHop) {
-  msg::RplData d;
-  Frame plain;
-  plain.payload = d;
-  const std::size_t base = wire_size_bytes(plain);
-  d.source_route = {1, 2, 3, 4};
-  Frame routed;
-  routed.payload = d;
-  EXPECT_EQ(wire_size_bytes(routed), base + 1 + 4 * 2);
-}
-
-TEST(PacketGroup, NonStoringDaoCarriesTransitInfo) {
-  msg::RplDao storing;
-  storing.targets = {1, 2, 3};
-  Frame a;
-  a.payload = storing;
-  msg::RplDao ns;
-  ns.non_storing = true;
-  ns.origin = 5;
-  ns.transit_parent = 2;
-  Frame b;
-  b.payload = ns;
-  EXPECT_GT(wire_size_bytes(a), 13u);
-  EXPECT_GT(wire_size_bytes(b), 13u);
-  EXPECT_LE(wire_size_bytes(b), 127u);
-}
-
 }  // namespace
 }  // namespace telea

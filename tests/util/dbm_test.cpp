@@ -19,13 +19,15 @@ TEST(Dbm, KnownValues) {
   EXPECT_NEAR(dbm_to_mw(-30.0), 0.001, 1e-12);
 }
 
+// Powers add in milliwatts, as the medium sums interference and noise.
 TEST(Dbm, AdditionOfEqualPowersAddsThreeDb) {
-  EXPECT_NEAR(dbm_add(-90.0, -90.0), -90.0 + 10.0 * std::log10(2.0), 1e-9);
+  EXPECT_NEAR(mw_to_dbm(dbm_to_mw(-90.0) + dbm_to_mw(-90.0)),
+              -90.0 + 10.0 * std::log10(2.0), 1e-9);
 }
 
 TEST(Dbm, AdditionDominatedByStronger) {
   // A signal 30 dB above another barely moves the sum.
-  EXPECT_NEAR(dbm_add(-60.0, -90.0), -60.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(dbm_to_mw(-60.0) + dbm_to_mw(-90.0)), -60.0, 0.01);
 }
 
 TEST(Dbm, MwToDbmClampsAtFloor) {
