@@ -13,8 +13,6 @@ namespace {
 /// Anycast send operations per sub-packet before falling back to
 /// per-destination unicast control via the ordinary forwarding plane.
 constexpr unsigned kRetries = 2;
-/// Guard delay after claiming, mirroring the unicast plane.
-constexpr SimTime kClaimDefer = 40 * kMillisecond;
 }  // namespace
 
 GroupControl::GroupControl(Simulator& sim, LplMac& mac, CtpNode& ctp,
