@@ -114,7 +114,7 @@ class Resender final : public MediumListener {
     f.src = id_;
     f.dst = kBroadcastNode;
     f.payload = msg::CtpBeacon{};
-    medium_.transmit(id_, f);
+    medium_.transmit(id_, f, wire_size_bytes(f));
   }
 
  private:

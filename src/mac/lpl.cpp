@@ -178,6 +178,7 @@ void LplMac::try_start_next_send() {
   sending_ = true;
   acquire(kTxOp);
   send_start_ = sim_->now();
+  send_mpdu_ = wire_size_bytes(queue_.front().frame);
   copies_this_send_ = 0;
   csma_backoffs_ = 0;
   csma_attempt();
@@ -206,8 +207,8 @@ void LplMac::transmit_copy() {
   copy_in_flight_ = true;
   ++copies_this_send_;
   ++copies_sent_;
-  tx_airtime_ += Cc2420Phy::airtime(wire_size_bytes(queue_.front().frame));
-  medium_->transmit(id_, queue_.front().frame);
+  tx_airtime_ += Cc2420Phy::airtime(send_mpdu_);
+  medium_->transmit(id_, queue_.front().frame, send_mpdu_);
 }
 
 void LplMac::on_tx_done(bool acked, NodeId acker) {

@@ -179,6 +179,7 @@ class LplMac final : public MediumListener {
   bool gap_retry_ = false;       // gap_timer_ re-runs CCA instead of sending
   unsigned quiet_samples_ = 0;   // consecutive quiet wake-window samples
   SimTime send_start_ = 0;
+  std::size_t send_mpdu_ = 0;  // wire_size_bytes of the send op's frame
   unsigned copies_this_send_ = 0;
   unsigned csma_backoffs_ = 0;
   std::uint32_t next_link_seq_ = 1;

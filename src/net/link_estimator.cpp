@@ -7,6 +7,13 @@
 
 namespace telea {
 
+namespace {
+constexpr std::size_t kBeaconWindow = 5;   // receptions per WMEWMA update
+constexpr double kAlpha = 0.9;             // WMEWMA history weight
+constexpr double kDataAlpha = 0.75;        // data-driven ETX EWMA weight
+constexpr std::uint16_t kMaxEtx10 = 1000;  // saturation (ETX 100.0)
+}  // namespace
+
 const LinkEstimator::Entry* LinkEstimator::find(NodeId neighbor) const {
   for (const auto& e : table_) {
     if (e.id == neighbor) return &e;
@@ -18,7 +25,7 @@ LinkEstimator::Entry* LinkEstimator::find_or_insert(NodeId neighbor) {
   for (auto& e : table_) {
     if (e.id == neighbor) return &e;
   }
-  if (table_.size() >= config_.table_limit) {
+  if (table_.size() >= kTableLimit) {
     // Evict the entry with the worst inbound quality that has no data-driven
     // state (a neighbor we never used); if all are in use, the worst overall.
     auto victim = std::min_element(
@@ -50,13 +57,13 @@ void LinkEstimator::on_beacon(NodeId neighbor, std::uint8_t seqno) {
   if (gap == 0) return;  // duplicate beacon copy
   e->window_received += 1;
   e->window_missed += gap - 1;
-  if (e->window_received >= config_.beacon_window) {
+  if (e->window_received >= kBeaconWindow) {
     const double ratio =
         static_cast<double>(e->window_received) /
         static_cast<double>(e->window_received + e->window_missed);
     if (e->quality_valid) {
-      e->in_quality = config_.alpha * e->in_quality +
-                      (1.0 - config_.alpha) * ratio;
+      e->in_quality = kAlpha * e->in_quality +
+                      (1.0 - kAlpha) * ratio;
     } else {
       e->in_quality = ratio;
       e->quality_valid = true;
@@ -73,8 +80,8 @@ void LinkEstimator::on_data_tx(NodeId neighbor, bool acked) {
   const auto attempts = static_cast<double>(e->data_attempts_since_success);
   e->data_attempts_since_success = 0;
   if (e->data_valid) {
-    e->data_etx = config_.data_alpha * e->data_etx +
-                  (1.0 - config_.data_alpha) * attempts;
+    e->data_etx = kDataAlpha * e->data_etx +
+                  (1.0 - kDataAlpha) * attempts;
   } else {
     e->data_etx = attempts;
     e->data_valid = true;
@@ -83,7 +90,7 @@ void LinkEstimator::on_data_tx(NodeId neighbor, bool acked) {
 
 std::uint16_t LinkEstimator::etx10(NodeId neighbor) const {
   const Entry* e = find(neighbor);
-  if (e == nullptr) return config_.max_etx10;
+  if (e == nullptr) return kMaxEtx10;
 
   double etx = 0.0;
   if (e->data_attempts_since_success >= 3) {
@@ -106,7 +113,7 @@ std::uint16_t LinkEstimator::etx10(NodeId neighbor) const {
     etx = 2.0;
   }
   const double etx10 = std::min(etx * 10.0,
-                                static_cast<double>(config_.max_etx10));
+                                static_cast<double>(kMaxEtx10));
   return field::u16(std::lround(etx10));
 }
 

@@ -14,16 +14,8 @@ namespace telea {
 /// from unicast acknowledgement outcomes once available.
 class LinkEstimator {
  public:
-  struct Config {
-    std::size_t table_limit = 24;
-    std::size_t beacon_window = 5;   // receptions per WMEWMA update
-    double alpha = 0.9;              // WMEWMA history weight
-    double data_alpha = 0.75;        // data-driven ETX EWMA weight
-    std::uint16_t max_etx10 = 1000;  // saturation (ETX 100.0)
-  };
-
-  LinkEstimator() : LinkEstimator(Config{}) {}
-  explicit LinkEstimator(const Config& config) : config_(config) {}
+  /// Neighbours the table holds; a new one past this evicts the worst.
+  static constexpr std::size_t kTableLimit = 24;
 
   /// Records a received routing beacon (seqno drives the gap estimate).
   void on_beacon(NodeId neighbor, std::uint8_t seqno);
@@ -66,7 +58,6 @@ class LinkEstimator {
   [[nodiscard]] const Entry* find(NodeId neighbor) const;
   Entry* find_or_insert(NodeId neighbor);
 
-  Config config_;
   std::vector<Entry> table_;
 };
 

@@ -16,12 +16,6 @@ constexpr double kCutoffMarginDb = 3.0;
 /// Capture threshold for colliding acknowledgements: the strongest acker
 /// must clear the sum of the others by this much to be decodable.
 constexpr double kAckCaptureDb = 3.0;
-/// Co-channel rejection: when structured interference (concurrent 802.15.4
-/// transmissions) dominates the noise floor, the signal must clear the
-/// floor by this margin or reception fails outright. The analytic DSSS BER
-/// formula alone is far too forgiving for collisions (~0.9 PRR at 0 dB
-/// SINR); the CC2420 datasheet puts co-channel rejection near 3 dB.
-constexpr double kCaptureThresholdDb = 3.0;
 /// Node ids per bitset word.
 constexpr std::size_t kWordBits = 64;
 /// Index of the lowest set bit. Precondition: word != 0.
@@ -40,11 +34,6 @@ RadioMedium::RadioMedium(Simulator& sim, const LinkGainTable& gains,
       nodes_(gains.node_count()),
       idle_((gains.node_count() + kWordBits - 1) / kWordBits, 0),
       link_mw_(gains.node_count() * gains.node_count(), 0.0),
-      // 1e-9 of slack (4.3e-9 dB) swamps the few-ulp error of every pow and
-      // log10 on the way to the SINR.
-      clear_rx_factor_(db_to_linear(std::max(Cc2420Phy::kSaturatedSinrDb,
-                                             kCaptureThresholdDb)) *
-                       (1.0 + 1e-9)),
       rng_(seed, /*stream=*/0x4D454449ULL) {
   candidates_.reserve(gains.node_count());
   std::vector<std::uint64_t> row(idle_.size());
@@ -167,15 +156,15 @@ bool RadioMedium::frame_wants_ack(const Frame& frame) noexcept {
          std::holds_alternative<msg::OrplData>(frame.payload);
 }
 
-void RadioMedium::transmit(NodeId src, Frame frame) {
+void RadioMedium::transmit(NodeId src, Frame frame, std::size_t mpdu) {
   NodeState& st = nodes_[src];
   assert(st.listener != nullptr && "transmit() before attach()");
   assert(!st.txing && "MAC started a transmission while one is in flight");
+  assert(mpdu == wire_size_bytes(frame));
   st.txing = true;
   st.locked_tx = 0;  // transmitting aborts any in-flight reception
   update_idle(src);
 
-  const std::size_t mpdu = wire_size_bytes(frame);
   const SimTime airtime = Cc2420Phy::airtime(mpdu);
   const SimTime start = sim_->now();
   const SimTime end = start + airtime;
@@ -224,7 +213,8 @@ void RadioMedium::transmit(NodeId src, Frame frame) {
   }
 
   max_airtime_ = std::max(max_airtime_, airtime);
-  history_.push_back(TxRecord{id, start, end, src});
+  history_.push_back(
+      TxRecord{id, start, end, src, static_cast<std::uint32_t>(mpdu)});
   in_flight_.push_back(InFlight{id, src, slot});
   sim_->schedule_at(end, [this, id] { finish_tx(id); }, "radio.finish");
 }
@@ -266,7 +256,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
   const TxRecord& record = history_[tx_id - history_.front().id];
   const SimTime start = record.start;
   const SimTime end = record.end;
-  const std::size_t mpdu = wire_size_bytes(frame);
+  const std::size_t mpdu = record.mpdu;
 
   // Resolve reception at every receiver locked to this transmission.
   struct Acker {
@@ -295,6 +285,7 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
       }
 
       const double signal_dbm = rssi_dbm(src, rx_id);
+      const double signal_mw = link_mw(src, rx_id);
       const double noise_mw = noise_floor_mw(rx_id);
       // Mean power of the overlapping transmissions, energy-weighted by
       // overlap; a receiver's own transmissions do not count.
@@ -305,26 +296,20 @@ void RadioMedium::finish_tx(std::uint64_t tx_id) {
         }
         return sum;
       });
-      // A signal clear of noise + interference by clear_rx_factor_ has an
-      // SINR (as computed below) of at least max(kSaturatedSinrDb, capture
-      // threshold): it passes the capture test and its PRR is exactly 1.0,
-      // so the log, the test and the BER are skipped. The draw still
-      // happens.
-      double prr = 1.0;
-      const bool clear =
-          signal_dbm >= Cc2420Phy::kSensitivityDbm &&
-          std::max(noise_mw + interf_mw, kFloorMw) * clear_rx_factor_ <
-              link_mw(src, rx_id);
-      if (!clear) {
-        const double sinr = signal_dbm - mw_to_dbm(noise_mw + interf_mw);
-        // Capture model: interference-limited receptions need to clear the
-        // co-channel rejection threshold (kCaptureThresholdDb).
-        if (interf_mw > noise_mw && sinr < kCaptureThresholdDb) {
-          continue;
-        }
-        prr = Cc2420Phy::packet_reception_ratio(sinr, signal_dbm, mpdu);
+      // Capture model: an interference-limited reception must clear the
+      // co-channel rejection threshold, or it fails without a draw. Past
+      // it, a uniform01() draw u receives the frame iff u < PRR, which is
+      // rng_.chance(PRR). Both verdicts are exact and skip libm away from
+      // their edges (see Cc2420Phy).
+      const double total_mw = noise_mw + interf_mw;
+      if (interf_mw > noise_mw &&
+          Cc2420Phy::below_capture(signal_dbm, signal_mw, total_mw)) {
+        continue;
       }
-      if (!rng_.chance(prr)) continue;
+      const double u = rng_.uniform01();
+      if (!Cc2420Phy::receives(u, signal_dbm, signal_mw, total_mw, mpdu)) {
+        continue;
+      }
 
       const AckDecision decision =
           rx.listener->on_frame(frame, signal_dbm);

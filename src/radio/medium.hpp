@@ -67,10 +67,11 @@ class RadioMedium {
   /// misses that copy — exactly why LPL senders repeat.
   void set_listening(NodeId id, bool listening);
 
-  /// Starts transmitting `frame` from `src`. The MAC must not call this again
-  /// for `src` until its on_tx_done fires. Unicast/anycast frames include an
-  /// acknowledgement window after the frame airtime.
-  void transmit(NodeId src, Frame frame);
+  /// Starts transmitting `frame`, whose MPDU is `mpdu` =
+  /// wire_size_bytes(frame) bytes, from `src`. The MAC must not call this
+  /// again for `src` until its on_tx_done fires. Unicast/anycast frames
+  /// include an acknowledgement window after the frame airtime.
+  void transmit(NodeId src, Frame frame, std::size_t mpdu);
 
   /// True while `src` is mid-transmission (including the ack window).
   [[nodiscard]] bool transmitting(NodeId src) const {
@@ -141,6 +142,7 @@ class RadioMedium {
     SimTime start;
     SimTime end;
     NodeId src;
+    std::uint32_t mpdu;  // the frame's wire_size_bytes
   };
 
   /// A transmission whose frame has not finished yet; the frame itself is
@@ -244,10 +246,6 @@ class RadioMedium {
   /// ([rx][tx]) so one receiver's interference sum walks one row; 0 = unset.
   std::vector<double> link_mw_;
   std::vector<Overlap> overlaps_;  // finish_tx scratch
-  /// A reception whose noise + interference, times this factor, is below
-  /// the signal in mW clears both the capture threshold and
-  /// Cc2420Phy::kSaturatedSinrDb: its PRR is exactly 1.0 (see finish_tx).
-  double clear_rx_factor_;
   WifiInterferer* interferer_ = nullptr;
   Pcg32 rng_;
   std::uint64_t next_tx_id_ = 1;

@@ -39,9 +39,8 @@ std::vector<std::int8_t> generate_heavy_noise_trace(
   return trace;
 }
 
-CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
-                             std::size_t history)
-    : history_(std::max<std::size_t>(history, 1)) {
+template <typename Hash>
+void CpmNoiseModel::train(const std::vector<std::int8_t>& trace, Hash hash_of) {
   if (trace.size() <= history_) {
     throw std::invalid_argument(
         "CpmNoiseModel: the trace must be longer than the history");
@@ -54,24 +53,42 @@ CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
     mw_of_reading_[static_cast<std::uint8_t>(v)] = dbm_to_mw(v);
   }
 
+  // Window i is the pattern trace[i - history_, i), followed by trace[i].
   const auto window_hash = [&](std::size_t i) {
-    return pattern_hash({trace.data() + (i - history_), history_});
+    return hash_of({trace.data() + (i - history_), history_});
   };
   // Count pass: find or insert each pattern's bucket and count successors.
+  // Until the layout below, a bucket's `offset` holds its first window; a
+  // later window with the bucket's hash but other readings merges two
+  // patterns, and its hash is noted for merged_. FNV-1a cannot merge
+  // patterns of up to kInjectiveHistory readings, so those skip the check.
+  const bool check_merges =
+      hash_ != &pattern_hash || history_ > kInjectiveHistory;
   buckets_.resize(16);
   std::size_t patterns = 0;
+  std::vector<std::uint64_t> merged_hashes;
   for (std::size_t i = history_; i < trace.size(); ++i) {
     const std::uint64_t hash = window_hash(i);
     std::size_t b = probe(hash);
+    const std::int8_t* window = trace.data() + (i - history_);
     if (buckets_[b].count == 0) {
       if (2 * (patterns + 1) > buckets_.size()) {
         grow();
         b = probe(hash);
       }
       buckets_[b].hash = hash;
+      buckets_[b].offset = static_cast<std::uint32_t>(i);
       ++patterns;
+    } else if (check_merges &&
+               !std::equal(window, window + history_,
+                           trace.data() + (buckets_[b].offset - history_))) {
+      merged_hashes.push_back(hash);
     }
     ++buckets_[b].count;
+  }
+  if (!merged_hashes.empty()) {
+    merged_.assign(buckets_.size(), false);
+    for (const std::uint64_t hash : merged_hashes) merged_[probe(hash)] = true;
   }
   // Lay the bags out back to back, then fill each in trace order. The fill
   // pass advances `offset` as its cursor, because a zeroed count would read
@@ -82,10 +99,39 @@ CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
     offset += b.count;
   }
   successors_.resize(offset);
-  for (std::size_t i = history_; i < trace.size(); ++i) {
-    successors_[buckets_[probe(window_hash(i))].offset++] = trace[i];
+  const bool narrow = buckets_.size() <= std::size_t{1} << 16;
+  if (narrow) {
+    next16_.resize(offset);
+  } else {
+    next32_.resize(offset);
+  }
+  // The successor placed at iteration i leads to window i + 1, whose bucket
+  // iteration i + 1 probes anyway; window trace.size() only ends the trace.
+  std::size_t placed = 0;
+  for (std::size_t i = history_; i <= trace.size(); ++i) {
+    const std::size_t b = probe(window_hash(i));
+    if (i > history_ && narrow) next16_[placed] = static_cast<std::uint16_t>(b);
+    if (i > history_ && !narrow) next32_[placed] = static_cast<std::uint32_t>(b);
+    if (i == trace.size()) break;
+    placed = buckets_[b].offset++;
+    successors_[placed] = trace[i];
   }
   for (Bucket& b : buckets_) b.offset -= b.count;
+}
+
+CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
+                             std::size_t history)
+    : history_(std::max<std::size_t>(history, 1)), hash_(&pattern_hash) {
+  // A lambda, so training inlines the hash instead of calling through hash_.
+  train(trace, [](std::span<const std::int8_t> window) {
+    return pattern_hash(window);
+  });
+}
+
+CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
+                             std::size_t history, PatternHash hasher)
+    : history_(std::max<std::size_t>(history, 1)), hash_(hasher) {
+  train(trace, hasher);
 }
 
 std::size_t CpmNoiseModel::probe(std::uint64_t hash) const noexcept {
@@ -110,20 +156,14 @@ void CpmNoiseModel::grow() {
 std::uint64_t CpmNoiseModel::pattern_hash(
     std::span<const std::int8_t> recent) noexcept {
   // FNV-1a over the quantized readings; collisions merely merge similar
-  // conditional distributions, which CPM tolerates by construction.
+  // conditional distributions, which CPM tolerates by construction (and
+  // training flags, see merged()).
   std::uint64_t h = 1469598103934665603ULL;
   for (std::int8_t v : recent) {
     h ^= static_cast<std::uint8_t>(v);
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::int8_t CpmNoiseModel::sample_next(std::span<const std::int8_t> recent,
-                                       Pcg32& rng) const {
-  const Bucket& b = buckets_[probe(pattern_hash(recent))];
-  if (b.count == 0) return sample_marginal(rng);
-  return successors_[b.offset + rng.uniform(b.count)];
 }
 
 std::int8_t CpmNoiseModel::sample_marginal(Pcg32& rng) const {
@@ -134,8 +174,24 @@ CpmNoiseModel::Generator::Generator(const CpmNoiseModel& model,
                                     std::uint64_t seed, std::uint64_t stream)
     : model_(&model), rng_(seed, stream), recent_(model.history()) {}
 
+void CpmNoiseModel::Generator::reseed() {
+  for (auto& r : recent_) r = model_->sample_marginal(rng_);
+  bucket_ = kUnknown;
+}
+
 void CpmNoiseModel::Generator::advance_one() {
-  const std::int8_t next = model_->sample_next(recent_, rng_);
+  const CpmNoiseModel& model = *model_;
+  if (bucket_ == kUnknown) bucket_ = model.bucket_of(recent_);
+  const Bucket& b = model.buckets_[bucket_];
+  std::int8_t next;
+  if (b.count == 0) {
+    next = model.sample_marginal(rng_);
+    bucket_ = kUnknown;
+  } else {
+    const std::size_t i = b.offset + rng_.uniform(b.count);
+    next = model.successors_[i];
+    bucket_ = model.merged(bucket_) ? kUnknown : model.next_bucket(i);
+  }
   std::rotate(recent_.begin(), recent_.begin() + 1, recent_.end());
   recent_.back() = next;
   current_ = next;
@@ -145,7 +201,7 @@ std::int8_t CpmNoiseModel::Generator::reading_at(SimTime t) {
   const SimTime target_step = t / kStep;
   if (!primed_) {
     // Seed the history from the marginal so the first readings are plausible.
-    for (auto& r : recent_) r = model_->sample_marginal(rng_);
+    reseed();
     current_ = recent_.back();
     current_step_ = target_step;
     primed_ = true;
@@ -156,7 +212,7 @@ std::int8_t CpmNoiseModel::Generator::reading_at(SimTime t) {
   if (gap > kMaxCatchUpSteps) {
     // Far-apart queries are decorrelated anyway: restart from the marginal
     // rather than walking the chain for an unbounded number of steps.
-    for (auto& r : recent_) r = model_->sample_marginal(rng_);
+    reseed();
     gap = 1;
   }
   for (SimTime i = 0; i < gap; ++i) advance_one();

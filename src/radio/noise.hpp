@@ -42,6 +42,14 @@ inline constexpr double kTraceMaxDbm = -40.0;
 /// hash, each bucket naming a run of one contiguous successor array that
 /// holds that pattern's successors in trace order. A lookup touches one or
 /// two cache lines and allocates nothing.
+///
+/// Each successor also records the bucket of the pattern it leads to (its
+/// bag's pattern shifted by one, plus the successor), so a generator walks
+/// bucket to bucket without hashing or probing. That is an exact memo of
+/// the probe unless a bucket merges two different patterns (equal hashes);
+/// training checks every window against its bucket's first (FNV-1a needs
+/// no check up to kInjectiveHistory readings), and a walk that leaves a
+/// merged bucket probes as before.
 class CpmNoiseModel {
  public:
   /// Trains the table from a trace of quantized dBm readings. Throws
@@ -76,13 +84,18 @@ class CpmNoiseModel {
    private:
     static constexpr SimTime kStep = 2 * kMillisecond;
     static constexpr std::size_t kMaxCatchUpSteps = 32;
+    /// bucket_ when the pattern in recent_ has to be hashed and probed.
+    static constexpr std::uint32_t kUnknown = 0xFFFFFFFF;
 
     [[nodiscard]] std::int8_t reading_at(SimTime t);
     void advance_one();
+    /// Refills recent_ from the marginal.
+    void reseed();
 
     const CpmNoiseModel* model_;
     Pcg32 rng_;
     std::vector<std::int8_t> recent_;  // last `history` readings
+    std::uint32_t bucket_ = kUnknown;  // recent_'s bucket, once known
     std::int8_t current_ = 0;
     SimTime current_step_ = 0;
     bool primed_ = false;
@@ -102,13 +115,45 @@ class CpmNoiseModel {
 
  private:
   friend class Generator;
+  friend struct CpmNoiseModelPeer;  // tests: a hash that merges patterns
 
+  using PatternHash = std::uint64_t (*)(std::span<const std::int8_t>) noexcept;
+
+  /// Trains with `hasher` as the pattern hash.
+  CpmNoiseModel(const std::vector<std::int8_t>& trace, std::size_t history,
+                PatternHash hasher);
+
+  /// Builds the table from `trace` with `hash_of` (a callable equal to hash_).
+  template <typename Hash>
+  void train(const std::vector<std::int8_t>& trace, Hash hash_of);
+
+  /// FNV-1a over the quantized readings, the hash every model trains with.
   [[nodiscard]] static std::uint64_t pattern_hash(
       std::span<const std::int8_t> recent) noexcept;
 
-  /// Samples the next reading given the recent pattern.
-  [[nodiscard]] std::int8_t sample_next(std::span<const std::int8_t> recent,
-                                        Pcg32& rng) const;
+  /// pattern_hash gives every pattern of up to this many readings its own
+  /// value. Two equal-length inputs that collide must, after some prefix
+  /// of k < length bytes, reach states that differ in the low 8 bits only
+  /// (a byte XOR then evens them out, and multiplying by the odd prime is
+  /// a bijection). No two of the 2^8 one-byte or 2^16 two-byte states do;
+  /// a test enumerates them.
+  static constexpr std::size_t kInjectiveHistory = 3;
+
+  /// Index of the bucket for the pattern `recent`.
+  [[nodiscard]] std::uint32_t bucket_of(
+      std::span<const std::int8_t> recent) const noexcept {
+    return static_cast<std::uint32_t>(probe(hash_(recent)));
+  }
+
+  /// Bucket of the pattern successor `i` leads to (see the class comment).
+  [[nodiscard]] std::uint32_t next_bucket(std::size_t i) const noexcept {
+    return next16_.empty() ? next32_[i] : next16_[i];
+  }
+
+  /// Whether bucket `b` holds the successors of two different patterns.
+  [[nodiscard]] bool merged(std::uint32_t b) const noexcept {
+    return !merged_.empty() && merged_[b];
+  }
 
   /// Samples from the marginal distribution.
   [[nodiscard]] std::int8_t sample_marginal(Pcg32& rng) const;
@@ -129,10 +174,17 @@ class CpmNoiseModel {
   void grow();
 
   std::size_t history_;
+  PatternHash hash_;
   // pattern hash -> all observed successors (sampling uniformly from the
   // successor bag reproduces the empirical conditional distribution).
   std::vector<Bucket> buckets_;  // power-of-two size, at most half full
   std::vector<std::int8_t> successors_;
+  // next_bucket() per successor: 16-bit while there are at most 65,536
+  // buckets (next32_ empty), else 32-bit (next16_ empty).
+  std::vector<std::uint16_t> next16_;
+  std::vector<std::uint32_t> next32_;
+  // Per bucket, whether it merges patterns; empty when none does.
+  std::vector<bool> merged_;
   std::vector<std::int8_t> marginal_;
   double marginal_mean_ = -98.0;
   // dbm_to_mw of every int8 reading, indexed by the reading's byte.

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
+#include "util/dbm.hpp"
 
 namespace telea {
 
@@ -55,9 +57,66 @@ class Cc2420Phy {
   /// Packet reception ratio for an `mpdu_bytes`-long frame at `sinr_db`,
   /// gated on the received power clearing the radio sensitivity floor.
   /// Returns 1.0 without evaluating the BER from kSaturatedSinrDb up.
+  /// Always > 0 above sensitivity: the BER is clamped to 0.5, and
+  /// 0.5^(8·(6 + 127)) = 2^−1064 is a (subnormal) double.
   [[nodiscard]] static double packet_reception_ratio(double sinr_db,
                                                      double rssi_dbm,
                                                      std::size_t mpdu_bytes) noexcept;
+
+  /// Co-channel rejection: when concurrent 802.15.4 transmissions dominate
+  /// the noise floor, the signal must clear noise + interference by this
+  /// margin or reception fails outright. The analytic DSSS BER formula alone
+  /// is far too forgiving for collisions (~0.9 PRR at 0 dB SINR); the
+  /// CC2420 datasheet puts co-channel rejection near 3 dB.
+  static constexpr double kCaptureThresholdDb = 3.0;
+  /// 10^(−kCaptureThresholdDb / 10), to well within kDbmVerdictBand.
+  static constexpr double kCaptureRatio = 0.50118723362727224;
+
+  /// Exactly `signal_dbm − mw_to_dbm(total_mw) < kCaptureThresholdDb`,
+  /// given `signal_mw` = dbm_to_mw(signal_dbm). Decided in mW against
+  /// `signal_mw · kCaptureRatio`; the log runs only within kDbmVerdictBand of
+  /// that edge.
+  [[nodiscard]] static bool below_capture(double signal_dbm, double signal_mw,
+                                          double total_mw) noexcept {
+    const double x = total_mw < kFloorMw ? kFloorMw : total_mw;  // the clamp
+    const double edge = signal_mw * kCaptureRatio;
+    if (x > edge * (1.0 + kDbmVerdictBand)) return true;
+    if (x < edge * (1.0 - kDbmVerdictBand)) return false;
+    return signal_dbm - mw_to_dbm(x) < kCaptureThresholdDb;
+  }
+
+  /// Linear SINRs outside which an MPDU's PRR is within 2^−40 of 0 or 1:
+  /// PRR < 2^−40 below `lo` and 1 − PRR < 2^−40 above `hi` (lo = 0 when
+  /// the PRR never gets that low, hi = ∞ when it never gets that high).
+  struct PrrBand {
+    double lo;
+    double hi;
+  };
+  /// The largest MPDU the PRR bands cover (802.15.4 aMaxPHYPacketSize).
+  static constexpr std::size_t kMaxMpduBytes = 127;
+  /// prr_bands()[mpdu], computed once per process on first use (thread
+  /// safe; about 20k libm calls). See phy.cpp for how and why they hold.
+  [[nodiscard]] static const std::array<PrrBand, kMaxMpduBytes + 1>&
+  prr_bands() noexcept;
+
+  /// Exactly `u < packet_reception_ratio(signal_dbm − mw_to_dbm(total_mw),
+  /// signal_dbm, mpdu_bytes)` for a draw `u` of Pcg32::uniform01 (a
+  /// multiple of 2^−32 in [0, 1)), given `signal_mw` = dbm_to_mw(signal_dbm).
+  /// Outside the MPDU's PRR band no libm runs: below it 0 < PRR < 2^−40, so
+  /// only u = 0 is below the PRR; above it PRR > 1 − 2^−40 > u.
+  [[nodiscard]] static bool receives(double u, double signal_dbm,
+                                     double signal_mw, double total_mw,
+                                     std::size_t mpdu_bytes) noexcept {
+    if (signal_dbm < kSensitivityDbm) return false;
+    if (mpdu_bytes <= kMaxMpduBytes) {
+      const PrrBand& band = prr_bands()[mpdu_bytes];
+      const double x = total_mw < kFloorMw ? kFloorMw : total_mw;
+      if (signal_mw < band.lo * x) return u == 0.0;
+      if (signal_mw > band.hi * x) return true;
+    }
+    return u < packet_reception_ratio(signal_dbm - mw_to_dbm(total_mw),
+                                      signal_dbm, mpdu_bytes);
+  }
 };
 
 }  // namespace telea

@@ -6,45 +6,90 @@
 
 namespace telea {
 
-EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
-  const std::uint64_t seq = next_seq_;
-  const bool grow = free_.empty();
-  const std::size_t slot_index = grow ? slots_.size() : free_.back();
+std::uint64_t EventQueue::take_seq() {
   // The heap entry packs seq and slot into one word; checked in every build
   // because an overflow would silently reorder or misroute events.
-  if (slot_index > kSlotMask || (seq >> (64 - kSlotBits)) != 0) {
-    throw std::length_error("EventQueue: seq or slot exceeds its packing");
+  if ((next_seq_ >> (64 - kSlotBits)) != 0) {
+    throw std::length_error("EventQueue: seq exceeds its packing");
   }
-  ++next_seq_;
-  const auto slot = static_cast<std::uint32_t>(slot_index);
-  if (grow) {
-    slots_.push_back(Slot{seq, std::move(cb), tag});
-  } else {
-    free_.pop_back();
-    slots_[slot] = Slot{seq, std::move(cb), tag};
-  }
+  return next_seq_++;
+}
 
-  const Entry entry{when, (seq << kSlotBits) | slot};
+std::uint32_t EventQueue::take_slot() {
+  if (!free_.empty()) {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  if (slots_.size() > kSlotMask) {
+    throw std::length_error("EventQueue: slot exceeds its packing");
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+EventHandle EventQueue::schedule(SimTime when, Callback cb, const char* tag) {
+  const std::uint64_t seq = take_seq();
+  const std::uint32_t slot = take_slot();
+  Slot& s = slots_[slot];
+  s.seq = seq;
+  s.callback = std::move(cb);
+  s.tag = tag;
+  push(Entry{when, (seq << kSlotBits) | slot});
+  ++live_;
+  return EventHandle{seq, slot};
+}
+
+std::uint32_t EventQueue::add_timer(TimerFire fire, void* target) {
+  const std::uint32_t slot = take_slot();
+  slots_[slot].fire = fire;
+  slots_[slot].target = target;
+  return slot;
+}
+
+void EventQueue::arm_timer(std::uint32_t slot, SimTime when, const char* tag) {
+  const std::uint64_t seq = take_seq();
+  Slot& s = slots_[slot];
+  assert(s.fire != nullptr);
+  if (s.seq == 0) ++live_;  // else the armed entry goes stale
+  s.seq = seq;
+  s.tag = tag;
+  push(Entry{when, (seq << kSlotBits) | slot});
+}
+
+void EventQueue::disarm_timer(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  assert(s.fire != nullptr);
+  if (s.seq == 0) return;
+  s.seq = 0;
+  --live_;
+}
+
+void EventQueue::remove_timer(std::uint32_t slot) noexcept {
+  disarm_timer(slot);
+  slots_[slot] = Slot{};
+  free_.push_back(slot);
+}
+
+void EventQueue::push(Entry entry) {
   if (hole_) {
     // Replace-top: the entry takes the root the last pop vacated.
     hole_ = false;
     sift_down(entry);
-  } else {
-    // Sift up: move parents down until the new entry fits.
-    const Key k = key(entry);
-    std::size_t i = heap_.size();
-    heap_.push_back(entry);
-    Entry* h = heap_.data();
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (key(h[parent]) < k) break;
-      h[i] = h[parent];
-      i = parent;
-    }
-    h[i] = entry;
+    return;
   }
-  ++live_;
-  return EventHandle{seq, slot};
+  // Sift up: move parents down until the new entry fits.
+  const Key k = key(entry);
+  std::size_t i = heap_.size();
+  heap_.push_back(entry);
+  Entry* h = heap_.data();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (key(h[parent]) < k) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = entry;
 }
 
 void EventQueue::pop_root() {
@@ -130,7 +175,13 @@ EventQueue::Fired EventQueue::pop() {
   const Entry top = heap_.front();
   hole_ = true;
   Slot& s = slots_[top.slot()];
-  Fired fired{top.time, std::move(s.callback), s.tag};
+  if (s.fire != nullptr) {
+    // A timer's entry: the slot stays the timer's, disarmed.
+    s.seq = 0;
+    --live_;
+    return Fired{top.time, nullptr, s.fire, s.target, s.tag};
+  }
+  Fired fired{top.time, std::move(s.callback), nullptr, nullptr, s.tag};
   release(top.slot());
   return fired;
 }
@@ -138,8 +189,16 @@ EventQueue::Fired EventQueue::pop() {
 void EventQueue::clear() {
   hole_ = false;
   heap_.clear();
-  slots_.clear();
   free_.clear();
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    s.seq = 0;
+    if (s.fire == nullptr) {
+      s.callback = nullptr;
+      s.tag = nullptr;
+      free_.push_back(i);
+    }
+  }
   live_ = 0;
 }
 

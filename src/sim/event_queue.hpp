@@ -42,9 +42,19 @@ class EventHandle {
 /// it straight into the hole and sifts it down from the root. Every other
 /// reader of the heap (next_time(), pop(), clear()) fills the hole the
 /// usual way first.
+///
+/// A timer owns one slot for its whole lifetime (add_timer() to
+/// remove_timer()). The slot holds a plain `(function pointer, target)` pair
+/// instead of a Callback, so arming one is a seq and a heap entry: nothing is
+/// built, moved or destroyed per firing. The slot's seq is its armed entry's
+/// (0 while disarmed), so re-arming and disarming leave stale entries behind
+/// exactly as cancel() does. Timer arms draw seqs from the same counter as
+/// schedule(), so `(time, seq)` orders both kinds together.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  /// A timer slot's target: `fire(target)` runs when the armed entry pops.
+  using TimerFire = void (*)(void* target);
 
   /// Schedules `cb` at absolute time `when`. `when` may equal the current
   /// head time; ordering among equal-time events is FIFO. `tag` optionally
@@ -59,6 +69,27 @@ class EventQueue {
   /// Invalidates `handle`.
   void cancel(EventHandle& handle);
 
+  /// Takes a slot for a timer that fires `fire(target)`; the slot starts
+  /// disarmed and stays the timer's until remove_timer(). Throws
+  /// std::length_error past 2^24 slots.
+  [[nodiscard]] std::uint32_t add_timer(TimerFire fire, void* target);
+
+  /// Arms timer slot `slot` to fire at `when` with a fresh seq, replacing
+  /// any armed entry. `tag` is as for schedule().
+  void arm_timer(std::uint32_t slot, SimTime when, const char* tag);
+
+  /// Disarms timer slot `slot`; a no-op when it is not armed.
+  void disarm_timer(std::uint32_t slot) noexcept;
+
+  /// Whether timer slot `slot` has an entry pending. False from the moment
+  /// its entry pops until it is armed again.
+  [[nodiscard]] bool timer_armed(std::uint32_t slot) const noexcept {
+    return slots_[slot].seq != 0;
+  }
+
+  /// Disarms timer slot `slot` and returns it to the free list.
+  void remove_timer(std::uint32_t slot) noexcept;
+
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
@@ -68,19 +99,33 @@ class EventQueue {
   /// Pops and returns the next live event. Precondition: !empty().
   struct Fired {
     SimTime time;
-    Callback callback;
+    Callback callback;  // a schedule()d event's; empty for a timer's
+    TimerFire fire = nullptr;  // a timer's target, called with `target`
+    void* target = nullptr;
     const char* tag = nullptr;  // event-kind tag, nullptr when untagged
+
+    /// Runs the event: the timer's target, else the callback.
+    void run() {
+      if (fire != nullptr) {
+        fire(target);
+      } else {
+        callback();
+      }
+    }
   };
   Fired pop();
 
-  /// Drops every pending event. Sequence numbers keep increasing, so
-  /// handles issued before the clear stay inert.
+  /// Drops every pending event and disarms every timer; timers keep their
+  /// slots. Sequence numbers keep increasing, so handles issued before the
+  /// clear stay inert.
   void clear();
 
  private:
   struct Slot {
-    std::uint64_t seq = 0;  // occupant's seq; 0 while the slot is free
+    std::uint64_t seq = 0;  // occupant's seq; 0 while free or disarmed
     Callback callback;
+    TimerFire fire = nullptr;  // non-null for the lifetime of a timer slot
+    void* target = nullptr;
     const char* tag = nullptr;
   };
 
@@ -111,7 +156,16 @@ class EventQueue {
     return slots_[e.slot()].seq != e.seq();
   }
 
+  /// A free slot's index, growing the slot vector when none is free.
+  [[nodiscard]] std::uint32_t take_slot();
+  /// Frees a schedule()d event's slot.
   void release(std::uint32_t slot);
+  /// Issues the next seq. Throws std::length_error once it no longer fits
+  /// the heap entry's packing.
+  [[nodiscard]] std::uint64_t take_seq();
+  /// Adds `entry` to the heap: into the hole if there is one, else sifted
+  /// up from the bottom.
+  void push(Entry entry);
 
   /// Removes the root of the heap.
   void pop_root();

@@ -37,7 +37,7 @@ bool Simulator::step_profiled(SimTime until) {
   auto fired = queue_.pop();
   now_ = fired.time;
   const auto t0 = std::chrono::steady_clock::now();
-  fired.callback();
+  fired.run();
   const auto t1 = std::chrono::steady_clock::now();
   const double elapsed = std::chrono::duration<double>(t1 - t0).count();
   ++profile_.events_dispatched;

@@ -74,14 +74,14 @@ class Simulator {
     if (queue_.next_time() > until) return false;
     auto fired = queue_.pop();
     now_ = fired.time;
-    fired.callback();
+    fired.run();
     return true;
   }
 
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
 
-  /// Drops all pending events and resets the clock to zero (profiling
-  /// counters included).
+  /// Drops all pending events, disarms every Timer and resets the clock to
+  /// zero (profiling counters included).
   void reset();
 
   /// Toggles dispatch-loop self-profiling. Off by default: the profiled
@@ -96,6 +96,8 @@ class Simulator {
   }
 
  private:
+  friend class Timer;  // arms its own queue slot
+
   bool step_profiled(SimTime until);
 
   /// `profile_.by_kind` entry for `tag`, found by pointer in `kind_cache_`

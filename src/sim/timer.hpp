@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 
@@ -10,14 +11,19 @@ namespace telea {
 /// RAII one-shot / periodic timer bound to a Simulator — the C++ analogue of
 /// TinyOS's Timer interface. Destroying (or stopping) the timer cancels any
 /// pending firing, so a component can never be called back after teardown.
+///
+/// The timer owns one event-queue slot from construction to destruction
+/// (EventQueue::add_timer), so arming builds no callback: it takes a seq
+/// and pushes a heap entry. Simulator::reset() disarms it.
 class Timer {
  public:
   using Callback = std::function<void()>;
 
-  explicit Timer(Simulator& sim) : sim_(&sim) {}
+  explicit Timer(Simulator& sim)
+      : sim_(&sim), slot_(sim.queue_.add_timer(&Timer::dispatch, this)) {}
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
-  ~Timer() { stop(); }
+  ~Timer() { sim_->queue_.remove_timer(slot_); }
 
   void set_callback(Callback cb) { callback_ = std::move(cb); }
 
@@ -27,43 +33,45 @@ class Timer {
 
   /// Fires once after `delay`. Restarting an armed timer re-arms it.
   void start_one_shot(SimTime delay) {
-    stop();
     period_ = 0;
     arm(delay);
   }
 
   /// Fires every `period`, first firing after `period`.
   void start_periodic(SimTime period) {
-    stop();
     period_ = period;
     arm(period);
   }
 
   /// Fires every `period`, first firing after `initial_delay`.
   void start_periodic_at(SimTime initial_delay, SimTime period) {
-    stop();
     period_ = period;
     arm(initial_delay);
   }
 
-  void stop() { sim_->cancel(handle_); }
+  void stop() noexcept { sim_->queue_.disarm_timer(slot_); }
 
-  [[nodiscard]] bool running() const noexcept { return handle_.valid(); }
+  /// Whether a firing is pending: false inside a one-shot's own callback,
+  /// true inside a periodic timer's (it re-arms before calling back).
+  [[nodiscard]] bool running() const noexcept {
+    return sim_->queue_.timer_armed(slot_);
+  }
 
  private:
   void arm(SimTime delay) {
-    handle_ = sim_->schedule_in(delay, [this] { fire(); }, tag_);
+    sim_->queue_.arm_timer(slot_, sim_->now_ + delay, tag_);
   }
 
+  static void dispatch(void* timer) { static_cast<Timer*>(timer)->fire(); }
+
   void fire() {
-    handle_.reset();  // the event just consumed itself
     if (period_ > 0) arm(period_);
     if (callback_) callback_();
   }
 
   Simulator* sim_;
+  std::uint32_t slot_;
   Callback callback_;
-  EventHandle handle_;
   SimTime period_ = 0;
   const char* tag_ = nullptr;
 };

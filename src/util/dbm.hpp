@@ -30,18 +30,21 @@ inline constexpr double kFloorMw = 1e-18;
   return std::pow(10.0, db / 10.0);
 }
 
+/// Relative slack around a dBm verdict's edge in mW (4.3e-9 dB). libm's
+/// few-ulp errors in pow and log10 are about 1e-7 of it, so outside it a
+/// comparison in mW gives the verdict the logs would.
+inline constexpr double kDbmVerdictBand = 1e-9;
+
 /// A power threshold in dBm that answers `mw_to_dbm(x) > dbm` for a power x
 /// in mW without a log in almost every case. Away from the threshold the
-/// verdict is fixed by comparing x against dbm_to_mw(dbm) widened by a
-/// relative band of 1e-9 (4.3e-9 dB); libm's few-ulp errors in pow and
-/// log10 are about 1e-7 of that band, so they cannot flip such a verdict.
-/// Only inside the band is the exact expression evaluated.
+/// verdict is fixed by comparing x against dbm_to_mw(dbm) widened by
+/// kDbmVerdictBand. Only inside the band is the exact expression evaluated.
 class DbmThreshold {
  public:
   explicit DbmThreshold(double dbm) noexcept
       : dbm_(dbm),
-        above_mw_(dbm_to_mw(dbm) * (1.0 + kBand)),
-        below_mw_(dbm_to_mw(dbm) * (1.0 - kBand)) {}
+        above_mw_(dbm_to_mw(dbm) * (1.0 + kDbmVerdictBand)),
+        below_mw_(dbm_to_mw(dbm) * (1.0 - kDbmVerdictBand)) {}
 
   /// Whether `mw` lies in the band where only the log decides.
   [[nodiscard]] bool near(double mw) const noexcept {
@@ -58,7 +61,6 @@ class DbmThreshold {
   }
 
  private:
-  static constexpr double kBand = 1e-9;
   double dbm_;
   double above_mw_;
   double below_mw_;

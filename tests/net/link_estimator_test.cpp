@@ -76,16 +76,17 @@ TEST(LinkEstimator, EvictRemovesNeighbor) {
 }
 
 TEST(LinkEstimator, TableLimitEvictsWorst) {
-  LinkEstimator::Config cfg;
-  cfg.table_limit = 4;
-  LinkEstimator le(cfg);
+  LinkEstimator le;
   // Fill with mediocre neighbors, then a heavily-used one.
-  for (NodeId n = 1; n <= 4; ++n) le.on_beacon(n, 1);
+  const auto limit = static_cast<NodeId>(LinkEstimator::kTableLimit);
+  ASSERT_EQ(limit, 24);
+  for (NodeId n = 1; n <= limit; ++n) le.on_beacon(n, 1);
+  EXPECT_EQ(le.neighbors().size(), LinkEstimator::kTableLimit);
   le.on_data_tx(1, true);  // neighbor 1 is in use
   le.on_beacon(99, 1);     // forces an eviction
   EXPECT_TRUE(le.knows(99));
   EXPECT_TRUE(le.knows(1));  // in-use neighbor survived
-  EXPECT_EQ(le.neighbors().size(), 4u);
+  EXPECT_EQ(le.neighbors().size(), LinkEstimator::kTableLimit);
 }
 
 TEST(LinkEstimator, NeighborsListsAll) {

@@ -12,6 +12,11 @@
 namespace telea {
 namespace {
 
+/// Transmits `frame` from `src`, sized as LplMac sizes it.
+void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
+  medium.transmit(src, frame, wire_size_bytes(frame));
+}
+
 class AckerListener final : public MediumListener {
  public:
   AckDecision decision = AckDecision::kIgnore;
@@ -76,7 +81,7 @@ TEST_F(MediumAckTest, SingleAckerAlwaysCaptured) {
   build({{0, 0}, {5, 0}, {10, 0}});
   listeners_[1]->decision = AckDecision::kAcceptAndAck;
   listeners_[2]->decision = AckDecision::kAccept;  // receives, no ack
-  medium_->transmit(0, anycast(1));
+  transmit_frame(*medium_, 0, anycast(1));
   sim_.run();
   EXPECT_TRUE(listeners_[0]->acked);
   EXPECT_EQ(listeners_[0]->acker, 1);
@@ -87,7 +92,7 @@ TEST_F(MediumAckTest, StrongerOfTwoAckersCaptures) {
   build({{0, 0}, {4, 0}, {12, 0}});
   listeners_[1]->decision = AckDecision::kAcceptAndAck;
   listeners_[2]->decision = AckDecision::kAcceptAndAck;
-  medium_->transmit(0, anycast(1));
+  transmit_frame(*medium_, 0, anycast(1));
   sim_.run();
   EXPECT_TRUE(listeners_[0]->acked);
   EXPECT_EQ(listeners_[0]->acker, 1);
@@ -101,7 +106,7 @@ TEST_F(MediumAckTest, EquidistantAckersCollide) {
   int acked = 0;
   for (std::uint32_t i = 0; i < 20; ++i) {
     listeners_[0]->tx_done = false;
-    medium_->transmit(0, anycast(100 + i));
+    transmit_frame(*medium_, 0, anycast(100 + i));
     sim_.run();
     if (listeners_[0]->acked) ++acked;
   }
@@ -112,7 +117,7 @@ TEST_F(MediumAckTest, AckWindowDelaysTxDone) {
   build({{0, 0}, {5, 0}});
   listeners_[1]->decision = AckDecision::kAcceptAndAck;
   const SimTime start = sim_.now();
-  medium_->transmit(0, anycast(1));
+  transmit_frame(*medium_, 0, anycast(1));
   sim_.run();
   // Unicast/anycast completion includes frame airtime + turnaround + ack.
   Frame probe = anycast(2);
@@ -125,7 +130,7 @@ TEST_F(MediumAckTest, AckWindowDelaysTxDone) {
 TEST_F(MediumAckTest, TransmitterBusyThroughAckWindow) {
   build({{0, 0}, {5, 0}});
   listeners_[1]->decision = AckDecision::kAcceptAndAck;
-  medium_->transmit(0, anycast(1));
+  transmit_frame(*medium_, 0, anycast(1));
   EXPECT_TRUE(medium_->transmitting(0));
   // Step past the frame airtime but not the ack window: still busy.
   Frame probe = anycast(2);

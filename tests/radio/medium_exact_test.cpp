@@ -20,6 +20,11 @@
 namespace telea {
 namespace {
 
+/// Transmits `frame` from `src`, sized as LplMac sizes it.
+void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
+  medium.transmit(src, frame, wire_size_bytes(frame));
+}
+
 TEST(WifiInterfererMw, PowerMwMatchesDbmConversionExactly) {
   constexpr std::size_t kNodes = 9;
   // Twins: one answers in dBm, the other in mW; both walk the same process.
@@ -122,7 +127,7 @@ class GoldenNode final : public MediumListener {
       f.payload = msg::CtpData{};
     }
     if (medium_.receiving(id_)) ++locked_starts;
-    medium_.transmit(id_, f);
+    transmit_frame(medium_, id_, f);
   }
 
   void mix(std::uint64_t kind, std::uint64_t a, std::uint64_t b,

@@ -11,6 +11,11 @@
 namespace telea {
 namespace {
 
+/// Transmits `frame` from `src`, sized as LplMac sizes it.
+void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
+  medium.transmit(src, frame, wire_size_bytes(frame));
+}
+
 /// A scripted MAC stand-in recording everything the medium reports.
 class FakeListener final : public MediumListener {
  public:
@@ -103,7 +108,7 @@ class MediumTest : public ::testing::Test {
 TEST_F(MediumTest, BroadcastReachesListeningNeighbor) {
   build(2, 5.0);  // 5 m at 0 dBm: very strong link
   medium_->set_listening(1, true);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   sim_.run();
   ASSERT_EQ(listeners_[1]->received.size(), 1u);
   EXPECT_EQ(listeners_[1]->received[0].src, 0);
@@ -114,7 +119,7 @@ TEST_F(MediumTest, BroadcastReachesListeningNeighbor) {
 TEST_F(MediumTest, SleepingRadioMissesFrame) {
   build(2, 5.0);
   medium_->set_listening(1, false);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   sim_.run();
   EXPECT_TRUE(listeners_[1]->received.empty());
 }
@@ -122,7 +127,7 @@ TEST_F(MediumTest, SleepingRadioMissesFrame) {
 TEST_F(MediumTest, WakingMidFrameMissesIt) {
   build(2, 5.0);
   medium_->set_listening(1, false);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   // Wake 100 us into the transmission: the lock was taken at tx start.
   sim_.schedule_in(100, [this] { medium_->set_listening(1, true); });
   sim_.run();
@@ -132,7 +137,7 @@ TEST_F(MediumTest, WakingMidFrameMissesIt) {
 TEST_F(MediumTest, SleepMidFrameAbortsReception) {
   build(2, 5.0);
   medium_->set_listening(1, true);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   sim_.schedule_in(100, [this] { medium_->set_listening(1, false); });
   sim_.run();
   EXPECT_TRUE(listeners_[1]->received.empty());
@@ -142,7 +147,7 @@ TEST_F(MediumTest, UnicastAckedByReceiver) {
   build(2, 5.0);
   medium_->set_listening(1, true);
   listeners_[1]->decision = AckDecision::kAcceptAndAck;
-  medium_->transmit(0, data_frame(0, 1));
+  transmit_frame(*medium_, 0, data_frame(0, 1));
   sim_.run();
   EXPECT_EQ(listeners_[0]->tx_done_count, 1);
   EXPECT_TRUE(listeners_[0]->last_acked);
@@ -153,7 +158,7 @@ TEST_F(MediumTest, UnicastWithoutAckDecisionReportsNoAck) {
   build(2, 5.0);
   medium_->set_listening(1, true);
   listeners_[1]->decision = AckDecision::kAccept;
-  medium_->transmit(0, data_frame(0, 1));
+  transmit_frame(*medium_, 0, data_frame(0, 1));
   sim_.run();
   EXPECT_TRUE(listeners_[0]->tx_done_count == 1 && !listeners_[0]->last_acked);
 }
@@ -171,7 +176,7 @@ TEST_F(MediumTest, AnycastControlPacketClaimedByNonAddressee) {
   cp.mode = msg::ControlMode::kOpportunistic;
   f.payload = cp;
   EXPECT_TRUE(RadioMedium::frame_wants_ack(f));
-  medium_->transmit(0, f);
+  transmit_frame(*medium_, 0, f);
   sim_.run();
   EXPECT_TRUE(listeners_[0]->last_acked);
   EXPECT_EQ(listeners_[0]->last_acker, 1);
@@ -194,7 +199,7 @@ TEST_F(MediumTest, OutOfRangeNodeNeverReceives) {
   build(2, 200.0);  // 200 m at exponent 4: far below sensitivity
   medium_->set_listening(1, true);
   for (int i = 0; i < 20; ++i) {
-    medium_->transmit(0, beacon_frame(0));
+    transmit_frame(*medium_, 0, beacon_frame(0));
     sim_.run();
   }
   EXPECT_TRUE(listeners_[1]->received.empty());
@@ -205,7 +210,7 @@ TEST_F(MediumTest, ChannelEnergyRisesDuringTransmission) {
   medium_->set_listening(1, true);
   const double idle = medium_->channel_energy_dbm(1);
   EXPECT_LT(idle, -90.0);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   // Signal at 5 m, exponent 4, PL0 40 dB: loss 68 dB -> about -68 dBm.
   const double busy = medium_->channel_energy_dbm(1);
   EXPECT_GT(busy, -70.0);
@@ -219,8 +224,8 @@ TEST_F(MediumTest, CollisionDegradesMiddleReceiver) {
   medium_->set_listening(1, true);
   int received = 0;
   for (int i = 0; i < 50; ++i) {
-    medium_->transmit(0, beacon_frame(0));
-    medium_->transmit(2, beacon_frame(2));
+    transmit_frame(*medium_, 0, beacon_frame(0));
+    transmit_frame(*medium_, 2, beacon_frame(2));
     sim_.run();
     received += static_cast<int>(listeners_[1]->received.size());
     listeners_[1]->received.clear();
@@ -247,8 +252,8 @@ TEST_F(MediumTest, CaptureWhenInterfererIsWeak) {
   medium_->set_listening(1, true);
   int received = 0;
   for (int i = 0; i < 20; ++i) {
-    medium_->transmit(0, beacon_frame(0));
-    medium_->transmit(2, beacon_frame(2));
+    transmit_frame(*medium_, 0, beacon_frame(0));
+    transmit_frame(*medium_, 2, beacon_frame(2));
     sim_.run();
     received += static_cast<int>(listeners_[1]->received.size());
     listeners_[1]->received.clear();
@@ -261,9 +266,9 @@ TEST_F(MediumTest, TransmitHookSeesEveryCopy) {
   int copies = 0;
   medium_->add_transmit_hook(
       [&copies](NodeId, const Frame&, SimTime) { ++copies; });
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   sim_.run();
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   sim_.run();
   EXPECT_EQ(copies, 2);
   EXPECT_EQ(medium_->total_transmissions(), 2u);
@@ -273,8 +278,8 @@ TEST_F(MediumTest, TransmitterCannotReceiveWhileSending) {
   build(2, 5.0);
   medium_->set_listening(0, true);
   medium_->set_listening(1, true);
-  medium_->transmit(0, beacon_frame(0));
-  medium_->transmit(1, beacon_frame(1));
+  transmit_frame(*medium_, 0, beacon_frame(0));
+  transmit_frame(*medium_, 1, beacon_frame(1));
   sim_.run();
   // Both were transmitting through each other's frames: neither receives.
   EXPECT_TRUE(listeners_[0]->received.empty());
@@ -285,7 +290,7 @@ TEST_F(MediumTest, ReceivingStateIsVisible) {
   build(2, 5.0);
   medium_->set_listening(1, true);
   EXPECT_FALSE(medium_->receiving(1));
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   EXPECT_TRUE(medium_->receiving(1));
   sim_.run();
   EXPECT_FALSE(medium_->receiving(1));
@@ -304,7 +309,7 @@ TEST_F(MediumTest, LongFrameStartedBeforeReceptionInterferes) {
   const auto beacon_at = [this](SimTime when) {
     sim_.schedule_at(when, [this] {
       medium_->set_listening(1, true);
-      medium_->transmit(2, beacon_frame(2));
+      transmit_frame(*medium_, 2, beacon_frame(2));
     });
   };
 
@@ -318,7 +323,7 @@ TEST_F(MediumTest, LongFrameStartedBeforeReceptionInterferes) {
   medium_->set_listening(1, false);
   const SimTime t0 = sim_.now() + kMillisecond;
   sim_.schedule_at(t0, [this, &long_frame] {
-    medium_->transmit(0, long_frame);
+    transmit_frame(*medium_, 0, long_frame);
   });
   beacon_at(t0 + rx_start);
   sim_.run();
@@ -327,12 +332,12 @@ TEST_F(MediumTest, LongFrameStartedBeforeReceptionInterferes) {
 
 TEST_F(MediumTest, FrameEndingAtReceptionStartDoesNotInterfere) {
   build(3, 5.0);
-  medium_->transmit(0, max_frame(0));
+  transmit_frame(*medium_, 0, max_frame(0));
   const SimTime end = Cc2420Phy::airtime(kMaxMpduBytes);
   // Scheduled after transmit(), so it runs after the frame's finish at `end`.
   sim_.schedule_at(end, [this] {
     medium_->set_listening(1, true);
-    medium_->transmit(2, beacon_frame(2));
+    transmit_frame(*medium_, 2, beacon_frame(2));
   });
   sim_.run();
   ASSERT_EQ(listeners_[1]->received.size(), 1u);
@@ -342,7 +347,7 @@ TEST_F(MediumTest, FrameEndingAtReceptionStartDoesNotInterfere) {
 TEST_F(MediumTest, FinishedFrameLeavesChannelEnergy) {
   build(2, 5.0);
   const double idle = medium_->channel_energy_dbm(1);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   const SimTime end = Cc2420Phy::airtime(wire_size_bytes(beacon_frame(0)));
   double busy = 0.0;
   double after = 0.0;
@@ -357,18 +362,18 @@ TEST_F(MediumTest, FinishedFrameLeavesChannelEnergy) {
 TEST_F(MediumTest, LinkLossDuringTrafficAndClearRestore) {
   build(2, 5.0);
   medium_->set_listening(1, true);
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   const double energy_clean = medium_->channel_energy_dbm(1);
   sim_.run();
 
   // Degrade the link mid-frame: CCA sees it at once, the reception at its end.
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   medium_->add_link_loss_db(0, 1, 6.0);
   const double energy_faulted = medium_->channel_energy_dbm(1);
   sim_.run();
 
   medium_->add_link_loss_db(0, 1, -6.0);  // undone as the fault plan does
-  medium_->transmit(0, beacon_frame(0));
+  transmit_frame(*medium_, 0, beacon_frame(0));
   const double energy_restored = medium_->channel_energy_dbm(1);
   sim_.run();
 
@@ -426,7 +431,7 @@ class TrafficNode final : public MediumListener {
       reply.link_seq = next_seq_++;
       reply.payload = msg::CtpBeacon{};
       replying_ = true;
-      medium_.transmit(id_, reply);
+      transmit_frame(medium_, id_, reply);
     }
     return frame.dst == id_ ? AckDecision::kAcceptAndAck : AckDecision::kAccept;
   }
@@ -467,7 +472,7 @@ class TrafficNode final : public MediumListener {
       f.dst = static_cast<NodeId>(rng_.uniform(traffic_nodes_));
       f.payload = msg::CtpData{};
     }
-    medium_.transmit(id_, f);
+    transmit_frame(medium_, id_, f);
   }
 
   Simulator& sim_;

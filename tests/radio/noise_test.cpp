@@ -6,13 +6,37 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "util/dbm.hpp"
 #include "util/rng.hpp"
 
 namespace telea {
+
+// Reaches the model's private training hook and tables.
+struct CpmNoiseModelPeer {
+  using Hash = std::uint64_t (*)(std::span<const std::int8_t>) noexcept;
+  static CpmNoiseModel with_hash(const std::vector<std::int8_t>& trace,
+                                 std::size_t history, Hash hash) {
+    return CpmNoiseModel(trace, history, hash);
+  }
+  static std::uint64_t fnv(std::span<const std::int8_t> recent) noexcept {
+    return CpmNoiseModel::pattern_hash(recent);
+  }
+  static std::size_t merged_buckets(const CpmNoiseModel& model) {
+    return static_cast<std::size_t>(
+        std::count(model.merged_.begin(), model.merged_.end(), true));
+  }
+  static bool wide_indices(const CpmNoiseModel& model) {
+    return !model.next32_.empty();
+  }
+  static constexpr std::size_t kInjectiveHistory =
+      CpmNoiseModel::kInjectiveHistory;
+};
+
 namespace {
 
 TEST(SyntheticTrace, LengthAndBounds) {
@@ -257,6 +281,180 @@ TEST(CpmNoiseModel, RejectsTraceNoLongerThanHistory) {
     auto gen = model.make_generator(1, 1);
     EXPECT_EQ(gen.noise_dbm(0), -98.0);
     EXPECT_EQ(gen.noise_dbm(kSecond), -98.0);
+  }
+}
+
+
+/// The probing walk without the model's table: each step looks the recent
+/// pattern's hash up in bags of successors gathered from the trace in trace
+/// order, as the model did before successors cached their next bucket.
+/// reading_at() repeats Generator::reading_at's stepping: 2 ms steps, and a
+/// marginal restart past 32 steps of catch-up.
+class ProbingWalk {
+ public:
+  ProbingWalk(const std::vector<std::int8_t>& trace, std::size_t history,
+              CpmNoiseModelPeer::Hash hash, std::uint64_t seed,
+              std::uint64_t stream)
+      : trace_(&trace), hash_(hash), rng_(seed, stream), recent_(history) {
+    for (std::size_t i = history; i < trace.size(); ++i) {
+      bags_[hash({trace.data() + (i - history), history})].push_back(trace[i]);
+    }
+  }
+
+  std::int8_t reading_at(SimTime t) {
+    const SimTime target = t / (2 * kMillisecond);
+    if (!primed_) {
+      for (auto& r : recent_) r = marginal();
+      current_ = recent_.back();
+      step_ = target;
+      primed_ = true;
+      return current_;
+    }
+    if (target <= step_) return current_;
+    SimTime gap = target - step_;
+    if (gap > 32) {
+      for (auto& r : recent_) r = marginal();
+      gap = 1;
+    }
+    for (SimTime i = 0; i < gap; ++i) {
+      const auto bag = bags_.find(hash_(recent_));
+      const std::int8_t next =
+          bag == bags_.end()
+              ? marginal()
+              : bag->second[rng_.uniform(
+                    static_cast<std::uint32_t>(bag->second.size()))];
+      std::rotate(recent_.begin(), recent_.begin() + 1, recent_.end());
+      recent_.back() = next;
+      current_ = next;
+      ++steps_;
+    }
+    step_ = target;
+    return current_;
+  }
+
+  [[nodiscard]] std::uint64_t steps() const { return steps_; }
+
+ private:
+  std::int8_t marginal() {
+    return (*trace_)[rng_.uniform(static_cast<std::uint32_t>(trace_->size()))];
+  }
+
+  const std::vector<std::int8_t>* trace_;
+  CpmNoiseModelPeer::Hash hash_;
+  Pcg32 rng_;
+  std::unordered_map<std::uint64_t, std::vector<std::int8_t>> bags_;
+  std::vector<std::int8_t> recent_;
+  std::int8_t current_ = 0;
+  SimTime step_ = 0;
+  std::uint64_t steps_ = 0;
+  bool primed_ = false;
+};
+
+/// Queries `model`'s generator and the probing walk at the same times until
+/// the walk has taken `steps` chain steps, and returns the first query at
+/// which they differ (-1 when none). Most queries advance one step; some
+/// repeat a time, skip up to 32 steps, or jump far enough to restart.
+long first_divergence(const CpmNoiseModel& model,
+                      const std::vector<std::int8_t>& trace,
+                      std::size_t history, CpmNoiseModelPeer::Hash hash,
+                      std::uint64_t seed, std::uint64_t steps) {
+  auto gen = model.make_generator(seed, 5);
+  ProbingWalk walk(trace, history, hash, seed, 5);
+  Pcg32 times(seed, 99);
+  SimTime t = 0;
+  for (long query = 0; walk.steps() < steps; ++query) {
+    if (gen.noise_dbm(t) != walk.reading_at(t)) return query;
+    const std::uint32_t dice = times.uniform(100);
+    const SimTime skip = dice < 80   ? 1
+                         : dice < 85 ? 0
+                         : dice < 97 ? times.uniform_in(2, 32)
+                                     : times.uniform_in(33, 200);
+    t += skip * 2 * kMillisecond;
+  }
+  return -1;
+}
+
+TEST(CpmNoiseModel, CachedWalkEqualsProbingWalk) {
+  // 10^6 chain steps per history, over eight trace seeds each.
+  for (std::size_t history = 1; history <= 3; ++history) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto trace = generate_heavy_noise_trace({}, seed);
+      const CpmNoiseModel model(trace, history);
+      EXPECT_EQ(CpmNoiseModelPeer::merged_buckets(model), 0u);
+      EXPECT_FALSE(CpmNoiseModelPeer::wide_indices(model));
+      EXPECT_EQ(first_divergence(model, trace, history, CpmNoiseModelPeer::fnv,
+                                 seed, 125'000),
+                -1)
+          << "history " << history << ", trace seed " << seed;
+    }
+  }
+}
+
+TEST(CpmNoiseModel, CachedWalkEqualsProbingWalkWithWideIndices) {
+  // Uniform readings make ~70,000 distinct patterns, past the 65,536
+  // buckets 16-bit indices can name.
+  Pcg32 rng(17, 3);
+  std::vector<std::int8_t> trace(70'000);
+  for (auto& r : trace) r = static_cast<std::int8_t>(rng.next());
+  const CpmNoiseModel model(trace, 3);
+  EXPECT_TRUE(CpmNoiseModelPeer::wide_indices(model));
+  EXPECT_EQ(first_divergence(model, trace, 3, CpmNoiseModelPeer::fnv, 1,
+                             200'000),
+            -1);
+}
+
+TEST(CpmNoiseModel, PatternHashIsInjectiveUpToTheCheckedHistory) {
+  // Two equal-length inputs collide only if, after some common-length
+  // prefix, their FNV-1a states differ in the low 8 bits alone: the next
+  // bytes can then XOR them equal. So distinct high 56 bits across all
+  // prefixes of each length below kInjectiveHistory make every pattern of
+  // up to kInjectiveHistory readings hash to its own value.
+  ASSERT_EQ(CpmNoiseModelPeer::kInjectiveHistory, 3u);
+  std::vector<std::uint64_t> states{1469598103934665603ULL};  // empty prefix
+  for (std::size_t length = 1; length < 3; ++length) {
+    std::vector<std::uint64_t> next;
+    for (const std::uint64_t s : states) {
+      for (int byte = 0; byte < 256; ++byte) {
+        next.push_back((s ^ static_cast<std::uint64_t>(byte)) *
+                       std::uint64_t{1099511628211ULL});
+      }
+    }
+    states = std::move(next);
+    std::vector<std::uint64_t> high;
+    for (const std::uint64_t s : states) high.push_back(s >> 8);
+    std::sort(high.begin(), high.end());
+    EXPECT_EQ(std::adjacent_find(high.begin(), high.end()), high.end())
+        << "length " << length;
+  }
+  // The states are the hash's: a two-byte prefix then one more byte.
+  const std::array<std::int8_t, 3> pattern{-98, -97, -100};
+  const std::size_t prefix =
+      std::size_t{static_cast<std::uint8_t>(pattern[0])} * 256 +
+      static_cast<std::uint8_t>(pattern[1]);
+  EXPECT_EQ(CpmNoiseModelPeer::fnv(pattern),
+            (states[prefix] ^ static_cast<std::uint8_t>(pattern[2])) *
+                std::uint64_t{1099511628211ULL});
+}
+
+/// A hash that merges every pattern with the same sum of readings mod 16.
+std::uint64_t sum_mod_16(std::span<const std::int8_t> recent) noexcept {
+  int sum = 0;
+  for (const std::int8_t r : recent) sum += r;
+  return static_cast<std::uint64_t>(sum & 15);
+}
+
+TEST(CpmNoiseModel, MergedBucketsFallBackToProbing) {
+  // Under sum_mod_16 a bucket holds the successors of many patterns, so the
+  // pattern a successor leads to depends on which pattern the walk came
+  // from: those steps must hash and probe again.
+  for (std::size_t history = 2; history <= 3; ++history) {
+    const auto trace = generate_heavy_noise_trace({}, 4);
+    const CpmNoiseModel model =
+        CpmNoiseModelPeer::with_hash(trace, history, sum_mod_16);
+    EXPECT_GT(CpmNoiseModelPeer::merged_buckets(model), 0u);
+    EXPECT_EQ(first_divergence(model, trace, history, sum_mod_16, 4, 200'000),
+              -1)
+        << "history " << history;
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -222,12 +224,37 @@ struct RandomOps {
   /// When non-zero, half the pops also skip next_time(), so a pop can meet
   /// the hole the previous pop left.
   std::uint32_t follow_pct = 0;
+  /// Percentage of operations on timer slots, taken from clear()'s share:
+  /// add a timer, arm one (re-arming it if armed), stop one, or destroy one
+  /// (armed or not). A timer whose entry pops re-arms itself from its own
+  /// callback half the time.
+  std::uint32_t timer_pct = 0;
+};
+
+/// A timer slot's owner in the differential test: its queue slot, its id
+/// in the reference, and its armed entry's key while armed.
+struct FakeTimer {
+  std::uint32_t slot = 0;
+  int id = 0;
+  bool armed = false;
+  std::pair<SimTime, std::uint64_t> key{};
+  std::function<void()> on_fire;
+};
+
+/// What a timer configuration of the differential test exercised.
+struct TimerCoverage {
+  int rearmed_while_armed = 0;
+  int armed_from_own_callback = 0;
+  int destroyed_while_armed = 0;
+  int fired = 0;
 };
 
 /// Runs `input` against a reference ordered map keyed by (time, seq), which
 /// must agree with the queue on every pop and on size() after every
-/// operation. Returns the most events the queue held at once.
-std::size_t check_against_reference(const RandomOps& input) {
+/// operation. Returns the most events the queue held at once; `coverage`,
+/// when given, counts the timer cases met.
+std::size_t check_against_reference(const RandomOps& input,
+                                    TimerCoverage* coverage = nullptr) {
   using Key = std::pair<SimTime, std::uint64_t>;
   EventQueue q;
   std::multimap<Key, int> ref;
@@ -252,8 +279,68 @@ std::size_t check_against_reference(const RandomOps& input) {
   const auto draw_time = [&] {
     return SimTime{rng.uniform(input.span) / input.quantum * input.quantum};
   };
+  TimerCoverage seen;
+  std::vector<std::unique_ptr<FakeTimer>> timers;  // the live ones
+  SimTime now = 0;  // the time of the entry being run
+  const auto arm = [&](FakeTimer& t, SimTime when) {
+    q.arm_timer(t.slot, when, nullptr);
+    if (t.armed) ref.erase(t.key);  // its entry goes stale
+    t.key = Key{when, ++seq};
+    t.armed = true;
+    ref.emplace(t.key, t.id);
+  };
+  const auto disarm = [&](FakeTimer& t) {
+    if (t.armed) ref.erase(t.key);
+    t.armed = false;
+  };
+  const auto timer_op = [&] {
+    const std::uint32_t kind = rng.uniform(8);
+    if (timers.empty() || kind == 0) {
+      if (timers.size() >= 64) return;
+      auto t = std::make_unique<FakeTimer>();
+      FakeTimer* tp = t.get();
+      tp->id = next_id++;
+      tp->slot = q.add_timer(
+          [](void* target) { static_cast<FakeTimer*>(target)->on_fire(); },
+          tp);
+      EXPECT_FALSE(q.timer_armed(tp->slot));
+      tp->on_fire = [&, tp] {
+        fired_id = tp->id;
+        ++seen.fired;
+        // The reference popped its key: a one-shot is no longer running.
+        tp->armed = false;
+        EXPECT_FALSE(q.timer_armed(tp->slot));
+        if (rng.uniform(2) == 0) {
+          arm(*tp, now + draw_time());
+          ++seen.armed_from_own_callback;
+          EXPECT_TRUE(q.timer_armed(tp->slot));
+        }
+      };
+      timers.push_back(std::move(t));
+      return;
+    }
+    const auto pick = rng.uniform(static_cast<std::uint32_t>(timers.size()));
+    FakeTimer& t = *timers[pick];
+    if (kind <= 4) {
+      if (t.armed) ++seen.rearmed_while_armed;
+      arm(t, draw_time());
+    } else if (kind <= 6) {
+      q.disarm_timer(t.slot);
+      disarm(t);
+    } else {
+      if (t.armed) ++seen.destroyed_while_armed;
+      q.remove_timer(t.slot);
+      disarm(t);
+      timers.erase(timers.begin() + pick);
+    }
+    for (const auto& other : timers) {
+      EXPECT_EQ(q.timer_armed(other->slot), other->armed);
+    }
+  };
   for (int op = 0; op < input.ops; ++op) {
     const std::uint32_t dice = rng.uniform(100);
+    const std::uint32_t timer_end = input.schedule_pct + input.cancel_pct +
+                                    input.pop_pct + input.timer_pct;
     if (dice < input.schedule_pct) {
       add(draw_time());
     } else if (dice < input.schedule_pct + input.cancel_pct) {
@@ -271,25 +358,36 @@ std::size_t check_against_reference(const RandomOps& input) {
       if (input.follow_pct == 0 || rng.uniform(2) == 0) {
         EXPECT_EQ(q.next_time(), head->first.first);
       }
+      const Key expected_key = head->first;
+      const int expected_id = head->second;
+      ref.erase(head);  // before the run: a timer may re-arm in it
       auto fired = q.pop();
-      fired.callback();
-      EXPECT_EQ(fired.time, head->first.first) << "op " << op;
-      EXPECT_EQ(fired_id, head->second) << "op " << op;
-      ref.erase(head);
+      now = fired.time;
+      fired.run();
+      EXPECT_EQ(fired.time, expected_key.first) << "op " << op;
+      EXPECT_EQ(fired_id, expected_id) << "op " << op;
       ++pops;
       if (input.follow_pct != 0 && rng.uniform(100) < input.follow_pct) {
         EXPECT_EQ(q.size(), ref.size()) << "op " << op;
         add(fired.time + (rng.uniform(4) == 0 ? 0 : draw_time()));
       }
+    } else if (dice < timer_end) {
+      timer_op();
     } else {
       q.clear();
       ref.clear();
+      // Timers keep their slots, disarmed.
+      for (const auto& t : timers) {
+        t->armed = false;
+        EXPECT_FALSE(q.timer_armed(t->slot));
+      }
     }
     EXPECT_EQ(q.size(), ref.size()) << "op " << op;
     if (q.size() != ref.size() || ::testing::Test::HasFailure()) break;
     most = std::max(most, q.size());
   }
   EXPECT_GT(pops, input.ops / 4);
+  if (coverage != nullptr) *coverage = seen;
   return most;
 }
 
@@ -323,6 +421,24 @@ TEST(EventQueue, MatchesReferenceOnRandomOperations) {
                                                       .quantum = 4,
                                                       .follow_pct = 90});
   EXPECT_GT(steady, 85u);  // 1 + 4 + 16 + 64: four levels
+  // Timer slots among the one-shots, in the same pattern: armed, re-armed
+  // while armed, stopped, re-armed from their own callbacks and destroyed
+  // with an entry still in the heap, with clear() now and then; their
+  // arms draw seqs from the same counter as schedule().
+  TimerCoverage timers;
+  check_against_reference({.ops = 60000,
+                           .schedule_pct = 20,
+                           .cancel_pct = 5,
+                           .pop_pct = 50,
+                           .span = 64,
+                           .quantum = 4,
+                           .follow_pct = 50,
+                           .timer_pct = 24},
+                          &timers);
+  EXPECT_GT(timers.fired, 1000);
+  EXPECT_GT(timers.rearmed_while_armed, 100);
+  EXPECT_GT(timers.armed_from_own_callback, 500);
+  EXPECT_GT(timers.destroyed_while_armed, 50);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace telea {
 namespace {
@@ -67,6 +68,37 @@ TEST(Timer, RestartRearms) {
   EXPECT_EQ(at[0], 150u);
 }
 
+TEST(Timer, ResetDisarmsAndRearmFiresOnce) {
+  Simulator sim;
+  Timer t(sim);
+  int fired = 0;
+  t.set_callback([&] { ++fired; });
+  t.start_one_shot(100);
+  sim.reset();
+  EXPECT_FALSE(t.running());
+  EXPECT_TRUE(sim.idle());
+  t.start_one_shot(50);
+  EXPECT_TRUE(t.running());
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 50u);
+  EXPECT_FALSE(t.running());
+}
+
+TEST(Timer, ResetDisarmsPeriodic) {
+  Simulator sim;
+  Timer t(sim);
+  int fired = 0;
+  t.set_callback([&] { ++fired; });
+  t.start_periodic(10);
+  sim.run_until(25);
+  EXPECT_EQ(fired, 2);
+  sim.reset();
+  EXPECT_FALSE(t.running());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 2);
+}
+
 TEST(Timer, DestructionCancels) {
   Simulator sim;
   int fired = 0;
@@ -90,6 +122,19 @@ TEST(Timer, CallbackMayRestartItself) {
   sim.run();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.now(), 30u);
+}
+
+TEST(Timer, RunningInsideOwnCallback) {
+  Simulator sim;
+  Timer one_shot(sim);
+  Timer periodic(sim);
+  std::vector<bool> seen;
+  one_shot.set_callback([&] { seen.push_back(one_shot.running()); });
+  periodic.set_callback([&] { seen.push_back(periodic.running()); });
+  one_shot.start_one_shot(5);
+  periodic.start_periodic(10);
+  sim.run_until(10);
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
 }
 
 TEST(Timer, StopInsideCallbackStopsPeriodic) {
