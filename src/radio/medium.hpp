@@ -67,10 +67,14 @@ class RadioMedium {
   /// misses that copy — exactly why LPL senders repeat.
   void set_listening(NodeId id, bool listening);
 
-  /// Starts transmitting `frame`, whose MPDU is `mpdu` =
-  /// wire_size_bytes(frame) bytes, from `src`. The MAC must not call this
+  /// Starts transmitting `frame` from `src`. The MAC must not call this
   /// again for `src` until its on_tx_done fires. Unicast/anycast frames
   /// include an acknowledgement window after the frame airtime.
+  ///
+  /// Precondition: `mpdu == wire_size_bytes(frame)`. The caller sizes the
+  /// frame once per send op (LplMac repeats one frame for a whole wake
+  /// interval); airtime, the transmit record and the PRR draw all take
+  /// `mpdu` as given, and only debug builds check it.
   void transmit(NodeId src, Frame frame, std::size_t mpdu);
 
   /// True while `src` is mid-transmission (including the ack window).

@@ -39,11 +39,16 @@ std::vector<std::int8_t> generate_heavy_noise_trace(
   return trace;
 }
 
-template <typename Hash>
-void CpmNoiseModel::train(const std::vector<std::int8_t>& trace, Hash hash_of) {
+CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
+                             std::size_t history)
+    : history_(std::max<std::size_t>(history, 1)) {
   if (trace.size() <= history_) {
     throw std::invalid_argument(
         "CpmNoiseModel: the trace must be longer than the history");
+  }
+  if (history_ > kInjectiveHistory) {
+    throw std::invalid_argument(
+        "CpmNoiseModel: the history must be at most 3 readings");
   }
   marginal_ = trace;
   double sum = 0;
@@ -55,40 +60,27 @@ void CpmNoiseModel::train(const std::vector<std::int8_t>& trace, Hash hash_of) {
 
   // Window i is the pattern trace[i - history_, i), followed by trace[i].
   const auto window_hash = [&](std::size_t i) {
-    return hash_of({trace.data() + (i - history_), history_});
+    return pattern_hash({trace.data() + (i - history_), history_});
   };
   // Count pass: find or insert each pattern's bucket and count successors.
-  // Until the layout below, a bucket's `offset` holds its first window; a
-  // later window with the bucket's hash but other readings merges two
-  // patterns, and its hash is noted for merged_. FNV-1a cannot merge
-  // patterns of up to kInjectiveHistory readings, so those skip the check.
-  const bool check_merges =
-      hash_ != &pattern_hash || history_ > kInjectiveHistory;
   buckets_.resize(16);
   std::size_t patterns = 0;
-  std::vector<std::uint64_t> merged_hashes;
   for (std::size_t i = history_; i < trace.size(); ++i) {
     const std::uint64_t hash = window_hash(i);
     std::size_t b = probe(hash);
-    const std::int8_t* window = trace.data() + (i - history_);
     if (buckets_[b].count == 0) {
       if (2 * (patterns + 1) > buckets_.size()) {
+        if (buckets_.size() == kMaxBuckets) {
+          throw std::invalid_argument(
+              "CpmNoiseModel: the trace has more than 32,768 patterns");
+        }
         grow();
         b = probe(hash);
       }
       buckets_[b].hash = hash;
-      buckets_[b].offset = static_cast<std::uint32_t>(i);
       ++patterns;
-    } else if (check_merges &&
-               !std::equal(window, window + history_,
-                           trace.data() + (buckets_[b].offset - history_))) {
-      merged_hashes.push_back(hash);
     }
     ++buckets_[b].count;
-  }
-  if (!merged_hashes.empty()) {
-    merged_.assign(buckets_.size(), false);
-    for (const std::uint64_t hash : merged_hashes) merged_[probe(hash)] = true;
   }
   // Lay the bags out back to back, then fill each in trace order. The fill
   // pass advances `offset` as its cursor, because a zeroed count would read
@@ -99,39 +91,18 @@ void CpmNoiseModel::train(const std::vector<std::int8_t>& trace, Hash hash_of) {
     offset += b.count;
   }
   successors_.resize(offset);
-  const bool narrow = buckets_.size() <= std::size_t{1} << 16;
-  if (narrow) {
-    next16_.resize(offset);
-  } else {
-    next32_.resize(offset);
-  }
+  next_.resize(offset);
   // The successor placed at iteration i leads to window i + 1, whose bucket
   // iteration i + 1 probes anyway; window trace.size() only ends the trace.
   std::size_t placed = 0;
   for (std::size_t i = history_; i <= trace.size(); ++i) {
     const std::size_t b = probe(window_hash(i));
-    if (i > history_ && narrow) next16_[placed] = static_cast<std::uint16_t>(b);
-    if (i > history_ && !narrow) next32_[placed] = static_cast<std::uint32_t>(b);
+    if (i > history_) next_[placed] = static_cast<std::uint16_t>(b);
     if (i == trace.size()) break;
     placed = buckets_[b].offset++;
     successors_[placed] = trace[i];
   }
   for (Bucket& b : buckets_) b.offset -= b.count;
-}
-
-CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
-                             std::size_t history)
-    : history_(std::max<std::size_t>(history, 1)), hash_(&pattern_hash) {
-  // A lambda, so training inlines the hash instead of calling through hash_.
-  train(trace, [](std::span<const std::int8_t> window) {
-    return pattern_hash(window);
-  });
-}
-
-CpmNoiseModel::CpmNoiseModel(const std::vector<std::int8_t>& trace,
-                             std::size_t history, PatternHash hasher)
-    : history_(std::max<std::size_t>(history, 1)), hash_(hasher) {
-  train(trace, hasher);
 }
 
 std::size_t CpmNoiseModel::probe(std::uint64_t hash) const noexcept {
@@ -155,9 +126,8 @@ void CpmNoiseModel::grow() {
 
 std::uint64_t CpmNoiseModel::pattern_hash(
     std::span<const std::int8_t> recent) noexcept {
-  // FNV-1a over the quantized readings; collisions merely merge similar
-  // conditional distributions, which CPM tolerates by construction (and
-  // training flags, see merged()).
+  // FNV-1a over the quantized readings; up to kInjectiveHistory readings
+  // it has no collisions.
   std::uint64_t h = 1469598103934665603ULL;
   for (std::int8_t v : recent) {
     h ^= static_cast<std::uint8_t>(v);
@@ -190,7 +160,7 @@ void CpmNoiseModel::Generator::advance_one() {
   } else {
     const std::size_t i = b.offset + rng_.uniform(b.count);
     next = model.successors_[i];
-    bucket_ = model.merged(bucket_) ? kUnknown : model.next_bucket(i);
+    bucket_ = model.next_bucket(i);
   }
   std::rotate(recent_.begin(), recent_.begin() + 1, recent_.end());
   recent_.back() = next;

@@ -46,15 +46,15 @@ inline constexpr double kTraceMaxDbm = -40.0;
 /// Each successor also records the bucket of the pattern it leads to (its
 /// bag's pattern shifted by one, plus the successor), so a generator walks
 /// bucket to bucket without hashing or probing. That is an exact memo of
-/// the probe unless a bucket merges two different patterns (equal hashes);
-/// training checks every window against its bucket's first (FNV-1a needs
-/// no check up to kInjectiveHistory readings), and a walk that leaves a
-/// merged bucket probes as before.
+/// the probe because no two patterns share a bucket: FNV-1a gives every
+/// pattern of up to kInjectiveHistory readings its own hash.
 class CpmNoiseModel {
  public:
   /// Trains the table from a trace of quantized dBm readings. Throws
   /// std::invalid_argument unless the trace is longer than `history`
-  /// (a history of 0 is treated as 1).
+  /// (a history of 0 is treated as 1), if `history` exceeds
+  /// kInjectiveHistory, or if the trace holds so many distinct patterns
+  /// that the bucket array outgrows kMaxBuckets.
   CpmNoiseModel(const std::vector<std::int8_t>& trace, std::size_t history = 3);
 
   /// A generator: an independent random walk over the trained model. Each
@@ -115,44 +115,34 @@ class CpmNoiseModel {
 
  private:
   friend class Generator;
-  friend struct CpmNoiseModelPeer;  // tests: a hash that merges patterns
-
-  using PatternHash = std::uint64_t (*)(std::span<const std::int8_t>) noexcept;
-
-  /// Trains with `hasher` as the pattern hash.
-  CpmNoiseModel(const std::vector<std::int8_t>& trace, std::size_t history,
-                PatternHash hasher);
-
-  /// Builds the table from `trace` with `hash_of` (a callable equal to hash_).
-  template <typename Hash>
-  void train(const std::vector<std::int8_t>& trace, Hash hash_of);
+  friend struct CpmNoiseModelPeer;  // tests: the hash and its proof
 
   /// FNV-1a over the quantized readings, the hash every model trains with.
   [[nodiscard]] static std::uint64_t pattern_hash(
       std::span<const std::int8_t> recent) noexcept;
 
   /// pattern_hash gives every pattern of up to this many readings its own
-  /// value. Two equal-length inputs that collide must, after some prefix
-  /// of k < length bytes, reach states that differ in the low 8 bits only
-  /// (a byte XOR then evens them out, and multiplying by the odd prime is
-  /// a bijection). No two of the 2^8 one-byte or 2^16 two-byte states do;
-  /// a test enumerates them.
+  /// value, the longest history a model accepts. Two equal-length inputs
+  /// that collide must, after some prefix of k < length bytes, reach states
+  /// that differ in the low 8 bits only (a byte XOR then evens them out,
+  /// and multiplying by the odd prime is a bijection). No two of the 2^8
+  /// one-byte or 2^16 two-byte states do; a test enumerates them.
   static constexpr std::size_t kInjectiveHistory = 3;
+
+  /// The most buckets a model holds, so next_bucket() fits 16 bits. A
+  /// 20,000-reading trace has under 20,000 patterns and at most this many
+  /// buckets (the array is at most half full).
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
 
   /// Index of the bucket for the pattern `recent`.
   [[nodiscard]] std::uint32_t bucket_of(
       std::span<const std::int8_t> recent) const noexcept {
-    return static_cast<std::uint32_t>(probe(hash_(recent)));
+    return static_cast<std::uint32_t>(probe(pattern_hash(recent)));
   }
 
   /// Bucket of the pattern successor `i` leads to (see the class comment).
   [[nodiscard]] std::uint32_t next_bucket(std::size_t i) const noexcept {
-    return next16_.empty() ? next32_[i] : next16_[i];
-  }
-
-  /// Whether bucket `b` holds the successors of two different patterns.
-  [[nodiscard]] bool merged(std::uint32_t b) const noexcept {
-    return !merged_.empty() && merged_[b];
+    return next_[i];
   }
 
   /// Samples from the marginal distribution.
@@ -174,17 +164,11 @@ class CpmNoiseModel {
   void grow();
 
   std::size_t history_;
-  PatternHash hash_;
   // pattern hash -> all observed successors (sampling uniformly from the
   // successor bag reproduces the empirical conditional distribution).
   std::vector<Bucket> buckets_;  // power-of-two size, at most half full
   std::vector<std::int8_t> successors_;
-  // next_bucket() per successor: 16-bit while there are at most 65,536
-  // buckets (next32_ empty), else 32-bit (next16_ empty).
-  std::vector<std::uint16_t> next16_;
-  std::vector<std::uint32_t> next32_;
-  // Per bucket, whether it merges patterns; empty when none does.
-  std::vector<bool> merged_;
+  std::vector<std::uint16_t> next_;  // next_bucket() per successor
   std::vector<std::int8_t> marginal_;
   double marginal_mean_ = -98.0;
   // dbm_to_mw of every int8 reading, indexed by the reading's byte.

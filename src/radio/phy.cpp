@@ -70,7 +70,7 @@ double Cc2420Phy::packet_reception_ratio(double sinr_db, double rssi_dbm,
   return std::pow(1.0 - ber, bits);
 }
 
-const std::array<Cc2420Phy::PrrBand, Cc2420Phy::kMaxMpduBytes + 1>&
+const std::array<Cc2420Phy::PrrBand, kMaxMpduBytes + 1>&
 Cc2420Phy::prr_bands() noexcept {
   // The BER falls as the linear SINR rises, and the PRR (1 − BER)^bits with
   // it. Both bounds are read off one grid of SINRs 2^(j/64), 2^−16 to 2^3:

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "radio/packet.hpp"
 #include "sim/time.hpp"
 #include "util/dbm.hpp"
 
@@ -92,10 +93,9 @@ class Cc2420Phy {
     double lo;
     double hi;
   };
-  /// The largest MPDU the PRR bands cover (802.15.4 aMaxPHYPacketSize).
-  static constexpr std::size_t kMaxMpduBytes = 127;
-  /// prr_bands()[mpdu], computed once per process on first use (thread
-  /// safe; about 20k libm calls). See phy.cpp for how and why they hold.
+  /// prr_bands()[mpdu] for every MPDU up to kMaxMpduBytes, computed once
+  /// per process on first use (thread safe; about 20k libm calls). See
+  /// phy.cpp for how and why they hold.
   [[nodiscard]] static const std::array<PrrBand, kMaxMpduBytes + 1>&
   prr_bands() noexcept;
 

@@ -8,14 +8,10 @@
 
 #include "radio/medium.hpp"
 #include "radio/phy.hpp"
+#include "transmit_frame.hpp"
 
 namespace telea {
 namespace {
-
-/// Transmits `frame` from `src`, sized as LplMac sizes it.
-void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
-  medium.transmit(src, frame, wire_size_bytes(frame));
-}
 
 class AckerListener final : public MediumListener {
  public:

@@ -14,16 +14,12 @@
 
 #include "radio/interferer.hpp"
 #include "radio/medium.hpp"
+#include "transmit_frame.hpp"
 #include "util/dbm.hpp"
 #include "util/rng.hpp"
 
 namespace telea {
 namespace {
-
-/// Transmits `frame` from `src`, sized as LplMac sizes it.
-void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
-  medium.transmit(src, frame, wire_size_bytes(frame));
-}
 
 TEST(WifiInterfererMw, PowerMwMatchesDbmConversionExactly) {
   constexpr std::size_t kNodes = 9;

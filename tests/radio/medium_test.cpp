@@ -6,15 +6,11 @@
 #include <vector>
 
 #include "radio/phy.hpp"
+#include "transmit_frame.hpp"
 #include "util/rng.hpp"
 
 namespace telea {
 namespace {
-
-/// Transmits `frame` from `src`, sized as LplMac sizes it.
-void transmit_frame(RadioMedium& medium, NodeId src, const Frame& frame) {
-  medium.transmit(src, frame, wire_size_bytes(frame));
-}
 
 /// A scripted MAC stand-in recording everything the medium reports.
 class FakeListener final : public MediumListener {

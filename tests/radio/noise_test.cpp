@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "util/dbm.hpp"
@@ -16,25 +17,14 @@
 
 namespace telea {
 
-// Reaches the model's private training hook and tables.
+// Reaches the model's private hash and its bounds.
 struct CpmNoiseModelPeer {
-  using Hash = std::uint64_t (*)(std::span<const std::int8_t>) noexcept;
-  static CpmNoiseModel with_hash(const std::vector<std::int8_t>& trace,
-                                 std::size_t history, Hash hash) {
-    return CpmNoiseModel(trace, history, hash);
-  }
   static std::uint64_t fnv(std::span<const std::int8_t> recent) noexcept {
     return CpmNoiseModel::pattern_hash(recent);
   }
-  static std::size_t merged_buckets(const CpmNoiseModel& model) {
-    return static_cast<std::size_t>(
-        std::count(model.merged_.begin(), model.merged_.end(), true));
-  }
-  static bool wide_indices(const CpmNoiseModel& model) {
-    return !model.next32_.empty();
-  }
   static constexpr std::size_t kInjectiveHistory =
       CpmNoiseModel::kInjectiveHistory;
+  static constexpr std::size_t kMaxBuckets = CpmNoiseModel::kMaxBuckets;
 };
 
 namespace {
@@ -293,11 +283,11 @@ TEST(CpmNoiseModel, RejectsTraceNoLongerThanHistory) {
 class ProbingWalk {
  public:
   ProbingWalk(const std::vector<std::int8_t>& trace, std::size_t history,
-              CpmNoiseModelPeer::Hash hash, std::uint64_t seed,
-              std::uint64_t stream)
-      : trace_(&trace), hash_(hash), rng_(seed, stream), recent_(history) {
+              std::uint64_t seed, std::uint64_t stream)
+      : trace_(&trace), rng_(seed, stream), recent_(history) {
     for (std::size_t i = history; i < trace.size(); ++i) {
-      bags_[hash({trace.data() + (i - history), history})].push_back(trace[i]);
+      bags_[CpmNoiseModelPeer::fnv({trace.data() + (i - history), history})]
+          .push_back(trace[i]);
     }
   }
 
@@ -317,7 +307,7 @@ class ProbingWalk {
       gap = 1;
     }
     for (SimTime i = 0; i < gap; ++i) {
-      const auto bag = bags_.find(hash_(recent_));
+      const auto bag = bags_.find(CpmNoiseModelPeer::fnv(recent_));
       const std::int8_t next =
           bag == bags_.end()
               ? marginal()
@@ -340,7 +330,6 @@ class ProbingWalk {
   }
 
   const std::vector<std::int8_t>* trace_;
-  CpmNoiseModelPeer::Hash hash_;
   Pcg32 rng_;
   std::unordered_map<std::uint64_t, std::vector<std::int8_t>> bags_;
   std::vector<std::int8_t> recent_;
@@ -356,10 +345,10 @@ class ProbingWalk {
 /// repeat a time, skip up to 32 steps, or jump far enough to restart.
 long first_divergence(const CpmNoiseModel& model,
                       const std::vector<std::int8_t>& trace,
-                      std::size_t history, CpmNoiseModelPeer::Hash hash,
-                      std::uint64_t seed, std::uint64_t steps) {
+                      std::size_t history, std::uint64_t seed,
+                      std::uint64_t steps) {
   auto gen = model.make_generator(seed, 5);
-  ProbingWalk walk(trace, history, hash, seed, 5);
+  ProbingWalk walk(trace, history, seed, 5);
   Pcg32 times(seed, 99);
   SimTime t = 0;
   for (long query = 0; walk.steps() < steps; ++query) {
@@ -380,27 +369,40 @@ TEST(CpmNoiseModel, CachedWalkEqualsProbingWalk) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const auto trace = generate_heavy_noise_trace({}, seed);
       const CpmNoiseModel model(trace, history);
-      EXPECT_EQ(CpmNoiseModelPeer::merged_buckets(model), 0u);
-      EXPECT_FALSE(CpmNoiseModelPeer::wide_indices(model));
-      EXPECT_EQ(first_divergence(model, trace, history, CpmNoiseModelPeer::fnv,
-                                 seed, 125'000),
-                -1)
+      EXPECT_EQ(first_divergence(model, trace, history, seed, 125'000), -1)
           << "history " << history << ", trace seed " << seed;
     }
   }
 }
 
-TEST(CpmNoiseModel, CachedWalkEqualsProbingWalkWithWideIndices) {
-  // Uniform readings make ~70,000 distinct patterns, past the 65,536
-  // buckets 16-bit indices can name.
+TEST(CpmNoiseModel, RejectsHistoryLongerThanTheInjectiveHash) {
+  const auto trace = generate_heavy_noise_trace({}, 3);
+  const std::size_t longest = CpmNoiseModelPeer::kInjectiveHistory;
+  EXPECT_NO_THROW((CpmNoiseModel{trace, longest}));
+  EXPECT_THROW((CpmNoiseModel{trace, longest + 1}), std::invalid_argument);
+}
+
+TEST(CpmNoiseModel, RejectsMorePatternsThanSixteenBitIndicesName) {
+  // Uniform readings make nearly every window of three a new pattern. The
+  // bucket array stays at most half full, so kMaxBuckets buckets hold
+  // kMaxBuckets / 2 patterns; the trace prefix with one more must throw.
   Pcg32 rng(17, 3);
-  std::vector<std::int8_t> trace(70'000);
+  std::vector<std::int8_t> trace(40'000);
   for (auto& r : trace) r = static_cast<std::int8_t>(rng.next());
-  const CpmNoiseModel model(trace, 3);
-  EXPECT_TRUE(CpmNoiseModelPeer::wide_indices(model));
-  EXPECT_EQ(first_divergence(model, trace, 3, CpmNoiseModelPeer::fnv, 1,
-                             200'000),
-            -1);
+  const std::size_t most = CpmNoiseModelPeer::kMaxBuckets / 2;
+  std::unordered_set<std::uint64_t> seen;
+  std::size_t length = 3;
+  for (; seen.size() <= most; ++length) {
+    ASSERT_LT(length, trace.size());
+    seen.insert(CpmNoiseModelPeer::fnv({trace.data() + (length - 3), 3}));
+  }
+  // trace[0, length) has most + 1 patterns; one reading less has most.
+  const auto end = trace.begin() + static_cast<std::ptrdiff_t>(length);
+  const std::vector<std::int8_t> fits(trace.begin(), end - 1);
+  const std::vector<std::int8_t> over(trace.begin(), end);
+  const CpmNoiseModel model(fits, 3);
+  EXPECT_EQ(first_divergence(model, fits, 3, 1, 200'000), -1);
+  EXPECT_THROW((CpmNoiseModel{over, 3}), std::invalid_argument);
 }
 
 TEST(CpmNoiseModel, PatternHashIsInjectiveUpToTheCheckedHistory) {
@@ -434,28 +436,6 @@ TEST(CpmNoiseModel, PatternHashIsInjectiveUpToTheCheckedHistory) {
   EXPECT_EQ(CpmNoiseModelPeer::fnv(pattern),
             (states[prefix] ^ static_cast<std::uint8_t>(pattern[2])) *
                 std::uint64_t{1099511628211ULL});
-}
-
-/// A hash that merges every pattern with the same sum of readings mod 16.
-std::uint64_t sum_mod_16(std::span<const std::int8_t> recent) noexcept {
-  int sum = 0;
-  for (const std::int8_t r : recent) sum += r;
-  return static_cast<std::uint64_t>(sum & 15);
-}
-
-TEST(CpmNoiseModel, MergedBucketsFallBackToProbing) {
-  // Under sum_mod_16 a bucket holds the successors of many patterns, so the
-  // pattern a successor leads to depends on which pattern the walk came
-  // from: those steps must hash and probe again.
-  for (std::size_t history = 2; history <= 3; ++history) {
-    const auto trace = generate_heavy_noise_trace({}, 4);
-    const CpmNoiseModel model =
-        CpmNoiseModelPeer::with_hash(trace, history, sum_mod_16);
-    EXPECT_GT(CpmNoiseModelPeer::merged_buckets(model), 0u);
-    EXPECT_EQ(first_divergence(model, trace, history, sum_mod_16, 4, 200'000),
-              -1)
-        << "history " << history;
-  }
 }
 
 }  // namespace

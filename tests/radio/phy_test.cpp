@@ -224,7 +224,7 @@ TEST(Cc2420Phy, CaptureVerdictEqualsLogOnAFineGrid) {
 
 TEST(Cc2420Phy, PrrBandsBoundThePrr) {
   const double rssi = -80.0;
-  for (std::size_t mpdu = 0; mpdu <= Cc2420Phy::kMaxMpduBytes; ++mpdu) {
+  for (std::size_t mpdu = 0; mpdu <= kMaxMpduBytes; ++mpdu) {
     const auto band = Cc2420Phy::prr_bands()[mpdu];
     EXPECT_LT(band.lo, band.hi) << "mpdu " << mpdu;
     EXPECT_LT(band.hi, db_to_linear(Cc2420Phy::kSaturatedSinrDb));
@@ -251,7 +251,7 @@ TEST(Cc2420Phy, ReceptionVerdictEqualsPrrDrawAroundBandEdges) {
   std::size_t mismatches = 0;
   for (const double signal_dbm : {-94.5, -71.0}) {
     const double signal_mw = dbm_to_mw(signal_dbm);
-    for (std::size_t mpdu = 5; mpdu <= Cc2420Phy::kMaxMpduBytes; ++mpdu) {
+    for (std::size_t mpdu = 5; mpdu <= kMaxMpduBytes; ++mpdu) {
       const auto band = Cc2420Phy::prr_bands()[mpdu];
       for (const double gamma : {band.lo, band.hi}) {
         const double edge = signal_mw / gamma;
@@ -282,7 +282,7 @@ TEST(Cc2420Phy, ReceptionVerdictEqualsPrrDrawOnAFineGrid) {
     const double signal_mw = dbm_to_mw(signal_dbm);
     for (int i = -2500; i <= 1500; ++i) {
       const double total = dbm_to_mw(signal_dbm - i * 0.01);
-      for (std::size_t mpdu = 5; mpdu <= Cc2420Phy::kMaxMpduBytes; ++mpdu) {
+      for (std::size_t mpdu = 5; mpdu <= kMaxMpduBytes; ++mpdu) {
         for (std::size_t d = 0; d < kDraws.size(); ++d) {
           const double u = kDraws[d];
           const bool got =
@@ -300,7 +300,7 @@ TEST(Cc2420Phy, ReceptionVerdictEqualsPrrDrawOnAFineGrid) {
   }
   EXPECT_EQ(mismatches, 0u);
   // u = 0 receives everything above sensitivity; the larger draws less.
-  const std::size_t above = 4001 * (Cc2420Phy::kMaxMpduBytes - 4);
+  const std::size_t above = 4001 * (kMaxMpduBytes - 4);
   EXPECT_EQ(received[0], above);
   EXPECT_LT(received[1], above);
   EXPECT_LT(received[2], received[1]);
